@@ -8,14 +8,16 @@ Subcommands:
                      count, write nothing.
 
 `--print-defaults` dumps the canonical default configuration as JSON.
-Every output file embeds the resolved config hash and the seed, and a rerun
-with the same config and seed produces byte-identical files.
+Every output file embeds the config hash and the seed, and a rerun with the
+same config and seed produces byte-identical files, whatever the output
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -216,6 +218,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse `argv`, run the command and return the exit status.
+
+    When the reader of standard output goes away early (`fedcs-sim ... |
+    head`), the program ends quietly with status 1 instead of a
+    BrokenPipeError traceback.
+    """
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush from failing too (the idiom of the `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="fedcs-sim",
         description="Deadline-constrained federated-learning simulator",

@@ -333,9 +333,20 @@ def parse_config(path: str | Path) -> "ExperimentConfig":
     return ExperimentConfig(resolve_config(user))
 
 
+# Top-level keys that say where the outputs go and which seeds run, not what a
+# run computes.  Each output file records its seed (summary.json its seed
+# list) next to the hash.
+_UNHASHED_KEYS = ("output_dir", "seeds")
+
+
 def config_hash(resolved: dict[str, Any]) -> str:
-    """Order-independent hash of a resolved config, for output provenance."""
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    """Order-independent hash of a resolved config, for output provenance.
+
+    Only the fields that change a run's result are hashed, so the same
+    experiment written to two output directories carries the same hash.
+    """
+    hashed = {k: v for k, v in resolved.items() if k not in _UNHASHED_KEYS}
+    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

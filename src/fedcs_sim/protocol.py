@@ -27,13 +27,12 @@ from .core import ClientId, ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
 from .resources import (
     ClientProfile,
+    EstimateColumns,
     FluctuationConfig,
     TimeBudget,
-    estimated_update_time,
-    estimated_upload_time,
     realized_times,
 )
-from .selection import Candidate, CandidateSet, extend_theta, greedy_select
+from .selection import CandidateSet, extend_theta, greedy_select
 
 __all__ = [
     "MODES",
@@ -176,7 +175,12 @@ class RoundRecord:
 
 @dataclass
 class ExperimentState:
-    """Mutable per-experiment state threaded through the round engines."""
+    """Mutable per-experiment state threaded through the round engines.
+
+    `estimates` holds the population's estimated-time columns.  Only the
+    fedcs engine uses them; it builds them on its first round, from that
+    round's profiles and budget, which stay fixed for the run.
+    """
 
     clock: float
     model: GlobalModel
@@ -184,6 +188,7 @@ class ExperimentState:
     rng_selection: np.random.Generator
     rng_fluctuation: np.random.Generator
     rng_training: np.random.Generator
+    estimates: EstimateColumns | None = None
 
     @classmethod
     def fresh(cls, trainer: Trainer, rng: RngStream) -> "ExperimentState":
@@ -198,15 +203,22 @@ class ExperimentState:
         )
 
 
-def _request_cohort(
+def _request_positions(
     state: ExperimentState, profiles: list[ClientProfile], config: ProtocolConfig
-) -> list[ClientProfile]:
-    """Resource request: a uniform without-replacement draw, returned by id."""
+) -> np.ndarray:
+    """Resource request: a uniform without-replacement draw of profile
+    positions, in ascending order."""
     size = config.cohort_size
     if size > len(profiles):
         raise ParameterError("cohort size exceeds the client population")
-    picks = state.rng_selection.choice(len(profiles), size=size, replace=False)
-    return [profiles[i] for i in sorted(picks)]
+    return np.sort(state.rng_selection.choice(len(profiles), size=size, replace=False))
+
+
+def _request_cohort(
+    state: ExperimentState, profiles: list[ClientProfile], config: ProtocolConfig
+) -> list[ClientProfile]:
+    """Resource request: the drawn profiles, in profile-list order."""
+    return [profiles[i] for i in _request_positions(state, profiles, config).tolist()]
 
 
 def _aggregate_and_evaluate(
@@ -245,20 +257,20 @@ def run_round_fedcs(
     within the deadline aggregate and the clock advances by exactly t_round.
     """
     budget = config.budget
-    cohort = _request_cohort(state, profiles, config)
-    by_id = {int(p.id): p for p in cohort}
+    if state.estimates is None:
+        state.estimates = EstimateColumns.of(profiles, budget)
+    columns = state.estimates
+    positions = _request_positions(state, profiles, config)
+    cohort_ids = columns.ids[positions]
     candidates = CandidateSet(
-        tuple(
-            Candidate(
-                id=p.id,
-                t_update=estimated_update_time(p, budget),
-                t_upload=estimated_upload_time(p, budget),
-                throughput=p.mean_throughput,
-            )
-            for p in cohort
-        )
+        ids=cohort_ids,
+        t_update=columns.t_update[positions],
+        t_upload=columns.t_upload[positions],
+        throughput=columns.throughput[positions],
     )
     schedule = greedy_select(candidates, budget)
+    position_of = dict(zip(cohort_ids.tolist(), positions.tolist()))
+    by_id = {int(cid): profiles[position_of[int(cid)]] for cid in schedule.order}
 
     base = float(budget.t_cs) + float(budget.t_agg)
     if schedule.order:
@@ -293,7 +305,7 @@ def run_round_fedcs(
     state.clock += advance
     return RoundRecord(
         round=round_index,
-        requested=tuple(int(p.id) for p in cohort),
+        requested=tuple(candidates.ids.tolist()),
         selected_or_completed=tuple(int(cid) for cid in schedule.order),
         realized_round_duration=Seconds(advance),
         busy_time=Seconds(busy),

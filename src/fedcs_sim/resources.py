@@ -2,8 +2,9 @@
 
 A profile fixes a client's data count, mean compute capability and mean
 uplink throughput for the whole simulation.  Estimated times are
-deterministic functions of the profile; realized times re-sample capability
-and throughput around their means with a configurable relative std.
+deterministic functions of the profile, per client or as columns over a
+whole population; realized times re-sample capability and throughput around
+their means with a configurable relative std.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
 
 __all__ = [
     "ClientProfile",
+    "EstimateColumns",
     "FluctuationConfig",
     "ResourceRanges",
     "TimeBudget",
@@ -141,6 +143,36 @@ def estimated_upload_time(profile: ClientProfile, budget: TimeBudget) -> Seconds
     if profile.mean_throughput == 0:
         raise ModelError(f"client {int(profile.id)} has zero mean throughput")
     return Seconds(budget.model_size / profile.mean_throughput)
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateColumns:
+    """Estimated times of a whole population, one row per profile, in list order.
+
+    `ids` is int64; `t_update`, `t_upload` and `throughput` are float64.  The
+    times are the same float operations as `estimated_update_time` and
+    `estimated_upload_time` on the same values, so they are bit-equal.
+    """
+
+    ids: np.ndarray
+    t_update: np.ndarray
+    t_upload: np.ndarray
+    throughput: np.ndarray
+
+    @classmethod
+    def of(cls, profiles: list[ClientProfile], budget: TimeBudget) -> "EstimateColumns":
+        ids = np.array([int(p.id) for p in profiles], dtype=np.int64)
+        data_counts = np.array([int(p.data_count) for p in profiles], dtype=np.int64)
+        capability = np.array([float(p.mean_capability) for p in profiles], dtype=np.float64)
+        throughput = np.array([float(p.mean_throughput) for p in profiles], dtype=np.float64)
+        if not throughput.all():
+            raise ModelError(f"client {int(ids[np.argmin(throughput)])} has zero mean throughput")
+        return cls(
+            ids=ids,
+            t_update=budget.epochs_per_round * data_counts / capability,
+            t_upload=float(budget.model_size) / throughput,
+            throughput=throughput,
+        )
 
 
 def realized_times(

@@ -15,7 +15,16 @@ from fedcs_sim.protocol import (
     run_round_fedlim,
     run_round_vanilla,
 )
-from fedcs_sim.resources import FluctuationConfig, ResourceRanges, TimeBudget, generate_profiles
+from fedcs_sim.resources import (
+    FluctuationConfig,
+    ResourceRanges,
+    TimeBudget,
+    estimated_update_time,
+    estimated_upload_time,
+    generate_profiles,
+)
+from fedcs_sim.selection import Candidate
+from test_selection import reference_greedy
 
 K_SMALL = 200
 
@@ -83,6 +92,43 @@ class TestFedcsRound:
             assert len(set(record.requested)) == config.cohort_size
             seen.append(record.requested)
         assert len(set(seen)) > 1  # fresh draw each round
+
+
+class TestFedcsSelectionWiring:
+    def test_rounds_match_reference_greedy_on_paper_cell(self):
+        config = ProtocolConfig()  # the paper's cell: K=1000, C=0.1, fedcs
+        budget = config.budget
+        stop = StopCondition(t_final=Seconds(20 * float(budget.t_round)))
+        for seed in (0, 1):
+            rng = RngStream(seed)
+            profiles = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
+            by_id = {int(p.id): p for p in profiles}
+            records = run_experiment(config, stop, SurrogateTrainer(), profiles, rng)
+            assert len(records) == 20
+            for record in records:
+                rows = [
+                    Candidate(
+                        id=p.id,
+                        t_update=estimated_update_time(p, budget),
+                        t_upload=estimated_upload_time(p, budget),
+                        throughput=p.mean_throughput,
+                    )
+                    for p in (by_id[cid] for cid in record.requested)
+                ]
+                expected = reference_greedy(rows, budget)
+                assert record.selected_or_completed == tuple(int(k) for k in expected.order)
+
+            trainer = SurrogateTrainer()
+            state = ExperimentState.fresh(trainer, rng)
+            run_round_fedcs(state, profiles, config, trainer, 0)
+            columns = state.estimates
+            assert columns.ids.tolist() == [int(p.id) for p in profiles]
+            for column, scalar in (
+                (columns.t_update, estimated_update_time),
+                (columns.t_upload, estimated_upload_time),
+            ):
+                expected = np.array([float(scalar(p, budget)) for p in profiles])
+                assert column.tobytes() == expected.tobytes()
 
 
 class TestFedlimRound:

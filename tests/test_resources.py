@@ -8,6 +8,7 @@ from fedcs_sim.core import (
     ClientId,
     Megabits,
     MegabitsPerSecond,
+    ModelError,
     ParameterError,
     RngStream,
     Samples,
@@ -16,6 +17,7 @@ from fedcs_sim.core import (
 )
 from fedcs_sim.resources import (
     ClientProfile,
+    EstimateColumns,
     FluctuationConfig,
     ResourceRanges,
     TimeBudget,
@@ -122,6 +124,11 @@ class TestEstimatedTimes:
         budget = TimeBudget(model_size=Megabits(1e-12))
         t = float(estimated_upload_time(make_profile(throughput=1.4), budget))
         assert t == pytest.approx(0.0, abs=1e-11)
+
+    def test_columns_reject_zero_throughput(self, budget):
+        profiles = [make_profile(cid=1), make_profile(throughput=0.0, cid=2)]
+        with pytest.raises(ModelError, match="client 2"):
+            EstimateColumns.of(profiles, budget)
 
 
 class TestRealizedTimes:

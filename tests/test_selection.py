@@ -13,6 +13,7 @@ from fedcs_sim.selection import (
     Schedule,
     dist_time,
     elapsed_theta,
+    extend_theta,
     feasible,
     greedy_select,
     oracle_select,
@@ -50,6 +51,61 @@ def direct_theta(order):
         )
         thetas.append(overhang_sum + upload_sum)
     return thetas
+
+
+def reference_greedy(candidates, budget):
+    """The scalar greedy loop that `greedy_select` replaced, kept as its reference.
+
+    One Python cost evaluation per remaining candidate per pick, every pick
+    taken to the end of the pool: O(|pool|^2), with no early exit.
+    """
+    model_size = float(budget.model_size)
+    base = float(budget.t_cs) + float(budget.t_agg)
+    deadline = float(budget.t_round)
+
+    remaining = list(candidates)
+    order: list[ClientId] = []
+    trajectory = [0.0]
+    theta = 0.0
+    dist = 0.0
+    min_thr = float("inf")
+
+    while remaining:
+        best_idx = 0
+        best_key: tuple[float, int] | None = None
+        for i, c in enumerate(remaining):
+            new_dist = model_size / min(min_thr, c.throughput)
+            cost = (new_dist - dist) + float(c.t_upload) + max(0.0, float(c.t_update) - theta)
+            key = (cost, int(c.id))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_idx = i
+        chosen = remaining.pop(best_idx)
+
+        theta_new = extend_theta(theta, float(chosen.t_update), float(chosen.t_upload))
+        dist_new = model_size / min(min_thr, chosen.throughput)
+        tentative = base + dist_new + theta_new
+        if tentative < deadline:
+            theta = theta_new
+            dist = dist_new
+            min_thr = min(min_thr, chosen.throughput)
+            order.append(chosen.id)
+            trajectory.append(theta)
+
+    total = base + dist + theta
+    return Schedule(
+        order=tuple(order),
+        theta=tuple(trajectory),
+        dist_time=Seconds(dist),
+        total_time=Seconds(total),
+    )
+
+
+def assert_same_schedule(fast, ref):
+    assert [int(k) for k in fast.order] == [int(k) for k in ref.order]
+    assert fast.theta == ref.theta
+    assert float(fast.dist_time) == float(ref.dist_time)
+    assert float(fast.total_time) == float(ref.total_time)
 
 
 class TestElapsedTheta:
@@ -131,9 +187,38 @@ class TestFeasible:
         assert feasible(Seconds(0.0), budget_of(180.0))
 
 
+class TestCandidateSet:
+    def test_rows_are_sorted_by_id_and_read_only(self):
+        rows = [cand(5, 1, 2, 3.0), cand(2, 4, 5, 6.0), cand(9, 7, 8, 9.0)]
+        cands = CandidateSet.of(rows)
+        assert cands.ids.tolist() == [2, 5, 9]
+        assert cands.t_update.tolist() == [4.0, 1.0, 7.0]
+        assert cands.throughput.tolist() == [6.0, 3.0, 9.0]
+        assert list(cands) == sorted(rows, key=lambda c: int(c.id))
+        assert len(cands) == 3
+        with pytest.raises(ValueError):
+            cands.t_upload[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1, 2], [1.0], [1.0, 1.0], [1.0, 1.0]),  # unequal lengths
+            ([3, 3], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),  # repeated id
+            ([0], [1.0], [1.0], [1.0]),  # id below 1
+            ([1.5], [1.0], [1.0], [1.0]),  # non-integral id
+            ([1], [-1.0], [1.0], [1.0]),  # negative time
+            ([1], [1.0], [np.inf], [1.0]),  # non-finite time
+            ([1], [1.0], [1.0], [0.0]),  # zero throughput
+        ],
+    )
+    def test_invalid_columns_rejected(self, columns):
+        with pytest.raises(ParameterError):
+            CandidateSet(*columns)
+
+
 class TestGreedy:
     def test_all_individually_infeasible_gives_empty(self):
-        cands = CandidateSet(tuple(cand(i, 300, 200, 10.0) for i in range(1, 4)))
+        cands = CandidateSet.of(tuple(cand(i, 300, 200, 10.0) for i in range(1, 4)))
         schedule = greedy_select(cands, budget_of(100.0))
         assert len(schedule) == 0
         assert schedule.theta == (0.0,)
@@ -141,7 +226,7 @@ class TestGreedy:
 
     def test_three_client_hand_trace(self):
         # Equal links so the distribution term is 10 s for any selection.
-        cands = CandidateSet(
+        cands = CandidateSet.of(
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0))
         )
         # The third client lands exactly on the deadline; the acceptance
@@ -159,7 +244,7 @@ class TestGreedy:
 
     def test_unlimited_deadline_selects_everyone(self):
         rng = np.random.default_rng(1)
-        cands = CandidateSet(
+        cands = CandidateSet.of(
             tuple(
                 cand(i + 1, rng.uniform(0, 500), rng.uniform(5, 120), rng.uniform(0.5, 9))
                 for i in range(40)
@@ -172,7 +257,7 @@ class TestGreedy:
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            cands = CandidateSet(
+            cands = CandidateSet.of(
                 tuple(
                     cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
                     for i in range(n)
@@ -194,7 +279,7 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(1, 12))
-            cands = CandidateSet(
+            cands = CandidateSet.of(
                 tuple(
                     cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
                     for i in range(n)
@@ -210,20 +295,94 @@ class TestGreedy:
             )
 
     def test_tie_break_prefers_lower_id(self):
-        cands = CandidateSet((cand(2, 10, 10, 10.0), cand(1, 10, 10, 10.0)))
+        cands = CandidateSet.of((cand(2, 10, 10, 10.0), cand(1, 10, 10, 10.0)))
         schedule = greedy_select(cands, budget_of(1000.0))
         assert [int(k) for k in schedule.order] == [1, 2]
 
     def test_empty_base_includes_setup_and_aggregation_time(self):
-        cands = CandidateSet(tuple(cand(i, 300, 300, 1.0) for i in range(1, 3)))
+        cands = CandidateSet.of(tuple(cand(i, 300, 300, 1.0) for i in range(1, 3)))
         schedule = greedy_select(cands, budget_of(100.0, t_cs=2.0, t_agg=3.0))
         assert len(schedule) == 0
         assert float(schedule.total_time) == 5.0
 
 
+def random_candidates(rng, n, rounded):
+    """n candidates with shuffled, sparse ids.  Rounding the times and
+    throughputs to coarse grids makes many marginal costs tie exactly."""
+    ids = rng.permutation(np.arange(1, 3 * n + 1))[:n]
+    t_update = rng.uniform(0, 300, n)
+    t_upload = rng.uniform(1, 60, n)
+    throughput = rng.uniform(0.5, 12, n)
+    if rounded:
+        t_update = np.round(t_update, -1)
+        t_upload = np.round(t_upload)
+        throughput = np.maximum(1.0, np.round(throughput))
+    return [
+        cand(int(i), float(u), float(l), float(t))
+        for i, u, l, t in zip(ids, t_update, t_upload, throughput)
+    ]
+
+
+class TestGreedyMatchesReference:
+    @pytest.mark.parametrize("n, instances", [(100, 40), (1000, 3), (3000, 1)])
+    def test_random_instances(self, n, instances):
+        rng = np.random.default_rng(n)
+        for k in range(instances):
+            rows = random_candidates(rng, n, rounded=k % 2 == 0)
+            overhead = (rng.uniform(0, 10), rng.uniform(0, 10)) if k % 4 < 2 else (0.0, 0.0)
+            budget = budget_of(10 ** rng.uniform(1.5, 3.5), t_cs=overhead[0], t_agg=overhead[1])
+            assert_same_schedule(
+                greedy_select(CandidateSet.of(rows), budget), reference_greedy(rows, budget)
+            )
+
+    def test_tentative_total_equal_to_deadline(self):
+        # The hand-traced instance: the third client lands exactly on 100.
+        rows = [cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0)]
+        budget = budget_of(100.0)
+        ref = reference_greedy(rows, budget)
+        assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
+
+        rng = np.random.default_rng(7)
+        for rounded in (True, False):
+            rows = random_candidates(rng, 100, rounded)
+            t_cs, t_agg = 2.5, 1.5
+            unbounded = reference_greedy(rows, budget_of(1e7, t_cs=t_cs, t_agg=t_agg))
+            by_id = {int(c.id): c for c in rows}
+            for k in (1, 5, 20, 60):
+                prefix = [by_id[int(cid)] for cid in unbounded.order[:k]]
+                dist = float(dist_time(prefix, Megabits(100.0)))
+                deadline = t_cs + t_agg + dist + unbounded.theta[k]
+                budget = budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
+                ref = reference_greedy(rows, budget)
+                # The k-th pick's tentative total equals the deadline, so it is rejected.
+                assert unbounded.order[k - 1] not in ref.order
+                assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
+
+
+    def test_acceptance_after_a_rejection_through_rounding(self):
+        # Clients 1 and 2 tie on cost, so client 1 is picked first, but the
+        # rounding of the tentative total differs: with the deadline at client
+        # 1's total, client 1 is rejected and client 2 still fits.  Client 3
+        # never fits.  Stopping at the first rejection, or bounding with the
+        # largest remaining upload, would lose client 2.
+        rows = [
+            cand(1, 233.53278450004373, 30.99716280674893, 5.828577930490194),
+            cand(2, 242.62661150467162, 24.202050602889337, 6.730322593744597),
+            cand(3, 0.0, 1000.0, 10.0),
+        ]
+        first = rows[0]
+        deadline = 0.0 + 100.0 / float(first.throughput) + extend_theta(
+            0.0, float(first.t_update), float(first.t_upload)
+        )
+        budget = budget_of(deadline)
+        ref = reference_greedy(rows, budget)
+        assert [int(k) for k in ref.order] == [2]
+        assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
+
+
 class TestOracle:
     def test_three_client_instance_ties_greedy(self):
-        cands = CandidateSet(
+        cands = CandidateSet.of(
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0))
         )
         schedule = oracle_select(cands, budget_of(100.001))
@@ -231,22 +390,22 @@ class TestOracle:
 
     def test_boundary_total_is_accepted_by_oracle(self):
         # The feasibility constraint itself is inclusive.
-        cands = CandidateSet((cand(1, 20, 40, 10.0),))
+        cands = CandidateSet.of((cand(1, 20, 40, 10.0),))
         schedule = oracle_select(cands, budget_of(70.0))
         assert len(schedule) == 1
         assert float(schedule.total_time) == 70.0
 
     def test_empty_candidate_set(self):
-        schedule = oracle_select(CandidateSet(()), budget_of(100.0))
+        schedule = oracle_select(CandidateSet.of(()), budget_of(100.0))
         assert len(schedule) == 0
 
     def test_size_guard(self):
-        cands = CandidateSet(tuple(cand(i, 1, 1, 10.0) for i in range(1, 12)))
+        cands = CandidateSet.of(tuple(cand(i, 1, 1, 10.0) for i in range(1, 12)))
         with pytest.raises(ParameterError):
             oracle_select(cands, budget_of(100.0))
 
     def test_deterministic_lexicographic_tie_break(self):
-        cands = CandidateSet(tuple(cand(i, 0, 10, 10.0) for i in range(1, 5)))
+        cands = CandidateSet.of(tuple(cand(i, 0, 10, 10.0) for i in range(1, 5)))
         schedule = oracle_select(cands, budget_of(60.0))
         # Only four uploads fit; all orders tie, so ids come back sorted.
         assert [int(k) for k in schedule.order] == [1, 2, 3, 4]
@@ -256,7 +415,7 @@ class TestOracle:
         strict = 0
         for _ in range(400):
             n = int(rng.integers(1, 9))
-            cands = CandidateSet(
+            cands = CandidateSet.of(
                 tuple(
                     cand(
                         j + 1,
@@ -291,7 +450,7 @@ class TestOracle:
         st.floats(20, 400, allow_nan=False),
     )
     def test_cardinality_bound_property(self, rows, t_round):
-        cands = CandidateSet(
+        cands = CandidateSet.of(
             tuple(cand(i + 1, ud, ul, thr) for i, (ud, ul, thr) in enumerate(rows))
         )
         budget = budget_of(t_round)
@@ -303,7 +462,7 @@ class TestOracle:
 
 class TestScheduleSerialization:
     def test_json_roundtrip(self):
-        cands = CandidateSet(
+        cands = CandidateSet.of(
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 8.0), cand(3, 80, 10, 5.0))
         )
         schedule = greedy_select(cands, budget_of(400.0))
