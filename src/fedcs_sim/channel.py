@@ -42,11 +42,8 @@ class CellConfig:
 
     radius_m: float = 2000.0
     carrier_freq_ghz: float = 2.5
-    bs_height_m: float = 11.0
-    ue_height_m: float = 1.0
     tx_power_dbm: float = 20.0
     antenna_gain_dbi: float = 0.0
-    rb_count: int = 10
     rb_bandwidth_total_hz: float = 1.8e6
     noise_figure_db: float = DEFAULT_NOISE_FIGURE_DB
     delta_loss: float = 1.6  # linear SNR divisor inside the capacity formula
@@ -56,19 +53,21 @@ class CellConfig:
 
     def __post_init__(self) -> None:
         if self.radius_m <= 0:
-            raise ParameterError("cell.radius_m must be positive")
+            raise ParameterError("radius_m must be positive", field="radius_m")
+        if self.carrier_freq_ghz <= 0:
+            raise ParameterError("carrier_freq_ghz must be positive", field="carrier_freq_ghz")
         if self.rb_bandwidth_total_hz <= 0:
-            raise ParameterError("cell.rb_bandwidth_total_hz must be positive")
+            raise ParameterError(
+                "rb_bandwidth_total_hz must be positive", field="rb_bandwidth_total_hz"
+            )
         if self.rho_max_bps_hz <= 0:
-            raise ParameterError("cell.rho_max_bps_hz must be positive")
+            raise ParameterError("rho_max_bps_hz must be positive", field="rho_max_bps_hz")
         if self.delta_loss < 1.0:
-            raise ParameterError("cell.delta_loss must be >= 1")
-        if self.rb_count < 1:
-            raise ParameterError("cell.rb_count must be >= 1")
+            raise ParameterError("delta_loss must be >= 1", field="delta_loss")
         if self.shadow_sigma_db < 0:
-            raise ParameterError("cell.shadow_sigma_db must be >= 0")
+            raise ParameterError("shadow_sigma_db must be >= 0", field="shadow_sigma_db")
         if not 0 < self.min_distance_m <= self.radius_m:
-            raise ParameterError("cell.min_distance_m must be in (0, radius_m]")
+            raise ParameterError("min_distance_m must be in (0, radius_m]", field="min_distance_m")
 
     @property
     def max_throughput(self) -> MegabitsPerSecond:

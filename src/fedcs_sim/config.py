@@ -1,34 +1,40 @@
-"""Experiment configuration: JSON schema, validation, defaults, sweep expansion.
+"""Experiment configuration: JSON format, defaults, validation, sweep expansion.
 
-A config file is a JSON object; omitted keys take the canonical defaults
-below, unknown keys are rejected with their full dotted path.  All times are
-seconds.  The sweep section turns one file into a cartesian product of run
-descriptors over deadline, fluctuation, protocol mode and partition mode,
-crossed with the seed list.
+A config file is a JSON object; omitted keys take the defaults, unknown keys
+are rejected with their full dotted path.  All times are seconds.
+
+The typed objects that a run builds own the defaults and the range rules of
+their keys: CellConfig, ResourceRanges, TimeBudget, FluctuationConfig,
+FedLimOptions, ProtocolConfig, StopCondition, SgdHyper, MlpNet, Partition,
+the surrogate accuracy curve and RngStream.  DEFAULT_CONFIG reads each of
+those defaults from its object, and validation builds every object through
+the same ExperimentConfig accessors a run uses, reporting the object's
+ParameterError at the offending key's path.  This module owns only the JSON
+type and shape of each value, and the rules of keys that no object checks:
+the trainer kind, the native dataset sizes and paths, classes per client,
+the metric thresholds, the seed and sweep lists, and the output directory.
+
+The sweep section turns one file into a cartesian product of run
+descriptors over protocol mode, deadline, fluctuation and partition mode,
+crossed with the seed list.  A sweep value is valid when the variant it
+produces is.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .channel import CellConfig
-from .core import Megabits, ParameterError, Seconds
-from .learning import PARTITION_MODES, SgdHyper
-from .protocol import (
-    FEDLIM_DISTRIBUTIONS,
-    FEDLIM_UPLOAD_ORDERS,
-    LATE_POLICIES,
-    MODES,
-    FedLimOptions,
-    ProtocolConfig,
-    StopCondition,
-)
+from .core import Megabits, ParameterError, RngStream, Seconds, UnitError
+from .learning import MlpNet, Partition, SgdHyper, SurrogateTrainer, surrogate_accuracy
+from .protocol import FedLimOptions, ProtocolConfig, StopCondition
 from .resources import FluctuationConfig, ResourceRanges, TimeBudget
 
 __all__ = [
@@ -48,87 +54,96 @@ class ConfigError(ParameterError):
     """A configuration file problem, reported with the offending key path."""
 
 
-DEFAULT_CONFIG: dict[str, Any] = {
-    "cell": {
-        "radius_m": 2000.0,
-        "carrier_freq_ghz": 2.5,
-        "bs_height_m": 11.0,
-        "ue_height_m": 1.0,
-        "tx_power_dbm": 20.0,
-        "antenna_gain_dbi": 0.0,
-        "rb_count": 10,
-        "rb_bandwidth_total_hz": 1.8e6,
-        "noise_figure_db": CellConfig().noise_figure_db,
-        "delta_loss": 1.6,
-        "rho_max_bps_hz": 4.8,
-        "shadow_sigma_db": 4.0,
-        "min_distance_m": 10.0,
-    },
-    "resources": {
-        "data_count_range": [100, 1000],
-        "capability_range": [10.0, 100.0],
-    },
-    "protocol": {
-        "mode": "fedcs",
-        "k_total": 1000,
-        "fraction": 0.1,
-        "late_policy": "extend",
-        "aggregate_weighted": False,
-        "fedlim": {"distribution": "unicast", "upload_order": "channel"},
-    },
-    "budget": {
-        "t_round_s": 180.0,
-        "t_final_s": 24000.0,
-        "t_cs_s": 0.0,
-        "t_agg_s": 0.0,
-        "model_size_megabytes": 18.3,
-        "epochs_per_round": 5,
-    },
-    "fluctuation": {"r": 0.0},
-    "trainer": {
-        "kind": "surrogate",
-        "surrogate": {"a_max": 0.9, "tau": 100.0},
-        "native": {
-            "n_features": 16,
-            "hidden": [],
-            "n_classes": 10,
-            "train_samples": 2000,
-            "test_samples": 500,
-            "blob_spread": 1.0,
-            "dataset_path": None,
-            "test_dataset_path": None,
-            "batch_size": 50,
-            "lr0": 0.25,
-            "lr_decay": 0.99,
-        },
-    },
-    "partition": {"mode": "iid", "classes_per_client": 2},
-    "stop": {"target_accuracy": None},
-    "metrics": {"thresholds": [0.5, 0.75, 0.85]},
-    "seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
-    "sweep": {
-        "t_round_s": None,
-        "r": None,
-        "mode": None,
-        "partition_mode": None,
-    },
-    "output_dir": "results",
+# axis: (section, key, group-name tag prefix).  The mode starts every group
+# name, so it has no tag.
+_SWEEP_AXES = {
+    "mode": ("protocol", "mode", None),
+    "t_round_s": ("budget", "t_round_s", "tr"),
+    "r": ("fluctuation", "r", "r"),
+    "partition_mode": ("partition", "mode", ""),
 }
+
+# Config keys whose name differs from the constructor argument they fill.
+_JSON_KEYS = {
+    "t_round": "t_round_s",
+    "model_size": "model_size_megabytes",
+    "data_count": "data_count_range",
+    "capability": "capability_range",
+}
+
+
+def _default_config() -> dict[str, Any]:
+    """The default tree.  Each literal is a key for which no object holds a default."""
+    protocol, ranges, sgd = ProtocolConfig(), ResourceRanges(), SgdHyper()
+    budget, surrogate, partition = protocol.budget, SurrogateTrainer(), Partition({}, "iid")
+    stop = StopCondition(Seconds(24000.0))
+    return {
+        "cell": dataclasses.asdict(CellConfig()),
+        "resources": {
+            "data_count_range": list(ranges.data_count),
+            "capability_range": list(ranges.capability),
+        },
+        "protocol": {
+            "mode": protocol.mode,
+            "k_total": protocol.k_total,
+            "fraction": protocol.fraction,
+            "late_policy": protocol.late_policy,
+            "aggregate_weighted": protocol.aggregate_weighted,
+            "fedlim": dataclasses.asdict(protocol.fedlim),
+        },
+        "budget": {
+            "t_round_s": float(budget.t_round),
+            "t_final_s": float(stop.t_final),
+            "t_cs_s": float(budget.t_cs),
+            "t_agg_s": float(budget.t_agg),
+            "model_size_megabytes": budget.model_size / 8,
+            "epochs_per_round": budget.epochs_per_round,
+        },
+        "fluctuation": dataclasses.asdict(protocol.fluct),
+        "trainer": {
+            "kind": "surrogate",
+            "surrogate": {"a_max": surrogate.a_max, "tau": surrogate.tau},
+            "native": {
+                "n_features": 16,
+                "hidden": [],
+                "n_classes": 10,
+                "train_samples": 2000,
+                "test_samples": 500,
+                "blob_spread": 1.0,
+                "dataset_path": None,
+                "test_dataset_path": None,
+                "batch_size": sgd.batch_size,
+                "lr0": sgd.lr0,
+                "lr_decay": sgd.lr_decay,
+            },
+        },
+        "partition": {"mode": partition.mode, "classes_per_client": partition.classes_per_client},
+        "stop": {"target_accuracy": stop.target_accuracy},
+        "metrics": {"thresholds": [0.5, 0.75, 0.85]},
+        "seeds": list(range(10)),
+        "sweep": dict.fromkeys(_SWEEP_AXES),
+        "output_dir": "results",
+    }
+
+
+DEFAULT_CONFIG: dict[str, Any] = _default_config()
 
 # Keys whose value None is meaningful rather than a type error.
 _NULLABLE = {
     "trainer.native.dataset_path",
     "trainer.native.test_dataset_path",
     "stop.target_accuracy",
-    "sweep.t_round_s",
-    "sweep.r",
-    "sweep.mode",
-    "sweep.partition_mode",
+    *(f"sweep.{axis}" for axis in _SWEEP_AXES),
 }
 
 
 def resolved_defaults() -> dict[str, Any]:
     return copy.deepcopy(DEFAULT_CONFIG)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number; true and false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _merge(default: Any, user: Any, path: str) -> Any:
@@ -156,7 +171,7 @@ def _merge(default: Any, user: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected an integer")
         return user
     if isinstance(default, float):
-        if isinstance(user, bool) or not isinstance(user, (int, float)):
+        if not _is_number(user):
             raise ConfigError(f"{path}: expected a number")
         return float(user)
     if isinstance(default, str):
@@ -174,142 +189,102 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 
 def _validate(cfg: dict[str, Any]) -> None:
-    cell = cfg["cell"]
-    _require(cell["radius_m"] > 0, "cell.radius_m", "must be positive")
-    _require(cell["rb_bandwidth_total_hz"] > 0, "cell.rb_bandwidth_total_hz", "must be positive")
-    _require(cell["rho_max_bps_hz"] > 0, "cell.rho_max_bps_hz", "must be positive")
-    _require(cell["delta_loss"] >= 1, "cell.delta_loss", "must be >= 1")
-    _require(cell["shadow_sigma_db"] >= 0, "cell.shadow_sigma_db", "must be >= 0")
-    _require(
-        0 < cell["min_distance_m"] <= cell["radius_m"],
-        "cell.min_distance_m",
-        "must be in (0, radius_m]",
-    )
-
+    # JSON shapes of the list and nullable values, which _merge passes through.
     res = cfg["resources"]
     for key in ("data_count_range", "capability_range"):
-        rng = res[key]
+        pair = res[key]
         _require(
-            isinstance(rng, list) and len(rng) == 2 and all(isinstance(v, (int, float)) for v in rng),
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)),
             f"resources.{key}",
-            "must be a [low, high] pair",
+            "must be a [low, high] pair of numbers",
         )
-        _require(0 < rng[0] <= rng[1], f"resources.{key}", "must satisfy 0 < low <= high")
     _require(
         all(isinstance(v, int) for v in res["data_count_range"]),
         "resources.data_count_range",
         "must contain integers",
     )
-
-    proto = cfg["protocol"]
-    _require(proto["mode"] in MODES, "protocol.mode", f"must be one of {list(MODES)}")
-    _require(0 < proto["fraction"] <= 1, "protocol.fraction", "must be in (0, 1]")
-    _require(proto["k_total"] >= 1, "protocol.k_total", "must be >= 1")
-    _require(
-        proto["late_policy"] in LATE_POLICIES,
-        "protocol.late_policy",
-        f"must be one of {list(LATE_POLICIES)}",
-    )
-    _require(
-        proto["fedlim"]["distribution"] in FEDLIM_DISTRIBUTIONS,
-        "protocol.fedlim.distribution",
-        f"must be one of {list(FEDLIM_DISTRIBUTIONS)}",
-    )
-    _require(
-        proto["fedlim"]["upload_order"] in FEDLIM_UPLOAD_ORDERS,
-        "protocol.fedlim.upload_order",
-        f"must be one of {list(FEDLIM_UPLOAD_ORDERS)}",
-    )
-
-    budget = cfg["budget"]
-    _require(budget["t_round_s"] > budget["t_cs_s"] + budget["t_agg_s"], "budget.t_round_s",
-             "must exceed t_cs_s + t_agg_s")
-    _require(budget["t_final_s"] >= 0, "budget.t_final_s", "must be >= 0")
-    _require(budget["model_size_megabytes"] > 0, "budget.model_size_megabytes", "must be positive")
-    _require(budget["epochs_per_round"] >= 1, "budget.epochs_per_round", "must be >= 1")
-    _require(budget["t_cs_s"] >= 0, "budget.t_cs_s", "must be >= 0")
-    _require(budget["t_agg_s"] >= 0, "budget.t_agg_s", "must be >= 0")
-
-    _require(cfg["fluctuation"]["r"] >= 0, "fluctuation.r", "must be >= 0")
-
-    trainer = cfg["trainer"]
-    _require(trainer["kind"] in ("surrogate", "native"), "trainer.kind",
-             "must be 'surrogate' or 'native'")
-    _require(0 <= trainer["surrogate"]["a_max"] <= 1, "trainer.surrogate.a_max",
-             "must be in [0, 1]")
-    _require(trainer["surrogate"]["tau"] > 0, "trainer.surrogate.tau", "must be positive")
-    native = trainer["native"]
-    _require(native["n_features"] >= 1, "trainer.native.n_features", "must be >= 1")
-    _require(native["n_classes"] >= 2, "trainer.native.n_classes", "must be >= 2")
+    native = cfg["trainer"]["native"]
     _require(
         isinstance(native["hidden"], list)
-        and all(isinstance(h, int) and h >= 1 for h in native["hidden"]),
+        and all(_is_number(h) and isinstance(h, int) for h in native["hidden"]),
         "trainer.native.hidden",
-        "must be a list of positive integers",
+        "must be a list of integers",
     )
+    for key in ("dataset_path", "test_dataset_path"):
+        _require(native[key] is None or isinstance(native[key], str), f"trainer.native.{key}",
+                 "must be null or a string path")
+    target = cfg["stop"]["target_accuracy"]
+    _require(target is None or _is_number(target), "stop.target_accuracy",
+             "must be null or a number")
+    seeds = cfg["seeds"]
+    _require(isinstance(seeds, list) and len(seeds) >= 1, "seeds", "must be a non-empty list")
+
+    # Every other rule of a key that an object reads is the object's own.
+    config = ExperimentConfig(cfg)
+    for section, build in (
+        ("cell", config.cell),
+        ("resources", config.ranges),
+        ("budget", config.budget),
+        ("fluctuation", config.fluctuation),
+        ("protocol.fedlim", config.fedlim),
+        ("protocol", config.protocol),
+        ("stop", config.stop),
+        ("trainer.native", config.sgd_hyper),
+        ("trainer.native", lambda: MlpNet(native["n_features"], native["n_classes"],
+                                          tuple(native["hidden"]))),
+        ("trainer.surrogate", lambda: surrogate_accuracy(0, **cfg["trainer"]["surrogate"])),
+        ("partition", lambda: Partition({}, cfg["partition"]["mode"])),
+        ("seeds", lambda: [RngStream(seed) for seed in seeds]),
+    ):
+        try:
+            build()
+        except ConfigError:
+            raise
+        except ParameterError as exc:
+            path = f"{section}.{_JSON_KEYS.get(exc.field, exc.field)}" if exc.field else section
+            raise ConfigError(f"{path}: {exc}") from exc
+
+    # Rules of the keys that no object owns.
+    _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
+    _require(native["test_dataset_path"] is None or native["dataset_path"] is not None,
+             "trainer.native.test_dataset_path", "requires dataset_path to be set")
+    _require(cfg["trainer"]["kind"] in ("surrogate", "native"), "trainer.kind",
+             "must be 'surrogate' or 'native'")
     _require(native["train_samples"] >= native["n_classes"], "trainer.native.train_samples",
              "must be >= n_classes")
     _require(native["test_samples"] >= 1, "trainer.native.test_samples", "must be >= 1")
     _require(native["blob_spread"] > 0, "trainer.native.blob_spread", "must be positive")
-    _require(native["batch_size"] >= 1, "trainer.native.batch_size", "must be >= 1")
-    _require(native["lr0"] >= 0, "trainer.native.lr0", "must be >= 0")
-    _require(0 < native["lr_decay"] <= 1, "trainer.native.lr_decay", "must be in (0, 1]")
-    if native["dataset_path"] is not None:
-        _require(isinstance(native["dataset_path"], str), "trainer.native.dataset_path",
-                 "must be a string path")
-    if native["test_dataset_path"] is not None:
-        _require(isinstance(native["test_dataset_path"], str), "trainer.native.test_dataset_path",
-                 "must be a string path")
-        _require(native["dataset_path"] is not None, "trainer.native.test_dataset_path",
-                 "requires dataset_path to be set")
-
-    part = cfg["partition"]
-    _require(part["mode"] in PARTITION_MODES, "partition.mode",
-             f"must be one of {list(PARTITION_MODES)}")
-    _require(part["classes_per_client"] >= 1, "partition.classes_per_client", "must be >= 1")
-
-    target = cfg["stop"]["target_accuracy"]
-    if target is not None:
-        _require(0 < target <= 1, "stop.target_accuracy", "must be in (0, 1]")
-
+    _require(cfg["partition"]["classes_per_client"] >= 1, "partition.classes_per_client",
+             "must be >= 1")
     thresholds = cfg["metrics"]["thresholds"]
     _require(
-        isinstance(thresholds, list)
-        and all(isinstance(t, (int, float)) and 0 <= t <= 1 for t in thresholds),
+        isinstance(thresholds, list) and all(_is_number(t) and 0 <= t <= 1 for t in thresholds),
         "metrics.thresholds",
         "must be a list of fractions in [0, 1]",
     )
+    _require(cfg["output_dir"] != "", "output_dir", "must be a non-empty path")
 
-    seeds = cfg["seeds"]
-    _require(
-        isinstance(seeds, list)
-        and len(seeds) >= 1
-        and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds),
-        "seeds",
-        "must be a non-empty list of non-negative integers",
-    )
-    _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
-
-    sweep = cfg["sweep"]
-    axis_checks = {
-        "t_round_s": lambda v: isinstance(v, (int, float)) and v > 0,
-        "r": lambda v: isinstance(v, (int, float)) and v >= 0,
-        "mode": lambda v: v in MODES,
-        "partition_mode": lambda v: v in PARTITION_MODES,
-    }
-    for axis, check in axis_checks.items():
-        values = sweep[axis]
+    for axis, values in cfg["sweep"].items():
         if values is None:
             continue
-        _require(
-            isinstance(values, list) and len(values) >= 1 and all(check(v) for v in values),
-            f"sweep.{axis}",
-            "must be null or a non-empty list of valid values",
-        )
+        _require(isinstance(values, list) and len(values) >= 1, f"sweep.{axis}",
+                 "must be null or a non-empty list")
+        for value in values:
+            try:
+                _validate(_variant(cfg, {axis: value}))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.{axis}: {exc}") from exc
         _require(len(set(values)) == len(values), f"sweep.{axis}", "must not repeat values")
 
-    _require(isinstance(cfg["output_dir"], str) and cfg["output_dir"] != "", "output_dir",
-             "must be a non-empty path")
+
+def _variant(cfg: dict[str, Any], values: dict[str, Any]) -> dict[str, Any]:
+    """A copy of `cfg` with one value per sweep axis and the sweep cleared."""
+    variant = copy.deepcopy(cfg)
+    for axis, value in values.items():
+        section, key, _ = _SWEEP_AXES[axis]
+        variant[section][key] = _merge(DEFAULT_CONFIG[section][key], value, f"{section}.{key}")
+    variant["sweep"] = dict.fromkeys(_SWEEP_AXES)
+    return variant
 
 
 def resolve_config(user: dict[str, Any]) -> dict[str, Any]:
@@ -369,32 +344,17 @@ class RunDescriptor:
 def run_descriptors(config: "ExperimentConfig") -> list[RunDescriptor]:
     """Expand the sweep axes x seeds into concrete run descriptors."""
     cfg = config.resolved
-    sweep = cfg["sweep"]
-    axes: list[tuple[str, list[Any]]] = []
-    for axis in ("mode", "t_round_s", "r", "partition_mode"):
-        values = sweep[axis]
-        if values is not None:
-            axes.append((axis, values))
-
+    axes = [axis for axis in _SWEEP_AXES if cfg["sweep"][axis] is not None]
     descriptors = []
-    combos = itertools.product(*(values for _, values in axes)) if axes else [()]
-    for combo in combos:
-        variant = copy.deepcopy(cfg)
-        tags = []
-        for (axis, _), value in zip(axes, combo):
-            if axis == "mode":
-                variant["protocol"]["mode"] = value
-            elif axis == "t_round_s":
-                variant["budget"]["t_round_s"] = float(value)
-                tags.append(f"tr{_format_value(value)}")
-            elif axis == "r":
-                variant["fluctuation"]["r"] = float(value)
-                tags.append(f"r{_format_value(value)}")
-            elif axis == "partition_mode":
-                variant["partition"]["mode"] = value
-                tags.append(str(value))
+    for combo in itertools.product(*(cfg["sweep"][axis] for axis in axes)):
+        variant = _variant(cfg, dict(zip(axes, combo)))
+        tags = [
+            _SWEEP_AXES[axis][2] + _format_value(value)
+            for axis, value in zip(axes, combo)
+            if _SWEEP_AXES[axis][2] is not None
+        ]
         group = "_".join([variant["protocol"]["mode"], *tags])
-        variant["sweep"] = {k: None for k in variant["sweep"]}
+        # Also checks a seed list that replaced the resolved one (`run --seed`).
         _validate(variant)
         for seed in cfg["seeds"]:
             descriptors.append(
@@ -418,23 +378,15 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.resolved)
 
+    def _unit(self, unit: Callable[[float], Any], section: str, key: str) -> Any:
+        """Wrap one value in its unit type, reporting a bad value at its key."""
+        try:
+            return unit(self.resolved[section][key])
+        except UnitError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+
     def cell(self) -> CellConfig:
-        c = self.resolved["cell"]
-        return CellConfig(
-            radius_m=c["radius_m"],
-            carrier_freq_ghz=c["carrier_freq_ghz"],
-            bs_height_m=c["bs_height_m"],
-            ue_height_m=c["ue_height_m"],
-            tx_power_dbm=c["tx_power_dbm"],
-            antenna_gain_dbi=c["antenna_gain_dbi"],
-            rb_count=c["rb_count"],
-            rb_bandwidth_total_hz=c["rb_bandwidth_total_hz"],
-            noise_figure_db=c["noise_figure_db"],
-            delta_loss=c["delta_loss"],
-            rho_max_bps_hz=c["rho_max_bps_hz"],
-            shadow_sigma_db=c["shadow_sigma_db"],
-            min_distance_m=c["min_distance_m"],
-        )
+        return CellConfig(**self.resolved["cell"])
 
     def ranges(self) -> ResourceRanges:
         r = self.resolved["resources"]
@@ -444,15 +396,19 @@ class ExperimentConfig:
         )
 
     def budget(self) -> TimeBudget:
-        b = self.resolved["budget"]
         return TimeBudget(
-            t_round=Seconds(b["t_round_s"]),
-            t_final=Seconds(max(b["t_final_s"], b["t_round_s"])),
-            t_cs=Seconds(b["t_cs_s"]),
-            t_agg=Seconds(b["t_agg_s"]),
-            model_size=Megabits.from_megabytes(b["model_size_megabytes"]),
-            epochs_per_round=b["epochs_per_round"],
+            t_round=self._unit(Seconds, "budget", "t_round_s"),
+            t_cs=self._unit(Seconds, "budget", "t_cs_s"),
+            t_agg=self._unit(Seconds, "budget", "t_agg_s"),
+            model_size=self._unit(Megabits.from_megabytes, "budget", "model_size_megabytes"),
+            epochs_per_round=self.resolved["budget"]["epochs_per_round"],
         )
+
+    def fluctuation(self) -> FluctuationConfig:
+        return FluctuationConfig(**self.resolved["fluctuation"])
+
+    def fedlim(self) -> FedLimOptions:
+        return FedLimOptions(**self.resolved["protocol"]["fedlim"])
 
     def protocol(self) -> ProtocolConfig:
         p = self.resolved["protocol"]
@@ -461,18 +417,15 @@ class ExperimentConfig:
             k_total=p["k_total"],
             fraction=p["fraction"],
             budget=self.budget(),
-            fluct=FluctuationConfig(r=self.resolved["fluctuation"]["r"]),
+            fluct=self.fluctuation(),
             late_policy=p["late_policy"],
-            fedlim=FedLimOptions(
-                distribution=p["fedlim"]["distribution"],
-                upload_order=p["fedlim"]["upload_order"],
-            ),
+            fedlim=self.fedlim(),
             aggregate_weighted=p["aggregate_weighted"],
         )
 
     def stop(self) -> StopCondition:
         return StopCondition(
-            t_final=Seconds(self.resolved["budget"]["t_final_s"]),
+            t_final=self._unit(Seconds, "budget", "t_final_s"),
             target_accuracy=self.resolved["stop"]["target_accuracy"],
         )
 

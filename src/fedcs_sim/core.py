@@ -29,7 +29,16 @@ class SimulationError(Exception):
 
 
 class ParameterError(SimulationError):
-    """An argument or configuration value is invalid."""
+    """An argument or configuration value is invalid.
+
+    `field` names the constructor argument at fault when the raiser knows it,
+    so that a caller which built the object from a config file can report
+    the config key instead.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ModelError(SimulationError):

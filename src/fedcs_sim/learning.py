@@ -73,7 +73,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         if self.mode not in PARTITION_MODES:
-            raise ParameterError(f"partition mode must be one of {PARTITION_MODES}, got {self.mode!r}")
+            raise ParameterError(
+                f"partition mode must be one of {PARTITION_MODES}, got {self.mode!r}",
+                field="mode",
+            )
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,14 @@ class SgdHyper:
     lr_decay: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("batch_size and epochs must be >= 1")
-        if self.lr0 < 0 or not 0 < self.lr_decay <= 1:
-            raise ParameterError("lr0 must be >= 0 and lr_decay in (0, 1]")
+        if self.batch_size < 1:
+            raise ParameterError("batch_size must be >= 1", field="batch_size")
+        if self.epochs < 1:
+            raise ParameterError("epochs must be >= 1", field="epochs")
+        if self.lr0 < 0:
+            raise ParameterError("lr0 must be >= 0", field="lr0")
+        if not 0 < self.lr_decay <= 1:
+            raise ParameterError("lr_decay must be in (0, 1]", field="lr_decay")
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +255,12 @@ class MlpNet:
     """
 
     def __init__(self, n_features: int, n_classes: int, hidden: tuple[int, ...] = ()):
-        if n_features < 1 or n_classes < 2:
-            raise ParameterError("need n_features >= 1 and n_classes >= 2")
+        if n_features < 1:
+            raise ParameterError("n_features must be >= 1", field="n_features")
+        if n_classes < 2:
+            raise ParameterError("n_classes must be >= 2", field="n_classes")
         if any(h < 1 for h in hidden):
-            raise ParameterError("hidden layer sizes must be >= 1")
+            raise ParameterError("hidden layer sizes must be >= 1", field="hidden")
         self.dims = (n_features, *hidden, n_classes)
 
     @property
@@ -410,9 +419,9 @@ def surrogate_accuracy(update_count: int, a_max: float, tau: float) -> float:
     if update_count < 0:
         raise ParameterError("update_count must be >= 0")
     if not 0 <= a_max <= 1:
-        raise ParameterError("a_max must be in [0, 1]")
+        raise ParameterError("a_max must be in [0, 1]", field="a_max")
     if tau <= 0:
-        raise ParameterError("tau must be positive")
+        raise ParameterError("tau must be positive", field="tau")
     return a_max * (1.0 - math.exp(-update_count / tau))
 
 

@@ -78,9 +78,13 @@ class FedLimOptions:
 
     def __post_init__(self) -> None:
         if self.distribution not in FEDLIM_DISTRIBUTIONS:
-            raise ParameterError(f"fedlim.distribution must be one of {FEDLIM_DISTRIBUTIONS}")
+            raise ParameterError(
+                f"distribution must be one of {FEDLIM_DISTRIBUTIONS}", field="distribution"
+            )
         if self.upload_order not in FEDLIM_UPLOAD_ORDERS:
-            raise ParameterError(f"fedlim.upload_order must be one of {FEDLIM_UPLOAD_ORDERS}")
+            raise ParameterError(
+                f"upload_order must be one of {FEDLIM_UPLOAD_ORDERS}", field="upload_order"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,15 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}", field="mode")
         if not 0 < self.fraction <= 1:
-            raise ParameterError(f"fraction must be in (0, 1], got {self.fraction!r}")
+            raise ParameterError(
+                f"fraction must be in (0, 1], got {self.fraction!r}", field="fraction"
+            )
         if self.k_total < 1:
-            raise ParameterError("k_total must be >= 1")
+            raise ParameterError("k_total must be >= 1", field="k_total")
         if self.late_policy not in LATE_POLICIES:
-            raise ParameterError(f"late_policy must be one of {LATE_POLICIES}")
+            raise ParameterError(f"late_policy must be one of {LATE_POLICIES}", field="late_policy")
 
     @property
     def cohort_size(self) -> int:
@@ -118,7 +124,7 @@ class StopCondition:
 
     def __post_init__(self) -> None:
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
-            raise ParameterError("target_accuracy must be in (0, 1]")
+            raise ParameterError("target_accuracy must be in (0, 1]", field="target_accuracy")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class FluctuationConfig:
 
     def __post_init__(self) -> None:
         if self.r < 0:
-            raise ParameterError(f"fluctuation r must be >= 0, got {self.r!r}")
+            raise ParameterError(f"fluctuation r must be >= 0, got {self.r!r}", field="r")
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,16 @@ class ResourceRanges:
     def __post_init__(self) -> None:
         lo, hi = self.data_count
         if not (0 < lo <= hi):
-            raise ParameterError(f"data_count range must satisfy 0 < lo <= hi, got {self.data_count!r}")
+            raise ParameterError(
+                f"data_count range must satisfy 0 < lo <= hi, got {self.data_count!r}",
+                field="data_count",
+            )
         clo, chi = self.capability
         if not (0 < clo <= chi):
-            raise ParameterError(f"capability range must satisfy 0 < lo <= hi, got {self.capability!r}")
+            raise ParameterError(
+                f"capability range must satisfy 0 < lo <= hi, got {self.capability!r}",
+                field="capability",
+            )
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,6 @@ class TimeBudget:
     """Per-round time parameters of the protocol."""
 
     t_round: Seconds = Seconds(180.0)
-    t_final: Seconds = Seconds(24000.0)
     t_cs: Seconds = Seconds(0.0)
     t_agg: Seconds = Seconds(0.0)
     model_size: Megabits = Megabits.from_megabytes(18.3)
@@ -94,13 +99,11 @@ class TimeBudget:
 
     def __post_init__(self) -> None:
         if not self.t_round > self.t_cs + self.t_agg:
-            raise ParameterError("t_round must exceed t_cs + t_agg")
-        if self.t_final < self.t_round:
-            raise ParameterError("t_final must be >= t_round")
+            raise ParameterError("t_round must exceed t_cs + t_agg", field="t_round")
         if not self.model_size > 0:
-            raise ParameterError("model_size must be positive")
+            raise ParameterError("model_size must be positive", field="model_size")
         if self.epochs_per_round < 1:
-            raise ParameterError("epochs_per_round must be >= 1")
+            raise ParameterError("epochs_per_round must be >= 1", field="epochs_per_round")
 
 
 def generate_profiles(

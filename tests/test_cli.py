@@ -37,6 +37,59 @@ class TestProvenanceHash:
         assert config_hash(changed) != config_hash(base)
 
 
+def write_config(directory, config):
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def directory_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestCommands:
+    def test_serial_and_parallel_runs_write_identical_files(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["run", str(config), "--out", str(serial)]) == 0
+        assert main(["run", str(config), "--out", str(parallel), "--parallelism", "2"]) == 0
+        files = directory_bytes(serial)
+        assert len(files) == 9
+        assert directory_bytes(parallel) == files
+
+    def test_validate_reports_descriptors_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, SMALL)
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("OK: 4 run descriptor(s), config hash ")
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_existing_output_directory_needs_force(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier results\n")
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        assert "exists" in capsys.readouterr().err
+        assert directory_bytes(out) == {"keep.txt": b"earlier results\n"}
+
+    def test_failing_descriptor_fails_every_run(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        config = write_config(
+            tmp_path,
+            {**SMALL, "trainer": {"kind": "native", "native": {"dataset_path": str(missing)}}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        run_ids = [f"{mode}_seed{seed}" for mode in ("fedcs", "fedlim") for seed in (0, 1)]
+        assert sorted(summary["failed_runs"]) == sorted(run_ids)
+        assert summary["groups"] == {}
+        for run_id in run_ids:
+            assert f"FAILED {run_id}: " in err
+
+
 def test_closed_stdout_exits_quietly():
     src = Path(fedcs_sim.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

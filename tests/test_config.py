@@ -1,8 +1,22 @@
 import copy
+import dataclasses
+import json
 
 import pytest
 
-from fedcs_sim.config import ConfigError, ExperimentConfig, resolve_config, run_descriptors
+from fedcs_sim.channel import CellConfig
+from fedcs_sim.cli import main
+from fedcs_sim.config import (
+    DEFAULT_CONFIG,
+    ConfigError,
+    ExperimentConfig,
+    resolve_config,
+    run_descriptors,
+)
+from fedcs_sim.core import Seconds
+from fedcs_sim.learning import SgdHyper, SurrogateTrainer
+from fedcs_sim.protocol import ProtocolConfig, StopCondition
+from fedcs_sim.resources import ResourceRanges, TimeBudget
 
 
 def overlay_of(path, value, also=None):
@@ -49,8 +63,8 @@ SURROGATE_KEYS = ["a_max", "tau"]
 NATIVE_NUMBER_KEYS = ["blob_spread", "lr0", "lr_decay"]
 NATIVE_INT_KEYS = ["n_features", "n_classes", "train_samples", "test_samples", "batch_size"]
 
-# One invalid overlay per rule; each is rejected with the same key path by
-# the previous release of the validator too.
+# One invalid overlay per rule that the validator had before each rule got a
+# single owner; every one keeps its key path.
 CASES = [
     # Shape of the tree and the JSON type of each value.
     bad("cell", 5),
@@ -186,3 +200,64 @@ CASES = [
 @pytest.mark.parametrize("overlay, path", CASES)
 def test_invalid_overlay_is_reported_at_its_key_path(overlay, path):
     assert_reported_at(overlay, path)
+
+
+# Configs that `validate` accepted although every run then failed, and list
+# elements that were accepted with true read as the number 1.
+TIGHTENED = [
+    bad("cell.carrier_freq_ghz", 0.0),
+    bad("cell.carrier_freq_ghz", -2.5),
+    bad("seeds", [2**64]),
+    *(bad(f"cell.{key}", 1) for key in ("bs_height_m", "ue_height_m", "rb_count")),
+    bad("sweep.t_round_s", [True]),
+    bad("sweep.r", [True]),
+    bad("metrics.thresholds", [True]),
+    bad("resources.data_count_range", [True, 5]),
+    bad("resources.capability_range", [True, 5.0]),
+    bad("trainer.native.hidden", [True]),
+    bad("stop.target_accuracy", True),
+    bad("stop.target_accuracy", "high"),
+]
+
+
+@pytest.mark.parametrize("overlay, path", TIGHTENED)
+def test_validate_command_rejects_what_a_run_would(overlay, path, tmp_path, capsys):
+    assert_reported_at(overlay, path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overlay))
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}:")
+
+
+@pytest.mark.parametrize("key", ["bs_height_m", "ue_height_m", "rb_count"])
+def test_deleted_cell_keys_are_unknown(key):
+    assert config_error({"cell": {key: 1}}) == f"cell.{key}: unknown key"
+
+
+@pytest.mark.parametrize(
+    "axis, value, key",
+    [
+        ("mode", "bogus", "protocol.mode"),
+        ("t_round_s", 0.0, "budget.t_round_s"),
+        ("t_round_s", True, "budget.t_round_s"),
+        ("r", -1.0, "fluctuation.r"),
+        ("partition_mode", "sharded", "partition.mode"),
+    ],
+)
+def test_sweep_value_is_reported_at_its_axis_and_key(axis, value, key):
+    message = config_error({"sweep": {axis: [value]}})
+    assert message.startswith(f"sweep.{axis}: {key}: "), message
+
+
+def test_defaults_round_trip_through_the_objects_that_own_them():
+    config = ExperimentConfig(resolve_config({}))
+    assert config.cell() == CellConfig()
+    assert config.ranges() == ResourceRanges()
+    assert config.budget() == TimeBudget()
+    assert config.stop() == StopCondition(Seconds(24000.0))
+    protocol, default = config.protocol(), ProtocolConfig()
+    for field in dataclasses.fields(ProtocolConfig):
+        assert getattr(protocol, field.name) == getattr(default, field.name), field.name
+    assert config.sgd_hyper() == SgdHyper()
+    surrogate = DEFAULT_CONFIG["trainer"]["surrogate"]
+    assert surrogate == {"a_max": SurrogateTrainer().a_max, "tau": SurrogateTrainer().tau}

@@ -56,7 +56,7 @@ class TestFedcsRound:
         assert record.clock_after == float(config.budget.t_round)
 
     def test_unbounded_deadline_selects_whole_cohort(self, profiles_small):
-        budget = TimeBudget(t_round=Seconds(1e6), t_final=Seconds(1e7))
+        budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(budget=budget)
         trainer = SurrogateTrainer()
         record = run_round_fedcs(fresh_state(trainer), profiles_small, config, trainer, 0)
@@ -133,7 +133,7 @@ class TestFedcsSelectionWiring:
 
 class TestFedlimRound:
     def test_impossible_deadline_completes_nothing(self, profiles_small):
-        budget = TimeBudget(t_round=Seconds(1.0), t_final=Seconds(10.0))
+        budget = TimeBudget(t_round=Seconds(1.0))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
         record = run_round_fedlim(fresh_state(trainer), profiles_small, config, trainer, 0)
@@ -143,7 +143,7 @@ class TestFedlimRound:
         assert record.clock_after == 1.0
 
     def test_unbounded_deadline_completes_everyone(self, profiles_small):
-        budget = TimeBudget(t_round=Seconds(1e6), t_final=Seconds(1e7))
+        budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
         record = run_round_fedlim(fresh_state(trainer), profiles_small, config, trainer, 0)

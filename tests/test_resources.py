@@ -47,15 +47,12 @@ def budget():
 class TestTimeBudget:
     def test_defaults_are_consistent(self, budget):
         assert float(budget.t_round) == 180.0
-        assert float(budget.t_final) == 24000.0
         assert float(budget.model_size) == pytest.approx(146.4)
         assert budget.epochs_per_round == 5
 
     def test_invariants(self):
         with pytest.raises(ParameterError):
             TimeBudget(t_round=Seconds(10.0), t_cs=Seconds(6.0), t_agg=Seconds(5.0))
-        with pytest.raises(ParameterError):
-            TimeBudget(t_final=Seconds(10.0))
         with pytest.raises(ParameterError):
             TimeBudget(model_size=Megabits(0.0))
         with pytest.raises(ParameterError):

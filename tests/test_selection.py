@@ -29,7 +29,6 @@ def cand(cid, t_update, t_upload, throughput=10.0):
 def budget_of(t_round, model_size=100.0, t_cs=0.0, t_agg=0.0):
     return TimeBudget(
         t_round=Seconds(t_round),
-        t_final=Seconds(max(t_round, 1e9)),
         t_cs=Seconds(t_cs),
         t_agg=Seconds(t_agg),
         model_size=Megabits(model_size),
