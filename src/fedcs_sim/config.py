@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -142,8 +143,15 @@ def resolved_defaults() -> dict[str, Any]:
 
 
 def _is_number(value: Any) -> bool:
-    """A JSON number; true and false are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number that fits a float.  true and false are not numbers
+    here, and neither are NaN and the infinities, which Python's json reads
+    from NaN, Infinity and out-of-range literals such as 1e400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def _merge(default: Any, user: Any, path: str) -> Any:
@@ -254,8 +262,18 @@ def _validate(cfg: dict[str, Any]) -> None:
              "must be >= n_classes")
     _require(native["test_samples"] >= 1, "trainer.native.test_samples", "must be >= 1")
     _require(native["blob_spread"] > 0, "trainer.native.blob_spread", "must be positive")
-    _require(cfg["partition"]["classes_per_client"] >= 1, "partition.classes_per_client",
+    partition = cfg["partition"]
+    _require(partition["classes_per_client"] >= 1, "partition.classes_per_client",
              "must be >= 1")
+    # Only the generated blobs have a class count known before a run.
+    _require(
+        partition["mode"] != "non_iid"
+        or cfg["trainer"]["kind"] != "native"
+        or native["dataset_path"] is not None
+        or partition["classes_per_client"] <= native["n_classes"],
+        "partition.classes_per_client",
+        "must be <= trainer.native.n_classes for a non_iid partition of the generated dataset",
+    )
     thresholds = cfg["metrics"]["thresholds"]
     _require(
         isinstance(thresholds, list) and all(_is_number(t) and 0 <= t <= 1 for t in thresholds),

@@ -251,7 +251,10 @@ class MlpNet:
 
     Hidden layers (ReLU) are optional; with none this is plain multinomial
     logistic regression.  Parameters travel as one flat float64 vector so
-    they can be averaged without knowing the layout.
+    they can be averaged without knowing the layout.  The forward and
+    backward passes work on a stack of m parameter vectors, shape (m, P),
+    each applied to its own batch of equal row count, shape (m, rows, d);
+    a single model is a stack of one.
     """
 
     def __init__(self, n_features: int, n_classes: int, hidden: tuple[int, ...] = ()):
@@ -262,75 +265,86 @@ class MlpNet:
         if any(h < 1 for h in hidden):
             raise ParameterError("hidden layer sizes must be >= 1", field="hidden")
         self.dims = (n_features, *hidden, n_classes)
-
-    @property
-    def param_count(self) -> int:
-        return sum((a + 1) * b for a, b in zip(self.dims, self.dims[1:]))
+        self.param_count = sum((a + 1) * b for a, b in zip(self.dims, self.dims[1:]))
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
         return scale * rng.normal(0.0, 1.0, size=self.param_count)
 
-    def _unpack(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        if flat.size != self.param_count:
-            raise ModelError(f"expected {self.param_count} parameters, got {flat.size}")
+    def _unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, views of the weights (m, a, b) and biases (m, b)."""
+        if params.shape[1] != self.param_count:
+            raise ModelError(f"expected {self.param_count} parameters, got {params.shape[1]}")
+        m = len(params)
         layers = []
         pos = 0
         for a, b in zip(self.dims, self.dims[1:]):
-            w = flat[pos : pos + a * b].reshape(a, b)
+            w = params[:, pos : pos + a * b].reshape(m, a, b)
             pos += a * b
-            bias = flat[pos : pos + b]
+            bias = params[:, pos : pos + b]
             pos += b
             layers.append((w, bias))
         return layers
 
-    def _forward(self, flat: np.ndarray, x: np.ndarray):
-        layers = self._unpack(flat)
+    def _forward(self, params: np.ndarray, x: np.ndarray):
+        layers = self._unpack(params)
         activations = [x]
         for i, (w, b) in enumerate(layers):
-            z = activations[-1] @ w + b
+            z = activations[-1] @ w
+            z += b[:, None]
             if i < len(layers) - 1:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             activations.append(z)
         return layers, activations
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        """Softmax over the last axis of a (m, rows, k) stack, in place."""
+        # The row maxima come from a (k, m, rows) copy: k - 1 elementwise
+        # maxima of long rows instead of one short reduction per row.  A
+        # maximum is exact in any order.
+        logits -= np.maximum.reduce(logits.transpose(2, 0, 1).copy(), axis=0)[..., None]
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        return logits
+
+    def gradients(self, params: np.ndarray, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        """Gradient of each model's mean softmax cross-entropy on its batch.
+
+        `params` is (m, P), `x` (m, rows, d) and `onehot` the one-hot labels
+        (m, rows, n_classes); the result is (m, P).  Every slice goes through
+        the same float operations as a model computed on its own: numpy's
+        stacked matmul runs one BLAS product per slice.
+        """
+        layers, activations = self._forward(params, x)
+        delta = self._softmax(activations[-1])
+        delta -= onehot
+        delta /= x.shape[1]
+        grads: list[np.ndarray] = []
+        for i in range(len(layers) - 1, -1, -1):
+            gw = activations[i].transpose(0, 2, 1) @ delta
+            # Summing a (rows, m, k) copy over its first axis adds the rows in
+            # the same sequential order as delta.sum(axis=1), in longer loops.
+            grads.append(np.add.reduce(delta.transpose(1, 0, 2).copy(), axis=0))
+            grads.append(gw.reshape(len(gw), -1))
+            if i > 0:
+                delta = (delta @ layers[i][0].transpose(0, 2, 1)) * (activations[i] > 0.0)
+        grads.reverse()
+        return np.concatenate(grads, axis=1)
 
     def loss(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy."""
-        _, activations = self._forward(flat, x)
-        probs = self._softmax(activations[-1])
+        _, activations = self._forward(flat[None], x[None])
+        probs = self._softmax(activations[-1])[0]
         return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
 
     def loss_and_grad(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray):
         """Loss plus its gradient w.r.t. the flat parameter vector."""
-        layers, activations = self._forward(flat, x)
-        probs = self._softmax(activations[-1])
-        n = len(y)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads: list[np.ndarray] = []
-        for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            a_prev = activations[i]
-            gw = a_prev.T @ delta
-            gb = delta.sum(axis=0)
-            grads.append(gb)
-            grads.append(gw.ravel())
-            if i > 0:
-                delta = (delta @ w.T) * (activations[i] > 0.0)
-        grads.reverse()
-        return loss, np.concatenate([g.ravel() for g in grads])
+        grad = self.gradients(flat[None], x[None], np.eye(self.dims[-1])[y][None])[0]
+        return self.loss(flat, x, y), grad
 
     def predict(self, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, activations = self._forward(flat, x)
-        return np.argmax(activations[-1], axis=1)
+        _, activations = self._forward(flat[None], x[None])
+        return np.argmax(activations[-1][0], axis=1)
 
     def accuracy(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.predict(flat, x) == y))
@@ -338,34 +352,82 @@ class MlpNet:
 
 def local_update(
     model: GlobalModel,
-    features: np.ndarray,
-    labels: np.ndarray,
+    shards: list[tuple[np.ndarray, np.ndarray]],
     net: MlpNet,
     hyper: SgdHyper,
     rng: np.random.Generator,
-) -> GlobalModel:
-    """One client's local pass: epochs x ceil(n/batch) minibatch SGD steps.
+) -> list[GlobalModel]:
+    """Every aggregated client's local pass from `model`, one per shard.
 
-    The learning rate is lr0 * lr_decay ** model.round, i.e. decay is applied
-    per aggregation round, not per epoch.  The input model and the shard are
-    left untouched; a new snapshot is returned with the same round counter.
+    Each shard is a client's (features, labels).  A client runs epochs x
+    ceil(n/batch) minibatch SGD steps; each epoch walks a fresh permutation
+    of its rows, and the last batch of an epoch is short when batch does not
+    divide n.  The learning rate is lr0 * lr_decay ** model.round, i.e.
+    decay is applied per aggregation round, not per epoch.  The input model
+    and the shards are left untouched; the new snapshots keep the round
+    counter.
+
+    The result is bit for bit what one pass per client, in shard order,
+    sharing `rng`, would give:
+
+    - Draws.  Training itself draws nothing, so every permutation is drawn
+      up front in that loop's order: client by client, epoch by epoch.
+    - Stacking.  Within an epoch, the j-th full batches of all clients that
+      have one run as one stacked step.  Clients sit in the stack by
+      descending count of full batches, so those clients are a prefix.
+    - Short batches run alone, as a stack of one at their own row count.
+      Padding one to a full batch with zero rows changes how BLAS blocks
+      `x @ w`, which can change the last bit of the result.
+    - Memory.  Rows are gathered per step from one table of the round's
+      shards through an index table; no permuted copy of the features is
+      kept.
     """
-    n = len(labels)
-    if n == 0:
+    sizes = [len(labels) for _, labels in shards]
+    if 0 in sizes:
         raise ParameterError("shard must be non-empty")
     if net.param_count != model.param_count:
         raise ModelError(
             f"model has {model.param_count} parameters, network expects {net.param_count}"
         )
+    if not shards:
+        return []
+    batch, epochs = hyper.batch_size, hyper.epochs
+    features = np.concatenate([x for x, _ in shards])
+    labels = np.concatenate([y for _, y in shards])
+    eye = np.eye(net.dims[-1])
+
+    # index[e, j, s] holds the rows of slot s's j-th full batch in epoch e,
+    # widths[j] counts the slots that have one, and shorts[s][e] holds the
+    # rows of slot s's short batch in epoch e (possibly none).
+    full = [n // batch for n in sizes]
+    slots = sorted(range(len(shards)), key=lambda c: -full[c])
+    slot_of = np.argsort(slots)
+    index = np.zeros((epochs, full[slots[0]], len(slots), batch), dtype=np.int64)
+    shorts: list[list[np.ndarray]] = [[] for _ in slots]
+    start = 0
+    for c, n in enumerate(sizes):
+        s, q = slot_of[c], full[c]
+        for e in range(epochs):
+            order = start + rng.permutation(n)
+            index[e, :q, s] = order[: q * batch].reshape(q, batch)
+            shorts[s].append(order[q * batch :])
+        start += n
+    widths = [sum(q > j for q in full) for j in range(full[slots[0]])]
+
     lr = hyper.lr0 * hyper.lr_decay**model.round
-    params = model.params.copy()
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            _, grad = net.loss_and_grad(params, features[batch], labels[batch])
-            params -= lr * grad
-    return GlobalModel(params=params, round=model.round)
+    params = np.tile(model.params, (len(slots), 1))
+
+    def step(stack: np.ndarray, rows: np.ndarray) -> None:
+        onehot = eye.take(labels.take(rows), 0)
+        stack -= lr * net.gradients(stack, features.take(rows, 0), onehot)
+
+    for e in range(epochs):
+        for j, width in enumerate(widths):
+            step(params[:width], index[e, j, :width])
+        for s, short in enumerate(shorts):
+            if short[e].size:
+                step(params[s : s + 1], short[e][None])
+    return [GlobalModel(params=row, round=model.round) for row in params[slot_of]]
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +490,25 @@ def surrogate_accuracy(update_count: int, a_max: float, tau: float) -> float:
 class Trainer(abc.ABC):
     """Protocol-facing training interface.
 
-    The round loop calls init_model once, client_update per aggregated
-    client, notify_aggregated after every successful aggregation, and
-    evaluate to obtain the accuracy recorded for the round.
+    The round loop calls init_model once; then, per aggregation,
+    client_updates once with every aggregated client, notify_aggregated with
+    the same clients, and evaluate to obtain the accuracy recorded for the
+    round.
+
+    client_updates(model, client_ids, rng) returns one model per id, in the
+    order given, each trained from `model` on that client's data alone.
+    Every training draw comes from `rng`, in the order that training the
+    clients one after another would take them, so a trainer may batch the
+    work across clients without changing a result.
     """
 
     @abc.abstractmethod
     def init_model(self) -> GlobalModel: ...
 
     @abc.abstractmethod
-    def client_update(
-        self, model: GlobalModel, client_id: ClientId, rng: np.random.Generator
-    ) -> GlobalModel: ...
+    def client_updates(
+        self, model: GlobalModel, client_ids: list[ClientId], rng: np.random.Generator
+    ) -> list[GlobalModel]: ...
 
     @abc.abstractmethod
     def evaluate(self, model: GlobalModel) -> float: ...
@@ -464,8 +533,8 @@ class SurrogateTrainer(Trainer):
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=np.zeros(0), round=0)
 
-    def client_update(self, model, client_id, rng):
-        return model
+    def client_updates(self, model, client_ids, rng):
+        return [model] * len(client_ids)
 
     def notify_aggregated(self, client_ids, round_index) -> None:
         self.update_count += len(client_ids)
@@ -498,18 +567,14 @@ class NativeTrainer(Trainer):
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=self._init_params, round=0)
 
-    def client_update(self, model, client_id, rng):
-        idx = self.partition.assignment.get(client_id)
-        if idx is None:
-            raise ParameterError(f"client {int(client_id)} has no shard in the partition")
-        return local_update(
-            model,
-            self.train_set.features[idx],
-            self.train_set.labels[idx],
-            self.net,
-            self.hyper,
-            rng,
-        )
+    def client_updates(self, model, client_ids, rng):
+        shards = []
+        for cid in client_ids:
+            idx = self.partition.assignment.get(cid)
+            if idx is None:
+                raise ParameterError(f"client {int(cid)} has no shard in the partition")
+            shards.append((self.train_set.features[idx], self.train_set.labels[idx]))
+        return local_update(model, shards, self.net, self.hyper, rng)
 
     def evaluate(self, model) -> float:
         return self.net.accuracy(model.params, self.test_set.features, self.test_set.labels)

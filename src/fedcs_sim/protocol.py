@@ -237,10 +237,11 @@ def _aggregate_and_evaluate(
 ) -> None:
     if not aggregated_ids:
         return
-    updates = []
-    for cid in aggregated_ids:
-        updated = trainer.client_update(state.model, cid, state.rng_training)
-        updates.append((updated, int(profiles_by_id[int(cid)].data_count)))
+    updated = trainer.client_updates(state.model, aggregated_ids, state.rng_training)
+    updates = [
+        (model, int(profiles_by_id[int(cid)].data_count))
+        for model, cid in zip(updated, aggregated_ids)
+    ]
     state.model = aggregate(updates, weighted=config.aggregate_weighted)
     trainer.notify_aggregated(tuple(aggregated_ids), round_index)
     state.accuracy = trainer.evaluate(state.model)

@@ -202,8 +202,10 @@ def test_invalid_overlay_is_reported_at_its_key_path(overlay, path):
     assert_reported_at(overlay, path)
 
 
-# Configs that `validate` accepted although every run then failed, and list
-# elements that were accepted with true read as the number 1.
+# Configs that `validate` accepted although every run then failed (or, for a
+# NaN transmit power, ran at the capped throughput), and list elements that
+# were accepted with true read as the number 1.
+NAN, INF = float("nan"), float("inf")
 TIGHTENED = [
     bad("cell.carrier_freq_ghz", 0.0),
     bad("cell.carrier_freq_ghz", -2.5),
@@ -217,6 +219,30 @@ TIGHTENED = [
     bad("trainer.native.hidden", [True]),
     bad("stop.target_accuracy", True),
     bad("stop.target_accuracy", "high"),
+    # Non-finite numbers, which Python's json reads from NaN and Infinity.
+    *(bad("cell.tx_power_dbm", v) for v in (NAN, INF)),
+    *(bad("fluctuation.r", v) for v in (NAN, INF)),
+    *(bad("budget.t_round_s", v) for v in (NAN, INF, -INF)),
+    *(bad("sweep.r", [v]) for v in (NAN, INF)),
+    bad("sweep.t_round_s", [180.0, INF]),
+    bad("resources.capability_range", [10.0, INF]),
+    bad("stop.target_accuracy", NAN),
+    # More classes per client than the generated dataset has.
+    bad(
+        "partition.classes_per_client",
+        4,
+        also={
+            "partition.mode": "non_iid",
+            "trainer.kind": "native",
+            "trainer.native.n_classes": 3,
+        },
+    ),
+    bad(
+        "partition.classes_per_client",
+        11,
+        also={"sweep.partition_mode": ["iid", "non_iid"], "trainer.kind": "native"},
+        at="sweep.partition_mode",
+    ),
 ]
 
 
@@ -227,6 +253,13 @@ def test_validate_command_rejects_what_a_run_would(overlay, path, tmp_path, caps
     config.write_text(json.dumps(overlay))
     assert main(["validate", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {path}:")
+
+
+def test_an_integer_beyond_the_float_range_is_not_a_number(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"cell": {"tx_power_dbm": 1' + "0" * 400 + "}}")
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err == "configuration error: cell.tx_power_dbm: expected a number\n"
 
 
 @pytest.mark.parametrize("key", ["bs_height_m", "ue_height_m", "rb_count"])
@@ -261,3 +294,19 @@ def test_defaults_round_trip_through_the_objects_that_own_them():
     assert config.sgd_hyper() == SgdHyper()
     surrogate = DEFAULT_CONFIG["trainer"]["surrogate"]
     assert surrogate == {"a_max": SurrogateTrainer().a_max, "tau": SurrogateTrainer().tau}
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        {"partition": {"mode": "non_iid", "classes_per_client": 10}, "trainer": {"kind": "native"}},
+        {"partition": {"mode": "non_iid", "classes_per_client": 11}},
+        {"partition": {"classes_per_client": 11}, "trainer": {"kind": "native"}},
+        {
+            "partition": {"mode": "non_iid", "classes_per_client": 11},
+            "trainer": {"kind": "native", "native": {"dataset_path": "data.csv"}},
+        },
+    ],
+)
+def test_classes_per_client_is_bounded_only_where_the_class_count_is_known(overlay):
+    run_descriptors(ExperimentConfig(resolve_config(overlay)))

@@ -15,6 +15,8 @@ from fedcs_sim.learning import (
     GlobalModel,
     LabeledDataset,
     MlpNet,
+    NativeTrainer,
+    Partition,
     SgdHyper,
     SurrogateTrainer,
     aggregate,
@@ -26,6 +28,27 @@ from fedcs_sim.learning import (
     surrogate_accuracy,
 )
 from fedcs_sim.resources import ClientProfile
+
+
+def reference_local_update(model, features, labels, net, hyper, rng):
+    """One client's pass as a per-client loop: the code that the stacked
+    `local_update` replaced, kept verbatim."""
+    n = len(labels)
+    if n == 0:
+        raise ParameterError("shard must be non-empty")
+    if net.param_count != model.param_count:
+        raise ModelError(
+            f"model has {model.param_count} parameters, network expects {net.param_count}"
+        )
+    lr = hyper.lr0 * hyper.lr_decay**model.round
+    params = model.params.copy()
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            _, grad = net.loss_and_grad(params, features[batch], labels[batch])
+            params -= lr * grad
+    return GlobalModel(params=params, round=model.round)
 
 
 def tiny_profile(cid, data_count):
@@ -108,7 +131,7 @@ class TestLocalUpdate:
         model = GlobalModel(params=net.init_params(rng), round=0)
         data = balanced_dataset(per_class=20, n_classes=3)
         hyper = SgdHyper(lr0=0.0)
-        updated = local_update(model, data.features, data.labels, net, hyper, rng)
+        (updated,) = local_update(model, [(data.features, data.labels)], net, hyper, rng)
         assert np.array_equal(updated.params, model.params)
 
     def test_one_step_reduces_separable_loss(self):
@@ -120,7 +143,7 @@ class TestLocalUpdate:
         hyper = SgdHyper(batch_size=4, epochs=1, lr0=0.25, lr_decay=1.0)
         model = GlobalModel(params=params, round=0)
         rng = RngStream(1, "train").generator()
-        updated = local_update(model, features, labels, net, hyper, rng)
+        (updated,) = local_update(model, [(features, labels)], net, hyper, rng)
         after = net.loss(updated.params, features, labels)
         assert after < before
 
@@ -167,7 +190,7 @@ class TestLocalUpdate:
         features_before = data.features.copy()
         labels_before = data.labels.copy()
         params_before = model.params.copy()
-        local_update(model, data.features, data.labels, net, SgdHyper(), rng)
+        local_update(model, [(data.features, data.labels)], net, SgdHyper(), rng)
         assert np.array_equal(data.features, features_before)
         assert np.array_equal(data.labels, labels_before)
         assert np.array_equal(model.params, params_before)
@@ -178,8 +201,7 @@ class TestLocalUpdate:
         with pytest.raises(ParameterError):
             local_update(
                 model,
-                np.zeros((0, 4)),
-                np.zeros(0, dtype=np.int64),
+                [(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))],
                 net,
                 SgdHyper(),
                 RngStream(5, "t").generator(),
@@ -191,8 +213,201 @@ class TestLocalUpdate:
         data = balanced_dataset(per_class=5, n_classes=3)
         with pytest.raises(ModelError):
             local_update(
-                model, data.features, data.labels, net, SgdHyper(), RngStream(6, "t").generator()
+                model,
+                [(data.features, data.labels)],
+                net,
+                SgdHyper(),
+                RngStream(6, "t").generator(),
             )
+
+
+def reference_loss_and_grad(net, flat, x, y):
+    """The 2-D forward and backward pass of one model that the stacked
+    `MlpNet.gradients` replaced, kept verbatim; also returns the logits."""
+    layers, pos = [], 0
+    for a, b in zip(net.dims, net.dims[1:]):
+        layers.append((flat[pos : pos + a * b].reshape(a, b), flat[pos + a * b : pos + a * b + b]))
+        pos += a * b + b
+    activations = [x]
+    for i, (w, b) in enumerate(layers):
+        z = activations[-1] @ w + b
+        if i < len(layers) - 1:
+            z = np.maximum(z, 0.0)
+        activations.append(z)
+    logits = activations[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = len(y)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        a_prev = activations[i]
+        gw = a_prev.T @ delta
+        gb = delta.sum(axis=0)
+        grads.append(gb)
+        grads.append(gw.ravel())
+        if i > 0:
+            delta = (delta @ w.T) * (activations[i] > 0.0)
+    grads.reverse()
+    return loss, np.concatenate([g.ravel() for g in grads]), logits
+
+
+class TestStackedBackprop:
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_slice_equals_the_two_dimensional_pass(self, hidden, seed):
+        rng = np.random.default_rng([seed, len(hidden), 7])
+        net = MlpNet(int(rng.integers(1, 9)), int(rng.integers(2, 12)), hidden)
+        m, rows = int(rng.integers(1, 9)), int(rng.integers(1, 81))
+        # Wide weights give saturated softmax rows and dead ReLUs, so exact
+        # zeros (and negative zeros) reach the sums.
+        params = float(rng.choice([0.01, 1.0, 8.0])) * rng.normal(size=(m, net.param_count))
+        x = rng.normal(size=(m, rows, net.dims[0]))
+        y = rng.integers(0, net.dims[-1], size=(m, rows))
+
+        grads = net.gradients(params, x, np.eye(net.dims[-1])[y])
+
+        for s in range(m):
+            loss, grad, logits = reference_loss_and_grad(net, params[s], x[s], y[s])
+            assert grads[s].tobytes() == grad.tobytes()
+            assert net.loss_and_grad(params[s], x[s], y[s])[1].tobytes() == grad.tobytes()
+            assert net.loss(params[s], x[s], y[s]) == loss
+            assert np.array_equal(net.predict(params[s], x[s]), np.argmax(logits, axis=1))
+
+
+def shard_sizes(rng, count, batch):
+    """Client sizes in [1, 1000] with at most 40 batches each, mixing shards
+    shorter than a batch, whole multiples of it, and any size."""
+    most = min(1000, 40 * batch)
+    sizes = []
+    for kind in rng.integers(0, 3, size=count):
+        if kind == 0:
+            sizes.append(int(rng.integers(1, batch + 1)))
+        elif kind == 1:
+            sizes.append(batch * int(rng.integers(1, most // batch + 1)))
+        else:
+            sizes.append(int(rng.integers(1, most + 1)))
+    return sizes
+
+
+class TestStackedLocalUpdate:
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_one_reference_pass_per_client_bit_for_bit(self, hidden, seed):
+        rng = np.random.default_rng([seed, len(hidden)])
+        n_features, n_classes = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        net = MlpNet(n_features, n_classes, hidden)
+        batch = int(rng.choice([1, 2, 7, 25, 50, 64]))
+        sizes = shard_sizes(rng, int(rng.integers(1, 13)), batch)
+        shards = [
+            (rng.normal(size=(n, n_features)), rng.integers(0, n_classes, size=n))
+            for n in sizes
+        ]
+        hyper = SgdHyper(
+            batch_size=batch,
+            epochs=int(rng.integers(1, 4)),
+            lr0=0.0 if seed == 0 else float(rng.choice([0.1, 0.25, 0.5])),
+            lr_decay=float(rng.uniform(0.9, 1.0)),
+        )
+        model = GlobalModel(
+            params=0.5 * rng.normal(size=net.param_count), round=int(rng.integers(0, 50))
+        )
+        stacked_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+
+        stacked = local_update(model, shards, net, hyper, stacked_rng)
+        reference = [
+            reference_local_update(model, x, y, net, hyper, reference_rng) for x, y in shards
+        ]
+
+        assert [m.params.tobytes() for m in stacked] == [m.params.tobytes() for m in reference]
+        assert [m.round for m in stacked] == [model.round] * len(shards)
+        assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", [[1], [1000], [50, 100, 1000], [49, 51, 1, 150], [7] * 12])
+    def test_edge_sizes_match_the_reference(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        net = MlpNet(16, 10)
+        shards = [(rng.normal(size=(n, 16)), rng.integers(0, 10, size=n)) for n in sizes]
+        model = GlobalModel(params=net.init_params(rng), round=3)
+        stacked = local_update(model, shards, net, SgdHyper(), np.random.default_rng(9))
+        reference_rng = np.random.default_rng(9)
+        for got, (x, y) in zip(stacked, shards):
+            want = reference_local_update(model, x, y, net, SgdHyper(), reference_rng)
+            assert got.params.tobytes() == want.params.tobytes()
+
+    def test_no_shards_give_no_models_and_draw_nothing(self):
+        net = MlpNet(4, 3)
+        model = GlobalModel(params=np.zeros(net.param_count))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert local_update(model, [], net, SgdHyper(), rng) == []
+        assert rng.bit_generator.state == before
+
+    def test_an_empty_shard_among_others_is_rejected(self):
+        net = MlpNet(4, 3)
+        model = GlobalModel(params=np.zeros(net.param_count))
+        data = balanced_dataset(per_class=5, n_classes=3)
+        empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ParameterError):
+            local_update(
+                model,
+                [(data.features, data.labels), empty],
+                net,
+                SgdHyper(),
+                np.random.default_rng(0),
+            )
+
+    def test_wrong_parameter_count_is_rejected_for_a_stack(self):
+        net = MlpNet(4, 3, hidden=(5,))
+        model = GlobalModel(params=np.zeros(net.param_count - 1))
+        data = balanced_dataset(per_class=5, n_classes=3)
+        shards = [(data.features, data.labels)] * 3
+        with pytest.raises(ModelError):
+            local_update(model, shards, net, SgdHyper(), np.random.default_rng(0))
+
+    def test_trainer_updates_clients_in_the_order_given(self):
+        data = balanced_dataset(per_class=40, n_classes=3)
+        rng = np.random.default_rng(1)
+        partition = Partition(
+            {ClientId(c): rng.integers(0, len(data), size=n) for c, n in ((1, 120), (2, 33))},
+            "iid",
+        )
+        net = MlpNet(4, 3)
+        trainer = NativeTrainer(data, data, partition, net, SgdHyper(), np.random.default_rng(2))
+        model = trainer.init_model()
+        updated = trainer.client_updates(
+            model, [ClientId(2), ClientId(1)], np.random.default_rng(3)
+        )
+        reference_rng = np.random.default_rng(3)
+        for got, cid in zip(updated, (2, 1)):
+            idx = partition.assignment[ClientId(cid)]
+            want = reference_local_update(
+                model, data.features[idx], data.labels[idx], net, SgdHyper(), reference_rng
+            )
+            assert got.params.tobytes() == want.params.tobytes()
+
+    def test_client_without_a_shard_is_rejected(self):
+        data = balanced_dataset(per_class=5, n_classes=3)
+        partition = Partition({ClientId(1): np.arange(10)}, "iid")
+        trainer = NativeTrainer(
+            data, data, partition, MlpNet(4, 3), SgdHyper(), np.random.default_rng(0)
+        )
+        with pytest.raises(ParameterError):
+            trainer.client_updates(
+                trainer.init_model(), [ClientId(1), ClientId(2)], np.random.default_rng(1)
+            )
+
+    def test_surrogate_returns_the_model_once_per_client(self):
+        trainer = SurrogateTrainer()
+        model = trainer.init_model()
+        ids = [ClientId(4), ClientId(2), ClientId(9)]
+        assert trainer.client_updates(model, ids, np.random.default_rng(0)) == [model] * 3
 
 
 class TestAggregate:
@@ -282,8 +497,8 @@ class TestDatasets:
         net = MlpNet(8, 4)
         model = GlobalModel(params=net.init_params(RngStream(2, "init").generator()))
         hyper = SgdHyper(batch_size=50, epochs=5, lr0=0.25, lr_decay=0.99)
-        updated = local_update(
-            model, data.features, data.labels, net, hyper, RngStream(3, "t").generator()
+        (updated,) = local_update(
+            model, [(data.features, data.labels)], net, hyper, RngStream(3, "t").generator()
         )
         assert net.accuracy(updated.params, data.features, data.labels) > 0.9
 

@@ -3,7 +3,15 @@ import pytest
 
 from fedcs_sim.channel import CellConfig
 from fedcs_sim.core import ParameterError, RngStream, Seconds
-from fedcs_sim.learning import SurrogateTrainer
+from fedcs_sim.learning import (
+    LabeledDataset,
+    MlpNet,
+    NativeTrainer,
+    SgdHyper,
+    SurrogateTrainer,
+    make_blob_dataset,
+    partition_dataset,
+)
 from fedcs_sim.protocol import (
     ExperimentState,
     FedLimOptions,
@@ -24,6 +32,7 @@ from fedcs_sim.resources import (
     generate_profiles,
 )
 from fedcs_sim.selection import Candidate
+from test_learning import reference_local_update
 from test_selection import reference_greedy
 
 K_SMALL = 200
@@ -285,6 +294,56 @@ class TestRunExperiment:
                 profiles_small,
                 RngStream(0),
             )
+
+
+class RecordingTrainer(NativeTrainer):
+    """A native trainer that keeps the bytes of every model it evaluates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evaluated = []
+
+    def evaluate(self, model):
+        self.evaluated.append(model.params.tobytes())
+        return super().evaluate(model)
+
+
+class PerClientTrainer(RecordingTrainer):
+    """Trains the aggregated clients one at a time with the reference loop."""
+
+    def client_updates(self, model, client_ids, rng):
+        updates = []
+        for cid in client_ids:
+            idx = self.partition.assignment[cid]
+            x, y = self.train_set.features[idx], self.train_set.labels[idx]
+            updates.append(reference_local_update(model, x, y, self.net, self.hyper, rng))
+        return updates
+
+
+def native_trainer(cls, profiles):
+    full = make_blob_dataset(700, 8, 4, RngStream(0, "dataset").generator())
+    train = LabeledDataset(full.features[:600], full.labels[:600], 4)
+    test = LabeledDataset(full.features[600:], full.labels[600:], 4)
+    partition = partition_dataset(train, profiles, "iid", RngStream(0, "partition").generator())
+    net = MlpNet(8, 4, hidden=(6,))
+    return cls(train, test, partition, net, SgdHyper(), RngStream(0, "init").generator())
+
+
+class TestNativeTraining:
+    @pytest.mark.parametrize("mode", ["fedcs", "fedlim", "vanilla"])
+    def test_records_equal_a_per_client_training_loop(self, profiles_small, mode):
+        stop = StopCondition(t_final=Seconds(5 * 180.0))
+        runs = []
+        for cls in (RecordingTrainer, PerClientTrainer):
+            trainer = native_trainer(cls, profiles_small)
+            records = run_experiment(
+                small_config(mode=mode), stop, trainer, profiles_small, RngStream(6)
+            )
+            runs.append((records, trainer.evaluated))
+        (records, evaluated), reference = runs
+        assert sum(r.aggregated_count for r in records) > 0
+        assert len(set(evaluated)) > 1
+        assert (records, evaluated) == reference
 
 
 class TestRecordSerialization:
