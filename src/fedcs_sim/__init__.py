@@ -1,14 +1,15 @@
 """Simulator and scheduling library for deadline-constrained federated learning.
 
 A single cell hosts a large population of clients with heterogeneous data
-sizes, compute capabilities, and wireless throughputs.  The library models
-that environment, schedules clients against a per-round deadline with a
-greedy maximizer (plus a brute-force oracle for verification), runs the
-resource-aware protocol next to deadline-limited and deadline-free
-baselines, and post-processes record streams into the usual metrics.
+sizes, compute capabilities, and wireless throughputs, held as one numpy
+column per quantity (`Population`).  The library models that environment,
+schedules clients against a per-round deadline with a greedy maximizer
+(plus a brute-force oracle for verification), runs the resource-aware
+protocol next to deadline-limited and deadline-free baselines, and
+post-processes record streams into the usual metrics.
 """
 
-from .channel import CellConfig, ClientPosition, mean_throughput, path_loss_db, place_clients
+from .channel import CellConfig, mean_throughput, path_loss_db, place_clients
 from .core import (
     ClientId,
     Megabits,
@@ -21,7 +22,6 @@ from .core import (
     Seconds,
     SimulationError,
     UnitError,
-    gaussian_truncated,
 )
 from .learning import (
     GlobalModel,
@@ -52,6 +52,7 @@ from .protocol import (
 from .resources import (
     ClientProfile,
     FluctuationConfig,
+    Population,
     ResourceRanges,
     TimeBudget,
     estimated_update_time,

@@ -18,7 +18,6 @@ from .core import MegabitsPerSecond, ParameterError
 
 __all__ = [
     "CellConfig",
-    "ClientPosition",
     "place_clients",
     "path_loss_db",
     "mean_throughput",
@@ -75,26 +74,15 @@ class CellConfig:
         return MegabitsPerSecond(self.rb_bandwidth_total_hz * self.rho_max_bps_hz / 1e6)
 
 
-@dataclass(frozen=True)
-class ClientPosition:
-    """Distance to the base station plus the client's fixed shadow-fading term."""
-
-    distance_m: float
-    shadow_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.distance_m) or self.distance_m <= 0:
-            raise ParameterError(f"distance_m must be positive, got {self.distance_m!r}")
-        if not math.isfinite(self.shadow_db):
-            raise ParameterError("shadow_db must be finite")
-
-
-def place_clients(count: int, cell: CellConfig, rng: np.random.Generator) -> list[ClientPosition]:
-    """Drop `count` clients uniformly over the cell disk.
+def place_clients(
+    count: int, cell: CellConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop `count` clients uniformly over the cell disk: (distances, shadows).
 
     Uniform area density means the distance d has density proportional to d,
-    i.e. d = R * sqrt(U).  The per-client shadow-fading term (sigma from the
-    cell config) is drawn here, once, from the same placement stream.
+    i.e. d = R * sqrt(U).  The per-client shadow-fading term in dB (sigma
+    from the cell config) is drawn here, once, from the same placement
+    stream.  Both are float64 arrays of length `count`.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
@@ -104,21 +92,27 @@ def place_clients(count: int, cell: CellConfig, rng: np.random.Generator) -> lis
         shadows = rng.normal(0.0, cell.shadow_sigma_db, count)
     else:
         shadows = np.zeros(count)
-    return [ClientPosition(float(d), float(s)) for d, s in zip(distances, shadows)]
+    return distances, shadows
 
 
-def path_loss_db(pos: ClientPosition, cell: CellConfig) -> float:
-    """NLOS path loss in dB at the client's position, shadow fading included.
+def _each(f, values: np.ndarray) -> np.ndarray:
+    """`f` of every element as a plain float.  numpy's log10, power and log2
+    can differ from `math` and `**` in the last bit, which would move records."""
+    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def path_loss_db(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig) -> np.ndarray:
+    """NLOS path loss in dB at each client's distance, shadow fading included.
 
     Distances below the model's validity floor are clamped to it, which also
     keeps the SNR bounded as d -> 0.
     """
-    d = max(pos.distance_m, cell.min_distance_m)
-    return 36.7 * math.log10(d) + 22.7 + 26.0 * math.log10(cell.carrier_freq_ghz) + pos.shadow_db
+    d = np.maximum(distances, cell.min_distance_m)
+    return 36.7 * _each(math.log10, d) + 22.7 + 26.0 * math.log10(cell.carrier_freq_ghz) + shadows
 
 
-def mean_throughput(pos: ClientPosition, cell: CellConfig) -> MegabitsPerSecond:
-    """Fixed mean uplink throughput for a client at `pos`.
+def mean_throughput(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig) -> np.ndarray:
+    """Fixed mean uplink throughput in Mbit/s of each client, as float64.
 
     SNR is computed from transmit power, antenna gain, path loss and thermal
     noise over the full allocated bandwidth; the spectral efficiency is
@@ -131,7 +125,8 @@ def mean_throughput(pos: ClientPosition, cell: CellConfig) -> MegabitsPerSecond:
         + 10.0 * math.log10(cell.rb_bandwidth_total_hz)
         + cell.noise_figure_db
     )
-    snr_db = cell.tx_power_dbm + cell.antenna_gain_dbi - path_loss_db(pos, cell) - noise_dbm
-    snr = 10.0 ** (snr_db / 10.0)
-    efficiency = min(cell.rho_max_bps_hz, math.log2(1.0 + snr / cell.delta_loss))
-    return MegabitsPerSecond(cell.rb_bandwidth_total_hz * efficiency / 1e6)
+    loss = path_loss_db(distances, shadows, cell)
+    snr_db = cell.tx_power_dbm + cell.antenna_gain_dbi - loss - noise_dbm
+    snr = _each(lambda x: 10.0**x, snr_db / 10.0)
+    efficiency = np.minimum(cell.rho_max_bps_hz, _each(math.log2, 1.0 + snr / cell.delta_loss))
+    return cell.rb_bandwidth_total_hz * efficiency / 1e6

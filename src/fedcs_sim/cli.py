@@ -44,14 +44,12 @@ from .learning import (
 )
 from .metrics import atomic_write_text, summarize, write_curve_csv, write_records_jsonl
 from .protocol import RoundRecord, run_experiment
-from .resources import ClientProfile, generate_profiles
+from .resources import Population, generate_profiles
 
 __all__ = ["main", "execute_run", "build_trainer"]
 
 
-def build_trainer(
-    config: ExperimentConfig, profiles: list[ClientProfile], rng: RngStream
-) -> Trainer:
+def build_trainer(config: ExperimentConfig, population: Population, rng: RngStream) -> Trainer:
     """Instantiate the configured trainer for one run."""
     spec = config.resolved["trainer"]
     if spec["kind"] == "surrogate":
@@ -85,7 +83,7 @@ def build_trainer(
     part_cfg = config.resolved["partition"]
     partition = partition_dataset(
         train,
-        profiles,
+        population,
         part_cfg["mode"],
         rng.child("partition").generator(),
         classes_per_client=part_cfg["classes_per_client"],
@@ -109,9 +107,9 @@ def execute_run(config: ExperimentConfig, seed: int) -> list[RoundRecord]:
     """Run one experiment end to end for a single seed."""
     rng = RngStream(seed)
     protocol = config.protocol()
-    profiles = generate_profiles(protocol.k_total, config.cell(), config.ranges(), rng)
-    trainer = build_trainer(config, profiles, rng)
-    return run_experiment(protocol, config.stop(), trainer, profiles, rng)
+    population = generate_profiles(protocol.k_total, config.cell(), config.ranges(), rng)
+    trainer = build_trainer(config, population, rng)
+    return run_experiment(protocol, config.stop(), trainer, population, rng)
 
 
 def _execute_descriptor(payload: dict) -> dict:

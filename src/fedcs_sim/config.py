@@ -11,8 +11,9 @@ those defaults from its object, and validation builds every object through
 the same ExperimentConfig accessors a run uses, reporting the object's
 ParameterError at the offending key's path.  This module owns only the JSON
 type and shape of each value, and the rules of keys that no object checks:
-the trainer kind, the native dataset sizes and paths, classes per client,
-the metric thresholds, the seed and sweep lists, and the output directory.
+the trainer kind, the native dataset sizes and paths, classes per client
+against the class count, the metric thresholds, the seed and sweep lists,
+and the output directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
@@ -129,6 +130,9 @@ def _default_config() -> dict[str, Any]:
 
 DEFAULT_CONFIG: dict[str, Any] = _default_config()
 
+# The most samples the generated train or test set may hold.
+_MAX_GENERATED_SAMPLES = 10**6
+
 # Keys whose value None is meaningful rather than a type error.
 _NULLABLE = {
     "trainer.native.dataset_path",
@@ -241,7 +245,7 @@ def _validate(cfg: dict[str, Any]) -> None:
         ("trainer.native", lambda: MlpNet(native["n_features"], native["n_classes"],
                                           tuple(native["hidden"]))),
         ("trainer.surrogate", lambda: surrogate_accuracy(0, **cfg["trainer"]["surrogate"])),
-        ("partition", lambda: Partition({}, cfg["partition"]["mode"])),
+        ("partition", lambda: Partition({}, **cfg["partition"])),
         ("seeds", lambda: [RngStream(seed) for seed in seeds]),
     ):
         try:
@@ -258,13 +262,12 @@ def _validate(cfg: dict[str, Any]) -> None:
              "trainer.native.test_dataset_path", "requires dataset_path to be set")
     _require(cfg["trainer"]["kind"] in ("surrogate", "native"), "trainer.kind",
              "must be 'surrogate' or 'native'")
-    _require(native["train_samples"] >= native["n_classes"], "trainer.native.train_samples",
-             "must be >= n_classes")
-    _require(native["test_samples"] >= 1, "trainer.native.test_samples", "must be >= 1")
+    _require(native["n_classes"] <= native["train_samples"] <= _MAX_GENERATED_SAMPLES,
+             "trainer.native.train_samples", f"must be in [n_classes, {_MAX_GENERATED_SAMPLES}]")
+    _require(1 <= native["test_samples"] <= _MAX_GENERATED_SAMPLES,
+             "trainer.native.test_samples", f"must be in [1, {_MAX_GENERATED_SAMPLES}]")
     _require(native["blob_spread"] > 0, "trainer.native.blob_spread", "must be positive")
     partition = cfg["partition"]
-    _require(partition["classes_per_client"] >= 1, "partition.classes_per_client",
-             "must be >= 1")
     # Only the generated blobs have a class count known before a run.
     _require(
         partition["mode"] != "non_iid"

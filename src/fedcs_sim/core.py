@@ -20,7 +20,6 @@ __all__ = [
     "SamplesPerSecond",
     "ClientId",
     "RngStream",
-    "gaussian_truncated",
 ]
 
 
@@ -145,31 +144,3 @@ class RngStream:
         key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.default_rng(seq)
-
-
-# Sampled rates are clamped at this fraction of their mean so that extreme
-# draws at large relative std never produce zero or negative values.
-RELATIVE_CLAMP_FLOOR = 0.01
-
-
-def gaussian_truncated(
-    mean: float, rel_std: float, floor: float, rng: np.random.Generator
-) -> float:
-    """Draw from Normal(mean, rel_std * mean), clamped below.
-
-    The clamp level is max(floor, RELATIVE_CLAMP_FLOOR * mean): small rel_std
-    draws are effectively unclamped while large rel_std cannot drive a rate
-    to zero.  rel_std == 0 returns the mean exactly, without consuming a
-    draw, so zero-fluctuation runs reproduce estimates bit for bit.
-    """
-    mean = float(mean)
-    if not math.isfinite(mean) or mean <= 0.0:
-        raise ParameterError(f"mean must be finite and positive, got {mean!r}")
-    if not math.isfinite(rel_std) or rel_std < 0.0:
-        raise ParameterError(f"rel_std must be finite and non-negative, got {rel_std!r}")
-    if not math.isfinite(floor) or floor < 0.0:
-        raise ParameterError(f"floor must be finite and non-negative, got {floor!r}")
-    if rel_std == 0.0:
-        return mean
-    sample = float(rng.normal(mean, rel_std * mean))
-    return max(sample, max(floor, RELATIVE_CLAMP_FLOOR * mean))

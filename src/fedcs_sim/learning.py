@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ClientId, ModelError, ParameterError
+from .resources import MAX_DATA_COUNT
 
 __all__ = [
     "GlobalModel",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 PARTITION_MODES = ("iid", "non_iid")
+
+# The widest MlpNet layer (features, hidden units or classes), which also
+# bounds classes per client: a width x width table stays near 130 MB.
+MAX_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,10 @@ class Partition:
                 f"partition mode must be one of {PARTITION_MODES}, got {self.mode!r}",
                 field="mode",
             )
+        if not 1 <= self.classes_per_client <= MAX_WIDTH:
+            raise ParameterError(
+                f"classes_per_client must be in [1, {MAX_WIDTH}]", field="classes_per_client"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,9 @@ class SgdHyper:
     lr_decay: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1", field="batch_size")
+        # No shard is larger, so a larger batch would train as this one does.
+        if not 1 <= self.batch_size <= MAX_DATA_COUNT:
+            raise ParameterError(f"batch_size must be in [1, {MAX_DATA_COUNT}]", field="batch_size")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1", field="epochs")
         if self.lr0 < 0:
@@ -200,44 +210,39 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
 def partition_dataset(
     dataset: LabeledDataset,
-    profiles,
+    population,
     mode: str,
     rng: np.random.Generator,
     classes_per_client: int = 2,
 ) -> Partition:
-    """Assign each client `data_count` sample indices.
+    """Assign each client of a `Population` its `data_count` sample indices.
 
     iid: indices drawn uniformly with replacement from the whole set.
     non_iid: each client first draws `classes_per_client` distinct classes,
     then samples with replacement from those classes' pool only.  Sampling
     with replacement is required because per-client counts may sum past the
-    dataset size.
+    dataset size.  Clients draw one after another in id order.
     """
-    if mode not in PARTITION_MODES:
-        raise ParameterError(f"partition mode must be one of {PARTITION_MODES}, got {mode!r}")
-    if mode == "non_iid":
-        if classes_per_client < 1:
-            raise ParameterError("classes_per_client must be >= 1")
-        if dataset.n_classes < classes_per_client:
-            raise ParameterError(
-                f"dataset has {dataset.n_classes} classes, fewer than "
-                f"classes_per_client={classes_per_client}"
-            )
+    Partition({}, mode, classes_per_client)  # checks the mode and classes per client
+    if mode == "non_iid" and dataset.n_classes < classes_per_client:
+        raise ParameterError(
+            f"dataset has {dataset.n_classes} classes, fewer than "
+            f"classes_per_client={classes_per_client}"
+        )
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
     if mode == "non_iid" and any(len(pool) == 0 for pool in by_class):
         raise ParameterError("non_iid partitioning requires every class to be represented")
 
     assignment: dict[ClientId, np.ndarray] = {}
     n = len(dataset)
-    for p in profiles:
-        count = int(p.data_count)
+    for cid, count in zip(population.ids.tolist(), population.data_count.tolist()):
         if mode == "iid":
             idx = rng.integers(0, n, size=count)
         else:
             classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
             pool = np.concatenate([by_class[c] for c in sorted(classes)])
             idx = pool[rng.integers(0, len(pool), size=count)]
-        assignment[p.id] = idx.astype(np.int64)
+        assignment[ClientId(cid)] = idx.astype(np.int64)
     return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
 
 
@@ -258,12 +263,12 @@ class MlpNet:
     """
 
     def __init__(self, n_features: int, n_classes: int, hidden: tuple[int, ...] = ()):
-        if n_features < 1:
-            raise ParameterError("n_features must be >= 1", field="n_features")
-        if n_classes < 2:
-            raise ParameterError("n_classes must be >= 2", field="n_classes")
-        if any(h < 1 for h in hidden):
-            raise ParameterError("hidden layer sizes must be >= 1", field="hidden")
+        if not 1 <= n_features <= MAX_WIDTH:
+            raise ParameterError(f"n_features must be in [1, {MAX_WIDTH}]", field="n_features")
+        if not 2 <= n_classes <= MAX_WIDTH:
+            raise ParameterError(f"n_classes must be in [2, {MAX_WIDTH}]", field="n_classes")
+        if any(not 1 <= h <= MAX_WIDTH for h in hidden):
+            raise ParameterError(f"hidden sizes must be in [1, {MAX_WIDTH}]", field="hidden")
         self.dims = (n_features, *hidden, n_classes)
         self.param_count = sum((a + 1) * b for a, b in zip(self.dims, self.dims[1:]))
 
@@ -352,22 +357,23 @@ class MlpNet:
 
 def local_update(
     model: GlobalModel,
-    shards: list[tuple[np.ndarray, np.ndarray]],
+    data: LabeledDataset,
+    rows: list[np.ndarray],
     net: MlpNet,
     hyper: SgdHyper,
     rng: np.random.Generator,
 ) -> list[GlobalModel]:
-    """Every aggregated client's local pass from `model`, one per shard.
+    """Every aggregated client's local pass from `model`, one per entry of `rows`.
 
-    Each shard is a client's (features, labels).  A client runs epochs x
-    ceil(n/batch) minibatch SGD steps; each epoch walks a fresh permutation
-    of its rows, and the last batch of an epoch is short when batch does not
-    divide n.  The learning rate is lr0 * lr_decay ** model.round, i.e.
-    decay is applied per aggregation round, not per epoch.  The input model
-    and the shards are left untouched; the new snapshots keep the round
-    counter.
+    Each entry holds a client's row indices into the shared `data`, its
+    shard.  A client runs epochs x ceil(n/batch) minibatch SGD steps; each
+    epoch walks a fresh permutation of its rows, and the last batch of an
+    epoch is short when batch does not divide n.  The learning rate is lr0 *
+    lr_decay ** model.round, i.e. decay is applied per aggregation round, not
+    per epoch.  The input model and the data are left untouched; the new
+    snapshots keep the round counter.
 
-    The result is bit for bit what one pass per client, in shard order,
+    The result is bit for bit what one pass per client, in the given order,
     sharing `rng`, would give:
 
     - Draws.  Training itself draws nothing, so every permutation is drawn
@@ -378,48 +384,44 @@ def local_update(
     - Short batches run alone, as a stack of one at their own row count.
       Padding one to a full batch with zero rows changes how BLAS blocks
       `x @ w`, which can change the last bit of the result.
-    - Memory.  Rows are gathered per step from one table of the round's
-      shards through an index table; no permuted copy of the features is
-      kept.
+    - Memory.  Rows are gathered per step from `data` through an index
+      table; no shard and no permuted copy of the features is kept.
     """
-    sizes = [len(labels) for _, labels in shards]
+    sizes = [len(r) for r in rows]
     if 0 in sizes:
         raise ParameterError("shard must be non-empty")
     if net.param_count != model.param_count:
         raise ModelError(
             f"model has {model.param_count} parameters, network expects {net.param_count}"
         )
-    if not shards:
+    if not rows:
         return []
     batch, epochs = hyper.batch_size, hyper.epochs
-    features = np.concatenate([x for x, _ in shards])
-    labels = np.concatenate([y for _, y in shards])
+    features, labels = data.features, data.labels
     eye = np.eye(net.dims[-1])
 
     # index[e, j, s] holds the rows of slot s's j-th full batch in epoch e,
     # widths[j] counts the slots that have one, and shorts[s][e] holds the
     # rows of slot s's short batch in epoch e (possibly none).
     full = [n // batch for n in sizes]
-    slots = sorted(range(len(shards)), key=lambda c: -full[c])
+    slots = sorted(range(len(rows)), key=lambda c: -full[c])
     slot_of = np.argsort(slots)
     index = np.zeros((epochs, full[slots[0]], len(slots), batch), dtype=np.int64)
     shorts: list[list[np.ndarray]] = [[] for _ in slots]
-    start = 0
-    for c, n in enumerate(sizes):
+    for c, (shard, n) in enumerate(zip(rows, sizes)):
         s, q = slot_of[c], full[c]
         for e in range(epochs):
-            order = start + rng.permutation(n)
+            order = shard[rng.permutation(n)]
             index[e, :q, s] = order[: q * batch].reshape(q, batch)
             shorts[s].append(order[q * batch :])
-        start += n
     widths = [sum(q > j for q in full) for j in range(full[slots[0]])]
 
     lr = hyper.lr0 * hyper.lr_decay**model.round
     params = np.tile(model.params, (len(slots), 1))
 
-    def step(stack: np.ndarray, rows: np.ndarray) -> None:
-        onehot = eye.take(labels.take(rows), 0)
-        stack -= lr * net.gradients(stack, features.take(rows, 0), onehot)
+    def step(stack: np.ndarray, picked: np.ndarray) -> None:
+        onehot = eye.take(labels.take(picked), 0)
+        stack -= lr * net.gradients(stack, features.take(picked, 0), onehot)
 
     for e in range(epochs):
         for j, width in enumerate(widths):
@@ -568,13 +570,13 @@ class NativeTrainer(Trainer):
         return GlobalModel(params=self._init_params, round=0)
 
     def client_updates(self, model, client_ids, rng):
-        shards = []
+        rows = []
         for cid in client_ids:
             idx = self.partition.assignment.get(cid)
             if idx is None:
                 raise ParameterError(f"client {int(cid)} has no shard in the partition")
-            shards.append((self.train_set.features[idx], self.train_set.labels[idx]))
-        return local_update(model, shards, self.net, self.hyper, rng)
+            rows.append(idx)
+        return local_update(model, self.train_set, rows, self.net, self.hyper, rng)
 
     def evaluate(self, model) -> float:
         return self.net.accuracy(model.params, self.test_set.features, self.test_set.labels)

@@ -26,9 +26,10 @@ import numpy as np
 from .core import ClientId, ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
 from .resources import (
-    ClientProfile,
+    MAX_CLIENTS,
     EstimateColumns,
     FluctuationConfig,
+    Population,
     TimeBudget,
     realized_times,
 )
@@ -105,8 +106,8 @@ class ProtocolConfig:
             raise ParameterError(
                 f"fraction must be in (0, 1], got {self.fraction!r}", field="fraction"
             )
-        if self.k_total < 1:
-            raise ParameterError("k_total must be >= 1", field="k_total")
+        if not 1 <= self.k_total <= MAX_CLIENTS:
+            raise ParameterError(f"k_total must be in [1, {MAX_CLIENTS}]", field="k_total")
         if self.late_policy not in LATE_POLICIES:
             raise ParameterError(f"late_policy must be one of {LATE_POLICIES}", field="late_policy")
 
@@ -184,8 +185,8 @@ class ExperimentState:
     """Mutable per-experiment state threaded through the round engines.
 
     `estimates` holds the population's estimated-time columns.  Only the
-    fedcs engine uses them; it builds them on its first round, from that
-    round's profiles and budget, which stay fixed for the run.
+    fedcs engine uses them; it builds them on its first round, from the
+    population and budget, which stay fixed for the run.
     """
 
     clock: float
@@ -210,26 +211,19 @@ class ExperimentState:
 
 
 def _request_positions(
-    state: ExperimentState, profiles: list[ClientProfile], config: ProtocolConfig
+    state: ExperimentState, population: Population, config: ProtocolConfig
 ) -> np.ndarray:
-    """Resource request: a uniform without-replacement draw of profile
-    positions, in ascending order."""
+    """Resource request: a uniform without-replacement draw of population
+    rows, in ascending order (which is id order)."""
     size = config.cohort_size
-    if size > len(profiles):
+    if size > len(population):
         raise ParameterError("cohort size exceeds the client population")
-    return np.sort(state.rng_selection.choice(len(profiles), size=size, replace=False))
-
-
-def _request_cohort(
-    state: ExperimentState, profiles: list[ClientProfile], config: ProtocolConfig
-) -> list[ClientProfile]:
-    """Resource request: the drawn profiles, in profile-list order."""
-    return [profiles[i] for i in _request_positions(state, profiles, config).tolist()]
+    return np.sort(state.rng_selection.choice(len(population), size=size, replace=False))
 
 
 def _aggregate_and_evaluate(
     state: ExperimentState,
-    profiles_by_id: dict[int, ClientProfile],
+    population: Population,
     aggregated_ids: list[ClientId],
     config: ProtocolConfig,
     trainer: Trainer,
@@ -238,18 +232,15 @@ def _aggregate_and_evaluate(
     if not aggregated_ids:
         return
     updated = trainer.client_updates(state.model, aggregated_ids, state.rng_training)
-    updates = [
-        (model, int(profiles_by_id[int(cid)].data_count))
-        for model, cid in zip(updated, aggregated_ids)
-    ]
-    state.model = aggregate(updates, weighted=config.aggregate_weighted)
+    counts = population.data_count[np.array(aggregated_ids, dtype=np.int64) - 1].tolist()
+    state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)
     trainer.notify_aggregated(tuple(aggregated_ids), round_index)
     state.accuracy = trainer.evaluate(state.model)
 
 
 def run_round_fedcs(
     state: ExperimentState,
-    profiles: list[ClientProfile],
+    population: Population,
     config: ProtocolConfig,
     trainer: Trainer,
     round_index: int,
@@ -265,31 +256,28 @@ def run_round_fedcs(
     """
     budget = config.budget
     if state.estimates is None:
-        state.estimates = EstimateColumns.of(profiles, budget)
+        state.estimates = EstimateColumns.of(population, budget)
     columns = state.estimates
-    positions = _request_positions(state, profiles, config)
-    cohort_ids = columns.ids[positions]
+    positions = _request_positions(state, population, config)
     candidates = CandidateSet(
-        ids=cohort_ids,
+        ids=columns.ids[positions],
         t_update=columns.t_update[positions],
         t_upload=columns.t_upload[positions],
         throughput=columns.throughput[positions],
     )
     schedule = greedy_select(candidates, budget)
-    position_of = dict(zip(cohort_ids.tolist(), positions.tolist()))
-    by_id = {int(cid): profiles[position_of[int(cid)]] for cid in schedule.order}
 
     base = float(budget.t_cs) + float(budget.t_agg)
     if schedule.order:
-        realized = [
-            realized_times(by_id[int(cid)], budget, config.fluct, state.rng_fluctuation)
-            for cid in schedule.order
-        ]
-        realized_dist = max(float(upload) for _, upload in realized)
+        scheduled = np.array(schedule.order, dtype=np.int64) - 1
+        updates, uploads = realized_times(
+            population, scheduled, budget, config.fluct, state.rng_fluctuation
+        )
+        realized_dist = float(uploads.max())
         theta = 0.0
         finishes = []
-        for update, upload in realized:
-            theta = extend_theta(theta, float(update), float(upload))
+        for update, upload in zip(updates.tolist(), uploads.tolist()):
+            theta = extend_theta(theta, update, upload)
             finishes.append(theta)
         busy = base + realized_dist + theta
         if config.late_policy == "extend":
@@ -308,7 +296,7 @@ def run_round_fedcs(
         busy = base
         advance = float(budget.t_round)
 
-    _aggregate_and_evaluate(state, by_id, aggregated, config, trainer, round_index)
+    _aggregate_and_evaluate(state, population, aggregated, config, trainer, round_index)
     state.clock += advance
     return RoundRecord(
         round=round_index,
@@ -323,21 +311,20 @@ def run_round_fedcs(
 
 
 def _fedlim_release_times(
-    times: list[tuple[float, float]], options: FedLimOptions, t_cs: float
-) -> list[float]:
+    update: np.ndarray, upload: np.ndarray, options: FedLimOptions, t_cs: float
+) -> np.ndarray:
     """When each client becomes ready to upload, per the distribution model."""
     if options.distribution == "unicast":
         # Download runs at the same sampled link rate as the upload.
-        return [t_cs + upload + update for update, upload in times]
+        return t_cs + upload + update
     if options.distribution == "multicast":
-        shared = max(upload for _, upload in times)
-        return [t_cs + shared + update for update, _ in times]
-    return [t_cs + update for update, _ in times]
+        return t_cs + float(upload.max()) + update
+    return t_cs + update
 
 
 def run_round_fedlim(
     state: ExperimentState,
-    profiles: list[ClientProfile],
+    population: Population,
     config: ProtocolConfig,
     trainer: Trainer,
     round_index: int,
@@ -351,38 +338,38 @@ def run_round_fedlim(
     always advances by exactly t_round.
     """
     budget = config.budget
-    cohort = _request_cohort(state, profiles, config)
-    by_id = {int(p.id): p for p in cohort}
-    times = [
-        tuple(map(float, realized_times(p, budget, config.fluct, state.rng_fluctuation)))
-        for p in cohort
-    ]
-    releases = _fedlim_release_times(times, config.fedlim, float(budget.t_cs))
+    positions = _request_positions(state, population, config)
+    ids = population.ids[positions]
+    update, upload = realized_times(
+        population, positions, budget, config.fluct, state.rng_fluctuation
+    )
+    release = _fedlim_release_times(update, upload, config.fedlim, float(budget.t_cs))
 
     order = config.fedlim.upload_order
     if order == "random":
-        sequence = list(state.rng_selection.permutation(len(cohort)))
+        sequence = state.rng_selection.permutation(len(ids))
     elif order == "ready":
-        sequence = sorted(range(len(cohort)), key=lambda i: (releases[i], int(cohort[i].id)))
+        sequence = np.lexsort((ids, release))
     else:  # channel: shortest upload first
-        sequence = sorted(range(len(cohort)), key=lambda i: (times[i][1], int(cohort[i].id)))
+        sequence = np.lexsort((ids, upload))
 
     deadline = float(budget.t_round) - float(budget.t_agg)
+    cohort, releases, uploads = ids.tolist(), release.tolist(), upload.tolist()
     clock = 0.0
     completed: list[ClientId] = []
-    for i in sequence:
-        clock = extend_theta(clock, releases[i], times[i][1])
+    for i in sequence.tolist():
+        clock = extend_theta(clock, releases[i], uploads[i])
         if clock <= deadline:
-            completed.append(cohort[i].id)
+            completed.append(ClientId(cohort[i]))
         else:
             break
 
-    _aggregate_and_evaluate(state, by_id, completed, config, trainer, round_index)
+    _aggregate_and_evaluate(state, population, completed, config, trainer, round_index)
     advance = float(budget.t_round)
     state.clock += advance
     return RoundRecord(
         round=round_index,
-        requested=tuple(int(p.id) for p in cohort),
+        requested=tuple(cohort),
         selected_or_completed=tuple(int(cid) for cid in completed),
         realized_round_duration=Seconds(advance),
         busy_time=Seconds(min(clock, advance)),
@@ -394,7 +381,7 @@ def run_round_fedlim(
 
 def run_round_vanilla(
     state: ExperimentState,
-    profiles: list[ClientProfile],
+    population: Population,
     config: ProtocolConfig,
     trainer: Trainer,
     round_index: int,
@@ -406,25 +393,24 @@ def run_round_vanilla(
     clock advances by however long that realized total takes.
     """
     budget = config.budget
-    cohort = _request_cohort(state, profiles, config)
-    by_id = {int(p.id): p for p in cohort}
-    times = [
-        tuple(map(float, realized_times(p, budget, config.fluct, state.rng_fluctuation)))
-        for p in cohort
-    ]
-    dist = max(upload for _, upload in times)
-    sequence = list(state.rng_selection.permutation(len(cohort)))
+    positions = _request_positions(state, population, config)
+    ids = population.ids[positions]
+    update, upload = realized_times(
+        population, positions, budget, config.fluct, state.rng_fluctuation
+    )
+    dist = float(upload.max())
+    sequence = state.rng_selection.permutation(len(ids))
     theta = 0.0
-    for i in sequence:
-        theta = extend_theta(theta, times[i][0], times[i][1])
+    for t_update, t_upload in zip(update[sequence].tolist(), upload[sequence].tolist()):
+        theta = extend_theta(theta, t_update, t_upload)
     total = float(budget.t_cs) + dist + theta + float(budget.t_agg)
 
-    ordered_ids = [cohort[i].id for i in sequence]
-    _aggregate_and_evaluate(state, by_id, ordered_ids, config, trainer, round_index)
+    ordered_ids = [ClientId(cid) for cid in ids[sequence].tolist()]
+    _aggregate_and_evaluate(state, population, ordered_ids, config, trainer, round_index)
     state.clock += total
     return RoundRecord(
         round=round_index,
-        requested=tuple(int(p.id) for p in cohort),
+        requested=tuple(ids.tolist()),
         selected_or_completed=tuple(int(cid) for cid in ordered_ids),
         realized_round_duration=Seconds(total),
         busy_time=Seconds(total),
@@ -445,7 +431,7 @@ def run_experiment(
     config: ProtocolConfig,
     stop: StopCondition,
     trainer: Trainer,
-    profiles: list[ClientProfile],
+    population: Population,
     rng: RngStream,
 ) -> list[RoundRecord]:
     """Iterate rounds until the final deadline or the target accuracy.
@@ -454,16 +440,16 @@ def run_experiment(
     clock never exceeds t_final by more than one round's advance.  The
     returned records carry strictly increasing clocks.
     """
-    if config.k_total != len(profiles):
+    if config.k_total != len(population):
         raise ParameterError(
-            f"config.k_total={config.k_total} but {len(profiles)} profiles were supplied"
+            f"config.k_total={config.k_total} but the population has {len(population)} clients"
         )
     engine = _ROUND_ENGINES[config.mode]
     state = ExperimentState.fresh(trainer, rng)
     records: list[RoundRecord] = []
     round_index = 0
     while state.clock < float(stop.t_final):
-        record = engine(state, profiles, config, trainer, round_index)
+        record = engine(state, population, config, trainer, round_index)
         records.append(record)
         if stop.target_accuracy is not None and record.accuracy_after >= stop.target_accuracy:
             break

@@ -1,21 +1,21 @@
-"""Client resource profiles and the update/upload time model.
+"""The client population, its resources, and the update/upload time model.
 
-A profile fixes a client's data count, mean compute capability and mean
-uplink throughput for the whole simulation.  Estimated times are
-deterministic functions of the profile, per client or as columns over a
-whole population; realized times re-sample capability and throughput around
-their means with a configurable relative std.
+A `Population` holds every client's data count, mean compute capability,
+mean uplink throughput and position as numpy columns, fixed for the whole
+simulation.  Estimated times are deterministic column expressions over it;
+realized times re-sample capability and throughput around their means with a
+configurable relative std, one draw per round for the clients it needs.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
+import math
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .channel import CellConfig, ClientPosition, mean_throughput, place_clients
+from .channel import CellConfig, mean_throughput, place_clients
 from .core import (
     ClientId,
     Megabits,
@@ -26,32 +26,86 @@ from .core import (
     Samples,
     SamplesPerSecond,
     Seconds,
-    gaussian_truncated,
 )
 
 __all__ = [
+    "MAX_CLIENTS",
+    "MAX_DATA_COUNT",
+    "MAX_EPOCHS",
+    "RELATIVE_CLAMP_FLOOR",
     "ClientProfile",
     "EstimateColumns",
     "FluctuationConfig",
+    "Population",
     "ResourceRanges",
     "TimeBudget",
     "generate_profiles",
     "estimated_update_time",
     "estimated_upload_time",
     "realized_times",
-    "profiles_to_csv",
 ]
+
+# Bounds that keep one population near 1 GB (about 100 bytes per client),
+# and an update's sample count (data count x epochs) an exact float.
+MAX_CLIENTS = 10**7
+MAX_DATA_COUNT = 10**6
+MAX_EPOCHS = 1000
+
+# Sampled rates are clamped at this fraction of their mean so that extreme
+# draws at large relative std never produce zero or negative values.
+RELATIVE_CLAMP_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """One client's static resources, fixed for the simulation lifetime."""
+    """One client's row of a `Population`, built only when it is iterated."""
 
     id: ClientId
     data_count: Samples
     mean_capability: SamplesPerSecond
     mean_throughput: MegabitsPerSecond
-    position: ClientPosition
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Every client's static resources, one read-only numpy column each.
+
+    Row i holds client i + 1, so `ids` is 1..K and a client's row is its id
+    minus one.  `data_count` is int64; `capability` (samples/s), `throughput`
+    (Mbit/s), `distance` (m) and `shadow` (dB) are float64.
+    """
+
+    data_count: np.ndarray
+    capability: np.ndarray
+    throughput: np.ndarray
+    distance: np.ndarray
+    shadow: np.ndarray
+    ids: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        columns = {"data_count": np.array(self.data_count, dtype=np.int64)}
+        for name in ("capability", "throughput", "distance", "shadow"):
+            columns[name] = np.array(getattr(self, name), dtype=np.float64)
+        count = len(columns["data_count"])
+        if any(c.shape != (count,) for c in columns.values()):
+            raise ParameterError("population columns must be 1-D arrays of equal length")
+        if not columns["throughput"].all():
+            cid = int(np.argmin(columns["throughput"] != 0.0)) + 1
+            raise ModelError(f"client {cid} has zero mean throughput")
+        columns["ids"] = np.arange(1, count + 1, dtype=np.int64)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[ClientProfile]:
+        """One `ClientProfile` per client, in id order."""
+        columns = (self.ids, self.data_count, self.capability, self.throughput)
+        for cid, n, capability, throughput in zip(*(c.tolist() for c in columns)):
+            row = (Samples(n), SamplesPerSecond(capability), MegabitsPerSecond(throughput))
+            yield ClientProfile(ClientId(cid), *row)
 
 
 @dataclass(frozen=True)
@@ -61,8 +115,10 @@ class FluctuationConfig:
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ParameterError(f"fluctuation r must be >= 0, got {self.r!r}", field="r")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ParameterError(
+                f"fluctuation r must be finite and >= 0, got {self.r!r}", field="r"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,9 +130,10 @@ class ResourceRanges:
 
     def __post_init__(self) -> None:
         lo, hi = self.data_count
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi <= MAX_DATA_COUNT):
             raise ParameterError(
-                f"data_count range must satisfy 0 < lo <= hi, got {self.data_count!r}",
+                f"data_count range must satisfy 0 < lo <= hi <= {MAX_DATA_COUNT}, "
+                f"got {self.data_count!r}",
                 field="data_count",
             )
         clo, chi = self.capability
@@ -102,47 +159,41 @@ class TimeBudget:
             raise ParameterError("t_round must exceed t_cs + t_agg", field="t_round")
         if not self.model_size > 0:
             raise ParameterError("model_size must be positive", field="model_size")
-        if self.epochs_per_round < 1:
-            raise ParameterError("epochs_per_round must be >= 1", field="epochs_per_round")
+        if not 1 <= self.epochs_per_round <= MAX_EPOCHS:
+            raise ParameterError(
+                f"epochs_per_round must be in [1, {MAX_EPOCHS}]", field="epochs_per_round"
+            )
 
 
 def generate_profiles(
     count: int, cell: CellConfig, ranges: ResourceRanges, rng: RngStream
-) -> list[ClientProfile]:
-    """Build `count` client profiles with ids 1..count.
+) -> Population:
+    """Build the population of `count` clients with ids 1..count.
 
     Positions (and shadow fading) come from the 'placement' child stream,
     data counts and capabilities from the 'resources' child stream, so the
     two can be ablated independently.  Data counts are uniform integers over
     the closed range; capabilities are uniform reals.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count!r}")
-    positions = place_clients(count, cell, rng.child("placement").generator())
+    if not 1 <= count <= MAX_CLIENTS:
+        raise ParameterError(f"count must be in [1, {MAX_CLIENTS}], got {count!r}")
+    distance, shadow = place_clients(count, cell, rng.child("placement").generator())
     res = rng.child("resources").generator()
     lo, hi = ranges.data_count
-    data_counts = res.integers(lo, hi + 1, size=count)
+    data_count = res.integers(lo, hi + 1, size=count)
     clo, chi = ranges.capability
-    capabilities = res.uniform(clo, chi, size=count)
-    return [
-        ClientProfile(
-            id=ClientId(i + 1),
-            data_count=Samples(int(data_counts[i])),
-            mean_capability=SamplesPerSecond(float(capabilities[i])),
-            mean_throughput=mean_throughput(positions[i], cell),
-            position=positions[i],
-        )
-        for i in range(count)
-    ]
+    capability = res.uniform(clo, chi, size=count)
+    throughput = mean_throughput(distance, shadow, cell)
+    return Population(data_count, capability, throughput, distance, shadow)
 
 
 def estimated_update_time(profile: ClientProfile, budget: TimeBudget) -> Seconds:
-    """Local update time estimate: epochs * data_count / capability."""
+    """epochs * data_count / capability of one row (bench/checks.py's re-plan)."""
     return Seconds(budget.epochs_per_round * profile.data_count / profile.mean_capability)
 
 
 def estimated_upload_time(profile: ClientProfile, budget: TimeBudget) -> Seconds:
-    """Upload time estimate: model_size / mean throughput."""
+    """model_size / mean throughput of one row (bench/checks.py's re-plan)."""
     if profile.mean_throughput == 0:
         raise ModelError(f"client {int(profile.id)} has zero mean throughput")
     return Seconds(budget.model_size / profile.mean_throughput)
@@ -150,7 +201,7 @@ def estimated_upload_time(profile: ClientProfile, budget: TimeBudget) -> Seconds
 
 @dataclass(frozen=True, eq=False)
 class EstimateColumns:
-    """Estimated times of a whole population, one row per profile, in list order.
+    """Estimated times of a whole population, one row per client, in id order.
 
     `ids` is int64; `t_update`, `t_upload` and `throughput` are float64.  The
     times are the same float operations as `estimated_update_time` and
@@ -163,53 +214,34 @@ class EstimateColumns:
     throughput: np.ndarray
 
     @classmethod
-    def of(cls, profiles: list[ClientProfile], budget: TimeBudget) -> "EstimateColumns":
-        ids = np.array([int(p.id) for p in profiles], dtype=np.int64)
-        data_counts = np.array([int(p.data_count) for p in profiles], dtype=np.int64)
-        capability = np.array([float(p.mean_capability) for p in profiles], dtype=np.float64)
-        throughput = np.array([float(p.mean_throughput) for p in profiles], dtype=np.float64)
-        if not throughput.all():
-            raise ModelError(f"client {int(ids[np.argmin(throughput)])} has zero mean throughput")
+    def of(cls, population: Population, budget: TimeBudget) -> "EstimateColumns":
         return cls(
-            ids=ids,
-            t_update=budget.epochs_per_round * data_counts / capability,
-            t_upload=float(budget.model_size) / throughput,
-            throughput=throughput,
+            ids=population.ids,
+            t_update=budget.epochs_per_round * population.data_count / population.capability,
+            t_upload=float(budget.model_size) / population.throughput,
+            throughput=population.throughput,
         )
 
 
 def realized_times(
-    profile: ClientProfile,
+    population: Population,
+    positions: np.ndarray,
     budget: TimeBudget,
     fluct: FluctuationConfig,
     rng: np.random.Generator,
-) -> tuple[Seconds, Seconds]:
-    """Realized (update, upload) times for one round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realized (update, upload) times of the clients at `positions`, in that order.
 
-    Capability and throughput are each re-sampled once around their means
-    with relative std `fluct.r` (capability first, then throughput), and the
-    two times are recomputed from the sampled values.  With r == 0 the
-    estimates are reproduced bit for bit and no draws are consumed.
+    Capability and throughput are re-sampled around their means from
+    Normal(mean, r * mean), clamped below at RELATIVE_CLAMP_FLOOR * mean, in
+    one (n, 2) draw of [capability, throughput] rows: the same numbers as
+    drawing client by client, capability first.  With r == 0 the estimates
+    are reproduced bit for bit and no draws are consumed.
     """
-    capability = gaussian_truncated(profile.mean_capability, fluct.r, 0.0, rng)
-    throughput = gaussian_truncated(profile.mean_throughput, fluct.r, 0.0, rng)
-    update = Seconds(budget.epochs_per_round * profile.data_count / capability)
-    upload = Seconds(budget.model_size / throughput)
+    rates = np.stack([population.capability[positions], population.throughput[positions]], 1)
+    if fluct.r != 0.0:
+        draws = rng.normal(rates, fluct.r * rates)
+        rates = np.maximum(draws, np.maximum(0.0, RELATIVE_CLAMP_FLOOR * rates))
+    update = budget.epochs_per_round * population.data_count[positions] / rates[:, 0]
+    upload = float(budget.model_size) / rates[:, 1]
     return update, upload
-
-
-def profiles_to_csv(profiles: list[ClientProfile], path: str | Path) -> None:
-    """Write an audit snapshot: id, data_count, capability, throughput, distance."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "data_count", "capability_sps", "throughput_mbps", "distance_m"])
-        for p in profiles:
-            writer.writerow(
-                [
-                    int(p.id),
-                    int(p.data_count),
-                    repr(float(p.mean_capability)),
-                    repr(float(p.mean_throughput)),
-                    repr(float(p.position.distance_m)),
-                ]
-            )

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fedcs_sim.channel import CellConfig, ClientPosition, mean_throughput, path_loss_db, place_clients
+from fedcs_sim.channel import CellConfig, mean_throughput, path_loss_db, place_clients
 from fedcs_sim.core import ParameterError, RngStream
+
+
+def loss_at(distance, cell, shadow=0.0):
+    """Path loss of one client, through the column function."""
+    return float(path_loss_db(np.array([distance]), np.array([shadow]), cell)[0])
+
+
+def throughput_at(distance, cell, shadow=0.0):
+    """Mean throughput of one client, through the column function."""
+    return float(mean_throughput(np.array([distance]), np.array([shadow]), cell)[0])
 
 
 @pytest.fixture
@@ -22,20 +32,20 @@ class TestPlacement:
     def test_mean_distance_matches_uniform_disk(self, quiet_cell):
         # Analytic mean for a uniform disk is 2R/3 = 1333.3 m.
         rng = RngStream(0, "placement").generator()
-        positions = place_clients(10**5, quiet_cell, rng)
-        mean = np.mean([p.distance_m for p in positions])
-        assert 1320.0 <= mean <= 1347.0
+        distances, _ = place_clients(10**5, quiet_cell, rng)
+        assert 1320.0 <= distances.mean() <= 1347.0
 
     def test_single_client_in_range(self, quiet_cell):
         rng = RngStream(5, "placement").generator()
-        (pos,) = place_clients(1, quiet_cell, rng)
-        assert 0.0 < pos.distance_m <= 2000.0
+        (distance,), (shadow,) = place_clients(1, quiet_cell, rng)
+        assert 0.0 < distance <= 2000.0
+        assert shadow == 0.0
 
     def test_inner_half_radius_fraction(self, quiet_cell):
         # Area ratio for d <= R/2 is (1/2)^2 = 0.25.
         rng = RngStream(1, "placement").generator()
-        positions = place_clients(10**5, quiet_cell, rng)
-        frac = np.mean([p.distance_m <= 1000.0 for p in positions])
+        distances, _ = place_clients(10**5, quiet_cell, rng)
+        frac = np.mean(distances <= 1000.0)
         assert abs(frac - 0.25) <= 0.01
 
     def test_count_validation(self, quiet_cell):
@@ -44,46 +54,41 @@ class TestPlacement:
 
     def test_shadowing_drawn_per_client(self, cell):
         rng = RngStream(2, "placement").generator()
-        positions = place_clients(1000, cell, rng)
-        shadows = np.array([p.shadow_db for p in positions])
+        distances, shadows = place_clients(1000, cell, rng)
+        assert distances.shape == shadows.shape == (1000,)
         assert abs(shadows.mean()) < 0.5
         assert abs(shadows.std() - cell.shadow_sigma_db) < 0.3
 
 
 class TestPathLoss:
     def test_reference_distance_1km(self, cell):
-        pos = ClientPosition(1000.0, shadow_db=0.0)
         expected = 36.7 * 3.0 + 22.7 + 26.0 * math.log10(2.5)
-        assert path_loss_db(pos, cell) == pytest.approx(expected, rel=1e-12)
-        assert abs(path_loss_db(pos, cell) - 143.15) < 0.01
+        assert loss_at(1000.0, cell) == pytest.approx(expected, rel=1e-12)
+        assert abs(loss_at(1000.0, cell) - 143.15) < 0.01
 
     def test_clamp_boundary_10m(self, cell):
-        pos = ClientPosition(10.0, shadow_db=0.0)
         expected = 36.7 + 22.7 + 26.0 * math.log10(2.5)
-        assert path_loss_db(pos, cell) == pytest.approx(expected, rel=1e-12)
-        assert abs(path_loss_db(pos, cell) - 69.75) < 0.01
+        assert loss_at(10.0, cell) == pytest.approx(expected, rel=1e-12)
+        assert abs(loss_at(10.0, cell) - 69.75) < 0.01
 
     def test_below_validity_floor_clamps(self, cell):
-        near = ClientPosition(1.0, shadow_db=0.0)
-        at_floor = ClientPosition(10.0, shadow_db=0.0)
-        assert path_loss_db(near, cell) == path_loss_db(at_floor, cell)
+        assert loss_at(1.0, cell) == loss_at(10.0, cell)
 
     def test_equal_distance_equal_loss(self, cell):
-        a = ClientPosition(512.0, shadow_db=0.0)
-        b = ClientPosition(512.0, shadow_db=0.0)
-        assert path_loss_db(a, cell) == path_loss_db(b, cell)
+        losses = path_loss_db(np.array([512.0, 512.0]), np.zeros(2), cell)
+        assert losses[0] == losses[1]
 
     def test_shadow_term_adds_directly(self, cell):
-        base = path_loss_db(ClientPosition(800.0, shadow_db=0.0), cell)
-        shifted = path_loss_db(ClientPosition(800.0, shadow_db=3.5), cell)
+        base = loss_at(800.0, cell)
+        shifted = loss_at(800.0, cell, shadow=3.5)
         assert shifted == pytest.approx(base + 3.5)
 
 
 class TestThroughput:
     def test_cap_equals_bandwidth_times_rho_max(self, quiet_cell):
         # A client close to the mast saturates the spectral-efficiency cap.
-        theta = mean_throughput(ClientPosition(10.0, 0.0), quiet_cell)
-        assert float(theta) == quiet_cell.rb_bandwidth_total_hz * quiet_cell.rho_max_bps_hz / 1e6
+        theta = throughput_at(10.0, quiet_cell)
+        assert theta == quiet_cell.rb_bandwidth_total_hz * quiet_cell.rho_max_bps_hz / 1e6
         assert float(quiet_cell.max_throughput) == pytest.approx(8.64, abs=1e-12)
 
     def test_population_mean_hits_calibration_target(self, cell):
@@ -91,27 +96,23 @@ class TestThroughput:
         means = []
         for seed in range(10):
             rng = RngStream(seed, "placement").generator()
-            positions = place_clients(1000, cell, rng)
-            means.append(np.mean([float(mean_throughput(p, cell)) for p in positions]))
+            means.append(mean_throughput(*place_clients(1000, cell, rng), cell).mean())
         assert np.mean(means) == pytest.approx(1.4, rel=0.15)
 
     def test_vanishing_snr_gives_vanishing_throughput(self, quiet_cell):
         feeble = CellConfig(tx_power_dbm=-200.0, shadow_sigma_db=0.0)
-        theta = mean_throughput(ClientPosition(2000.0, 0.0), feeble)
-        assert 0.0 <= float(theta) < 1e-9
+        assert 0.0 <= throughput_at(2000.0, feeble) < 1e-9
 
     def test_monotone_in_distance_without_shadowing(self, quiet_cell):
         distances = np.linspace(10.0, 2000.0, 200)
-        thetas = [float(mean_throughput(ClientPosition(d, 0.0), quiet_cell)) for d in distances]
-        assert all(b <= a + 1e-15 for a, b in zip(thetas, thetas[1:]))
+        thetas = mean_throughput(distances, np.zeros(200), quiet_cell)
+        assert (np.diff(thetas) <= 1e-15).all()
 
     def test_every_placed_client_within_bounds(self, cell):
         rng = RngStream(3, "placement").generator()
-        positions = place_clients(2000, cell, rng)
-        cap = float(cell.max_throughput)
-        for p in positions:
-            theta = float(mean_throughput(p, cell))
-            assert 0.0 < theta <= cap
+        thetas = mean_throughput(*place_clients(2000, cell, rng), cell)
+        assert thetas.dtype == np.float64
+        assert ((0.0 < thetas) & (thetas <= float(cell.max_throughput))).all()
 
 
 class TestCellConfig:
@@ -124,9 +125,3 @@ class TestCellConfig:
             CellConfig(rho_max_bps_hz=0.0)
         with pytest.raises(ParameterError):
             CellConfig(min_distance_m=0.0)
-
-    def test_position_validation(self):
-        with pytest.raises(ParameterError):
-            ClientPosition(0.0)
-        with pytest.raises(ParameterError):
-            ClientPosition(100.0, shadow_db=float("nan"))

@@ -202,6 +202,24 @@ def test_invalid_overlay_is_reported_at_its_key_path(overlay, path):
     assert_reported_at(overlay, path)
 
 
+# Every integer key and the largest value it takes (seeds: RngStream, below 2**64).
+INTEGER_BOUNDS = {
+    "protocol.k_total": 10**7,
+    "budget.epochs_per_round": 1000,
+    "resources.data_count_range": [100, 10**6],
+    "trainer.native.n_features": 4096,
+    "trainer.native.n_classes": 4096,
+    "trainer.native.hidden": [4096],
+    "trainer.native.train_samples": 10**6,
+    "trainer.native.test_samples": 10**6,
+    "trainer.native.batch_size": 10**6,
+    "partition.classes_per_client": 4096,
+}
+ABOVE_BOUND = [
+    [v[0], v[1] + 1] if path.endswith("_range") else [v[0] + 1] if isinstance(v, list) else v + 1
+    for path, v in INTEGER_BOUNDS.items()
+]
+
 # Configs that `validate` accepted although every run then failed (or, for a
 # NaN transmit power, ran at the capped throughput), and list elements that
 # were accepted with true read as the number 1.
@@ -243,6 +261,8 @@ TIGHTENED = [
         also={"sweep.partition_mode": ["iid", "non_iid"], "trainer.kind": "native"},
         at="sweep.partition_mode",
     ),
+    # Each integer key one past the bound its owner holds.
+    *(bad(path, value) for path, value in zip(INTEGER_BOUNDS, ABOVE_BOUND)),
 ]
 
 
@@ -294,6 +314,13 @@ def test_defaults_round_trip_through_the_objects_that_own_them():
     assert config.sgd_hyper() == SgdHyper()
     surrogate = DEFAULT_CONFIG["trainer"]["surrogate"]
     assert surrogate == {"a_max": SurrogateTrainer().a_max, "tau": SurrogateTrainer().tau}
+
+
+@pytest.mark.parametrize("path", sorted(INTEGER_BOUNDS))
+def test_integer_keys_accept_their_bound(path):
+    # A native run needs at least n_classes training samples.
+    also = {"trainer.native.train_samples": 4096} if path == "trainer.native.n_classes" else {}
+    run_descriptors(ExperimentConfig(resolve_config(overlay_of(path, INTEGER_BOUNDS[path], also))))
 
 
 @pytest.mark.parametrize(

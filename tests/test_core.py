@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from fedcs_sim.core import (
     SamplesPerSecond,
     Seconds,
     UnitError,
-    gaussian_truncated,
 )
 
 
@@ -81,46 +78,3 @@ class TestRngStream:
             RngStream(2**64)
         with pytest.raises(ParameterError):
             RngStream(1, "")
-
-
-class TestGaussianTruncated:
-    def test_zero_rel_std_returns_mean_exactly(self):
-        rng = RngStream(0, "x").generator()
-        assert gaussian_truncated(1.4, 0.0, 0.0, rng) == 1.4
-
-    def test_zero_rel_std_consumes_no_draws(self):
-        rng = RngStream(0, "x").generator()
-        gaussian_truncated(5.0, 0.0, 0.0, rng)
-        untouched = RngStream(0, "x").generator()
-        assert rng.random() == untouched.random()
-
-    def test_sample_std_matches_relative_spec(self):
-        # Monte-Carlo estimate of the sampler's own std at mean 100, r = 0.1.
-        rng = RngStream(123, "mc").generator()
-        draws = np.array([gaussian_truncated(100.0, 0.1, 0.0, rng) for _ in range(10**5)])
-        assert 9.5 <= draws.std(ddof=1) <= 10.5
-
-    def test_floor_clamps_every_sample(self):
-        rng = RngStream(9, "clamp").generator()
-        draws = [gaussian_truncated(1.0, 10.0, 0.001, rng) for _ in range(2000)]
-        assert min(draws) >= 0.001
-
-    def test_relative_clamp_keeps_samples_positive(self):
-        rng = RngStream(10, "clamp").generator()
-        draws = [gaussian_truncated(50.0, 5.0, 0.0, rng) for _ in range(2000)]
-        assert min(draws) >= 0.01 * 50.0
-
-    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), 0.0, -2.0])
-    def test_invalid_mean_rejected(self, mean):
-        rng = RngStream(1, "x").generator()
-        with pytest.raises(ParameterError):
-            gaussian_truncated(mean, 0.1, 0.0, rng)
-
-    def test_invalid_spread_rejected(self):
-        rng = RngStream(1, "x").generator()
-        with pytest.raises(ParameterError):
-            gaussian_truncated(1.0, -0.1, 0.0, rng)
-        with pytest.raises(ParameterError):
-            gaussian_truncated(1.0, 0.1, -1.0, rng)
-        with pytest.raises(ParameterError):
-            gaussian_truncated(1.0, math.inf, 0.0, rng)

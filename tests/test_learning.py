@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from fedcs_sim.channel import ClientPosition
-from fedcs_sim.core import (
-    ClientId,
-    MegabitsPerSecond,
-    ModelError,
-    ParameterError,
-    RngStream,
-    Samples,
-    SamplesPerSecond,
-)
+from fedcs_sim.core import ClientId, ModelError, ParameterError, RngStream
 from fedcs_sim.learning import (
     GlobalModel,
     LabeledDataset,
@@ -27,7 +18,7 @@ from fedcs_sim.learning import (
     save_dataset,
     surrogate_accuracy,
 )
-from fedcs_sim.resources import ClientProfile
+from fedcs_sim.resources import Population
 
 
 def reference_local_update(model, features, labels, net, hyper, rng):
@@ -51,14 +42,23 @@ def reference_local_update(model, features, labels, net, hyper, rng):
     return GlobalModel(params=params, round=model.round)
 
 
-def tiny_profile(cid, data_count):
-    return ClientProfile(
-        id=ClientId(cid),
-        data_count=Samples(data_count),
-        mean_capability=SamplesPerSecond(50.0),
-        mean_throughput=MegabitsPerSecond(1.4),
-        position=ClientPosition(500.0),
+def tiny_population(data_counts):
+    """Clients 1..n with the given data counts and identical other resources."""
+    same = np.ones(len(data_counts))
+    return Population(data_counts, 50.0 * same, 1.4 * same, 500.0 * same, 0.0 * same)
+
+
+def train_shards(model, shards, net, hyper, rng):
+    """`local_update` on (features, labels) shards, stored one after another
+    in one shared set."""
+    data = LabeledDataset(
+        np.concatenate([x for x, _ in shards]) if shards else np.zeros((0, net.dims[0])),
+        np.concatenate([y for _, y in shards]) if shards else np.zeros(0, dtype=np.int64),
+        net.dims[-1],
     )
+    ends = np.cumsum([len(y) for _, y in shards], dtype=np.int64)
+    rows = [np.arange(end - len(y), end) for end, (_, y) in zip(ends, shards)]
+    return local_update(model, data, rows, net, hyper, rng)
 
 
 def balanced_dataset(per_class=100, n_classes=10, n_features=4, seed=0):
@@ -73,46 +73,46 @@ class TestPartition:
         # 10^4 clients x 100 samples over a balanced 10-class set: the mean
         # per-class count per client is 10 with std 3/sqrt(10^4) = 0.03.
         dataset = balanced_dataset()
-        profiles = [tiny_profile(i + 1, 100) for i in range(10**4)]
-        part = partition_dataset(dataset, profiles, "iid", RngStream(0, "partition").generator())
+        population = tiny_population([100] * 10**4)
+        part = partition_dataset(dataset, population, "iid", RngStream(0, "partition").generator())
         counts = np.zeros(10)
-        for p in profiles:
-            counts += np.bincount(dataset.labels[part.assignment[p.id]], minlength=10)
-        per_client_means = counts / len(profiles)
+        for cid in population.ids.tolist():
+            counts += np.bincount(dataset.labels[part.assignment[cid]], minlength=10)
+        per_client_means = counts / len(population)
         assert np.all(np.abs(per_client_means - 10.0) <= 3 * 0.03)
 
     def test_non_iid_spans_at_most_two_labels(self):
         dataset = balanced_dataset()
-        profiles = [tiny_profile(i + 1, 150) for i in range(200)]
+        population = tiny_population([150] * 200)
         part = partition_dataset(
-            dataset, profiles, "non_iid", RngStream(1, "partition").generator()
+            dataset, population, "non_iid", RngStream(1, "partition").generator()
         )
-        for p in profiles:
-            labels = set(dataset.labels[part.assignment[p.id]].tolist())
+        for cid in population.ids.tolist():
+            labels = set(dataset.labels[part.assignment[cid]].tolist())
             assert len(labels) <= 2
 
     def test_assignment_sizes_match_data_counts(self):
         dataset = balanced_dataset()
-        profiles = [tiny_profile(i + 1, 100 + 13 * i) for i in range(20)]
-        part = partition_dataset(dataset, profiles, "iid", RngStream(2, "partition").generator())
-        for p in profiles:
+        population = tiny_population([100 + 13 * i for i in range(20)])
+        part = partition_dataset(dataset, population, "iid", RngStream(2, "partition").generator())
+        assert list(part.assignment) == [ClientId(i + 1) for i in range(20)]
+        for p in population:
             assert len(part.assignment[p.id]) == int(p.data_count)
 
     def test_same_seed_reproduces_assignment(self):
         dataset = balanced_dataset()
-        profiles = [tiny_profile(i + 1, 120) for i in range(50)]
-        a = partition_dataset(dataset, profiles, "non_iid", RngStream(3, "partition").generator())
-        b = partition_dataset(dataset, profiles, "non_iid", RngStream(3, "partition").generator())
-        for p in profiles:
-            assert np.array_equal(a.assignment[p.id], b.assignment[p.id])
+        population = tiny_population([120] * 50)
+        a = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
+        b = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
+        for cid in population.ids.tolist():
+            assert np.array_equal(a.assignment[cid], b.assignment[cid])
 
     def test_too_few_classes_rejected(self):
         dataset = balanced_dataset(n_classes=2, per_class=50)
-        profiles = [tiny_profile(1, 100)]
         with pytest.raises(ParameterError):
             partition_dataset(
                 dataset,
-                profiles,
+                tiny_population([100]),
                 "non_iid",
                 RngStream(4, "partition").generator(),
                 classes_per_client=3,
@@ -121,7 +121,9 @@ class TestPartition:
     def test_unknown_mode_rejected(self):
         dataset = balanced_dataset()
         with pytest.raises(ParameterError):
-            partition_dataset(dataset, [], "stratified", RngStream(5, "partition").generator())
+            partition_dataset(
+                dataset, tiny_population([100]), "stratified", RngStream(5, "partition").generator()
+            )
 
 
 class TestLocalUpdate:
@@ -131,7 +133,7 @@ class TestLocalUpdate:
         model = GlobalModel(params=net.init_params(rng), round=0)
         data = balanced_dataset(per_class=20, n_classes=3)
         hyper = SgdHyper(lr0=0.0)
-        (updated,) = local_update(model, [(data.features, data.labels)], net, hyper, rng)
+        (updated,) = train_shards(model, [(data.features, data.labels)], net, hyper, rng)
         assert np.array_equal(updated.params, model.params)
 
     def test_one_step_reduces_separable_loss(self):
@@ -143,7 +145,7 @@ class TestLocalUpdate:
         hyper = SgdHyper(batch_size=4, epochs=1, lr0=0.25, lr_decay=1.0)
         model = GlobalModel(params=params, round=0)
         rng = RngStream(1, "train").generator()
-        (updated,) = local_update(model, [(features, labels)], net, hyper, rng)
+        (updated,) = train_shards(model, [(features, labels)], net, hyper, rng)
         after = net.loss(updated.params, features, labels)
         assert after < before
 
@@ -190,7 +192,10 @@ class TestLocalUpdate:
         features_before = data.features.copy()
         labels_before = data.labels.copy()
         params_before = model.params.copy()
-        local_update(model, [(data.features, data.labels)], net, SgdHyper(), rng)
+        rows = [np.arange(0, 90, 2), np.arange(1, 90, 2)]
+        rows_before = [r.copy() for r in rows]
+        local_update(model, data, rows, net, SgdHyper(), rng)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_before))
         assert np.array_equal(data.features, features_before)
         assert np.array_equal(data.labels, labels_before)
         assert np.array_equal(model.params, params_before)
@@ -199,7 +204,7 @@ class TestLocalUpdate:
         net = MlpNet(4, 3)
         model = GlobalModel(params=np.zeros(net.param_count))
         with pytest.raises(ParameterError):
-            local_update(
+            train_shards(
                 model,
                 [(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))],
                 net,
@@ -212,7 +217,7 @@ class TestLocalUpdate:
         model = GlobalModel(params=np.zeros(net.param_count + 1))
         data = balanced_dataset(per_class=5, n_classes=3)
         with pytest.raises(ModelError):
-            local_update(
+            train_shards(
                 model,
                 [(data.features, data.labels)],
                 net,
@@ -320,7 +325,7 @@ class TestStackedLocalUpdate:
         stacked_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
 
-        stacked = local_update(model, shards, net, hyper, stacked_rng)
+        stacked = train_shards(model, shards, net, hyper, stacked_rng)
         reference = [
             reference_local_update(model, x, y, net, hyper, reference_rng) for x, y in shards
         ]
@@ -335,18 +340,36 @@ class TestStackedLocalUpdate:
         net = MlpNet(16, 10)
         shards = [(rng.normal(size=(n, 16)), rng.integers(0, 10, size=n)) for n in sizes]
         model = GlobalModel(params=net.init_params(rng), round=3)
-        stacked = local_update(model, shards, net, SgdHyper(), np.random.default_rng(9))
+        stacked = train_shards(model, shards, net, SgdHyper(), np.random.default_rng(9))
         reference_rng = np.random.default_rng(9)
         for got, (x, y) in zip(stacked, shards):
             want = reference_local_update(model, x, y, net, SgdHyper(), reference_rng)
             assert got.params.tobytes() == want.params.tobytes()
+
+    def test_rows_into_one_shared_set_equal_a_pass_on_each_gathered_shard(self):
+        # Shards drawn with replacement overlap, repeat rows and come in no
+        # particular order, as a partition's do.
+        rng = np.random.default_rng(12)
+        data = balanced_dataset(per_class=60, n_classes=5, n_features=6)
+        net = MlpNet(6, 5, hidden=(7,))
+        rows = [rng.integers(0, len(data), size=n) for n in (130, 49, 300, 50, 1)]
+        model = GlobalModel(params=net.init_params(rng), round=1)
+        hyper = SgdHyper(batch_size=25, epochs=2)
+        stacked_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        stacked = local_update(model, data, rows, net, hyper, stacked_rng)
+        for got, idx in zip(stacked, rows):
+            want = reference_local_update(
+                model, data.features[idx], data.labels[idx], net, hyper, reference_rng
+            )
+            assert got.params.tobytes() == want.params.tobytes()
+        assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_no_shards_give_no_models_and_draw_nothing(self):
         net = MlpNet(4, 3)
         model = GlobalModel(params=np.zeros(net.param_count))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        assert local_update(model, [], net, SgdHyper(), rng) == []
+        assert train_shards(model, [], net, SgdHyper(), rng) == []
         assert rng.bit_generator.state == before
 
     def test_an_empty_shard_among_others_is_rejected(self):
@@ -355,7 +378,7 @@ class TestStackedLocalUpdate:
         data = balanced_dataset(per_class=5, n_classes=3)
         empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ParameterError):
-            local_update(
+            train_shards(
                 model,
                 [(data.features, data.labels), empty],
                 net,
@@ -369,7 +392,7 @@ class TestStackedLocalUpdate:
         data = balanced_dataset(per_class=5, n_classes=3)
         shards = [(data.features, data.labels)] * 3
         with pytest.raises(ModelError):
-            local_update(model, shards, net, SgdHyper(), np.random.default_rng(0))
+            train_shards(model, shards, net, SgdHyper(), np.random.default_rng(0))
 
     def test_trainer_updates_clients_in_the_order_given(self):
         data = balanced_dataset(per_class=40, n_classes=3)
@@ -497,7 +520,7 @@ class TestDatasets:
         net = MlpNet(8, 4)
         model = GlobalModel(params=net.init_params(RngStream(2, "init").generator()))
         hyper = SgdHyper(batch_size=50, epochs=5, lr0=0.25, lr_decay=0.99)
-        (updated,) = local_update(
+        (updated,) = train_shards(
             model, [(data.features, data.labels)], net, hyper, RngStream(3, "t").generator()
         )
         assert net.accuracy(updated.params, data.features, data.labels) > 0.9

@@ -24,6 +24,7 @@ from fedcs_sim.protocol import (
     run_round_vanilla,
 )
 from fedcs_sim.resources import (
+    MAX_CLIENTS,
     FluctuationConfig,
     ResourceRanges,
     TimeBudget,
@@ -39,7 +40,7 @@ K_SMALL = 200
 
 
 @pytest.fixture(scope="module")
-def profiles_small():
+def population_small():
     return generate_profiles(K_SMALL, CellConfig(), ResourceRanges(), RngStream(0))
 
 
@@ -54,49 +55,49 @@ def fresh_state(trainer=None, seed=0):
 
 
 class TestFedcsRound:
-    def test_zero_fluctuation_realization_matches_schedule(self, profiles_small):
+    def test_zero_fluctuation_realization_matches_schedule(self, population_small):
         config = small_config()
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
-        record = run_round_fedcs(state, profiles_small, config, trainer, 0)
+        record = run_round_fedcs(state, population_small, config, trainer, 0)
         assert record.aggregated_count == len(record.selected_or_completed) > 0
         assert float(record.busy_time) <= float(config.budget.t_round)
         assert float(record.realized_round_duration) == float(config.budget.t_round)
         assert record.clock_after == float(config.budget.t_round)
 
-    def test_unbounded_deadline_selects_whole_cohort(self, profiles_small):
+    def test_unbounded_deadline_selects_whole_cohort(self, population_small):
         budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedcs(fresh_state(trainer), profiles_small, config, trainer, 0)
+        record = run_round_fedcs(fresh_state(trainer), population_small, config, trainer, 0)
         assert len(record.selected_or_completed) == config.cohort_size == 20
 
-    def test_extend_policy_never_discards(self, profiles_small):
+    def test_extend_policy_never_discards(self, population_small):
         config = small_config(fluct=FluctuationConfig(0.2), late_policy="extend")
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(10):
-            record = run_round_fedcs(state, profiles_small, config, trainer, idx)
+            record = run_round_fedcs(state, population_small, config, trainer, idx)
             assert record.aggregated_count == len(record.selected_or_completed)
             assert float(record.realized_round_duration) >= float(config.budget.t_round)
 
-    def test_discard_policy_advances_exactly_one_deadline(self, profiles_small):
+    def test_discard_policy_advances_exactly_one_deadline(self, population_small):
         config = small_config(fluct=FluctuationConfig(0.2), late_policy="discard")
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(10):
             before = state.clock
-            record = run_round_fedcs(state, profiles_small, config, trainer, idx)
+            record = run_round_fedcs(state, population_small, config, trainer, idx)
             assert record.aggregated_count <= len(record.selected_or_completed)
             assert state.clock - before == float(config.budget.t_round)
 
-    def test_requested_cohort_is_unique_and_sized(self, profiles_small):
+    def test_requested_cohort_is_unique_and_sized(self, population_small):
         config = small_config()
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         seen = []
         for idx in range(5):
-            record = run_round_fedcs(state, profiles_small, config, trainer, idx)
+            record = run_round_fedcs(state, population_small, config, trainer, idx)
             assert len(record.requested) == config.cohort_size
             assert len(set(record.requested)) == config.cohort_size
             seen.append(record.requested)
@@ -110,9 +111,10 @@ class TestFedcsSelectionWiring:
         stop = StopCondition(t_final=Seconds(20 * float(budget.t_round)))
         for seed in (0, 1):
             rng = RngStream(seed)
-            profiles = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
+            population = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
+            profiles = list(population)
             by_id = {int(p.id): p for p in profiles}
-            records = run_experiment(config, stop, SurrogateTrainer(), profiles, rng)
+            records = run_experiment(config, stop, SurrogateTrainer(), population, rng)
             assert len(records) == 20
             for record in records:
                 rows = [
@@ -129,7 +131,7 @@ class TestFedcsSelectionWiring:
 
             trainer = SurrogateTrainer()
             state = ExperimentState.fresh(trainer, rng)
-            run_round_fedcs(state, profiles, config, trainer, 0)
+            run_round_fedcs(state, population, config, trainer, 0)
             columns = state.estimates
             assert columns.ids.tolist() == [int(p.id) for p in profiles]
             for column, scalar in (
@@ -141,94 +143,94 @@ class TestFedcsSelectionWiring:
 
 
 class TestFedlimRound:
-    def test_impossible_deadline_completes_nothing(self, profiles_small):
+    def test_impossible_deadline_completes_nothing(self, population_small):
         budget = TimeBudget(t_round=Seconds(1.0))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), profiles_small, config, trainer, 0)
+        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
         assert record.selected_or_completed == ()
         assert record.aggregated_count == 0
         assert record.accuracy_after == 0.0
         assert record.clock_after == 1.0
 
-    def test_unbounded_deadline_completes_everyone(self, profiles_small):
+    def test_unbounded_deadline_completes_everyone(self, population_small):
         budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), profiles_small, config, trainer, 0)
+        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
         assert len(record.selected_or_completed) == config.cohort_size
 
-    def test_clock_advances_exactly_one_deadline(self, profiles_small):
+    def test_clock_advances_exactly_one_deadline(self, population_small):
         config = small_config(mode="fedlim")
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(5):
-            record = run_round_fedlim(state, profiles_small, config, trainer, idx)
+            record = run_round_fedlim(state, population_small, config, trainer, idx)
             assert float(record.realized_round_duration) == 180.0
             assert float(record.busy_time) <= 180.0
         assert state.clock == 5 * 180.0
 
-    def test_completions_are_a_prefix_of_the_upload_sequence(self, profiles_small):
+    def test_completions_are_a_prefix_of_the_upload_sequence(self, population_small):
         config = small_config(mode="fedlim", fedlim=FedLimOptions(upload_order="random"))
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
-        record = run_round_fedlim(state, profiles_small, config, trainer, 0)
+        record = run_round_fedlim(state, population_small, config, trainer, 0)
         assert record.aggregated_count == len(record.selected_or_completed)
 
     @pytest.mark.parametrize("distribution", ["unicast", "multicast", "none"])
     @pytest.mark.parametrize("order", ["channel", "ready", "random"])
-    def test_all_option_combinations_run(self, profiles_small, distribution, order):
+    def test_all_option_combinations_run(self, population_small, distribution, order):
         config = small_config(
             mode="fedlim", fedlim=FedLimOptions(distribution=distribution, upload_order=order)
         )
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), profiles_small, config, trainer, 0)
+        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
         assert 0 <= record.aggregated_count <= config.cohort_size
 
-    def test_multicast_over_random_cohort_exceeds_deadline(self, profiles_small):
+    def test_multicast_over_random_cohort_exceeds_deadline(self, population_small):
         # The shared distribution phase is pinned to the slowest of ~20
         # random links, which alone exceeds a 3-minute deadline.
         config = small_config(mode="fedlim", fedlim=FedLimOptions(distribution="multicast"))
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         counts = [
-            run_round_fedlim(state, profiles_small, config, trainer, idx).aggregated_count
+            run_round_fedlim(state, population_small, config, trainer, idx).aggregated_count
             for idx in range(10)
         ]
         assert np.mean(counts) < 0.5
 
 
 class TestVanillaRound:
-    def test_everyone_aggregates_every_round(self, profiles_small):
+    def test_everyone_aggregates_every_round(self, population_small):
         config = small_config(mode="vanilla")
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(3):
-            record = run_round_vanilla(state, profiles_small, config, trainer, idx)
+            record = run_round_vanilla(state, population_small, config, trainer, idx)
             assert record.aggregated_count == config.cohort_size
             assert len(record.selected_or_completed) == config.cohort_size
 
-    def test_round_duration_dominates_fedcs_paired_seed(self, profiles_small):
+    def test_round_duration_dominates_fedcs_paired_seed(self, population_small):
         fedcs_cfg, vanilla_cfg = small_config(), small_config(mode="vanilla")
         fedcs_durations, vanilla_durations = [], []
         for seed in range(10):
             t1, t2 = SurrogateTrainer(), SurrogateTrainer()
-            r1 = run_round_fedcs(fresh_state(t1, seed), profiles_small, fedcs_cfg, t1, 0)
-            r2 = run_round_vanilla(fresh_state(t2, seed), profiles_small, vanilla_cfg, t2, 0)
+            r1 = run_round_fedcs(fresh_state(t1, seed), population_small, fedcs_cfg, t1, 0)
+            r2 = run_round_vanilla(fresh_state(t2, seed), population_small, vanilla_cfg, t2, 0)
             fedcs_durations.append(float(r1.realized_round_duration))
             vanilla_durations.append(float(r2.realized_round_duration))
         assert np.mean(vanilla_durations) > np.mean(fedcs_durations)
 
-    def test_accuracy_saturates_like_fedcs(self, profiles_small):
+    def test_accuracy_saturates_like_fedcs(self, population_small):
         # Both asymptote to the surrogate ceiling once enough updates land.
         stop_v = StopCondition(t_final=Seconds(1.5e6))
         config_v = small_config(mode="vanilla")
         records_v = run_experiment(
-            config_v, stop_v, SurrogateTrainer(), profiles_small, RngStream(0)
+            config_v, stop_v, SurrogateTrainer(), population_small, RngStream(0)
         )
         stop_c = StopCondition(t_final=Seconds(60000.0))
         records_c = run_experiment(
-            small_config(), stop_c, SurrogateTrainer(), profiles_small, RngStream(0)
+            small_config(), stop_c, SurrogateTrainer(), population_small, RngStream(0)
         )
         assert records_v[-1].accuracy_after > 0.88
         assert records_c[-1].accuracy_after > 0.88
@@ -236,28 +238,28 @@ class TestVanillaRound:
 
 
 class TestRunExperiment:
-    def test_zero_final_deadline_yields_no_records(self, profiles_small):
+    def test_zero_final_deadline_yields_no_records(self, population_small):
         records = run_experiment(
             small_config(),
             StopCondition(t_final=Seconds(0.0)),
             SurrogateTrainer(),
-            profiles_small,
+            population_small,
             RngStream(0),
         )
         assert records == []
 
-    def test_stop_contract(self, profiles_small):
+    def test_stop_contract(self, population_small):
         stop = StopCondition(t_final=Seconds(1e5), target_accuracy=0.5)
         records = run_experiment(
-            small_config(), stop, SurrogateTrainer(), profiles_small, RngStream(1)
+            small_config(), stop, SurrogateTrainer(), population_small, RngStream(1)
         )
         assert records[-1].accuracy_after >= 0.5
         assert all(r.accuracy_after < 0.5 for r in records[:-1])
 
-    def test_final_deadline_bounds_clock(self, profiles_small):
+    def test_final_deadline_bounds_clock(self, population_small):
         stop = StopCondition(t_final=Seconds(2000.0))
         records = run_experiment(
-            small_config(), stop, SurrogateTrainer(), profiles_small, RngStream(2)
+            small_config(), stop, SurrogateTrainer(), population_small, RngStream(2)
         )
         assert records
         for r in records:
@@ -265,33 +267,33 @@ class TestRunExperiment:
         clocks = [float(r.clock_after) for r in records]
         assert all(b > a for a, b in zip(clocks, clocks[1:]))
 
-    def test_round_records_are_bit_identical_across_reruns(self, profiles_small):
+    def test_round_records_are_bit_identical_across_reruns(self, population_small):
         stop = StopCondition(t_final=Seconds(3600.0))
         config = small_config(fluct=FluctuationConfig(0.1))
-        a = run_experiment(config, stop, SurrogateTrainer(), profiles_small, RngStream(3))
-        b = run_experiment(config, stop, SurrogateTrainer(), profiles_small, RngStream(3))
+        a = run_experiment(config, stop, SurrogateTrainer(), population_small, RngStream(3))
+        b = run_experiment(config, stop, SurrogateTrainer(), population_small, RngStream(3))
         assert a == b
 
-    def test_fedcs_aggregates_at_least_fedlim_on_average(self, profiles_small):
+    def test_fedcs_aggregates_at_least_fedlim_on_average(self, population_small):
         stop = StopCondition(t_final=Seconds(30 * 180.0))
         fedcs = run_experiment(
-            small_config(), stop, SurrogateTrainer(), profiles_small, RngStream(4)
+            small_config(), stop, SurrogateTrainer(), population_small, RngStream(4)
         )
         fedlim = run_experiment(
-            small_config(mode="fedlim"), stop, SurrogateTrainer(), profiles_small, RngStream(4)
+            small_config(mode="fedlim"), stop, SurrogateTrainer(), population_small, RngStream(4)
         )
         mean_fedcs = np.mean([r.aggregated_count for r in fedcs])
         mean_fedlim = np.mean([r.aggregated_count for r in fedlim])
         assert mean_fedcs >= mean_fedlim
 
-    def test_population_size_checked(self, profiles_small):
+    def test_population_size_checked(self, population_small):
         config = ProtocolConfig(mode="fedcs", k_total=999)
         with pytest.raises(ParameterError):
             run_experiment(
                 config,
                 StopCondition(t_final=Seconds(100.0)),
                 SurrogateTrainer(),
-                profiles_small,
+                population_small,
                 RngStream(0),
             )
 
@@ -320,24 +322,24 @@ class PerClientTrainer(RecordingTrainer):
         return updates
 
 
-def native_trainer(cls, profiles):
+def native_trainer(cls, population):
     full = make_blob_dataset(700, 8, 4, RngStream(0, "dataset").generator())
     train = LabeledDataset(full.features[:600], full.labels[:600], 4)
     test = LabeledDataset(full.features[600:], full.labels[600:], 4)
-    partition = partition_dataset(train, profiles, "iid", RngStream(0, "partition").generator())
+    partition = partition_dataset(train, population, "iid", RngStream(0, "partition").generator())
     net = MlpNet(8, 4, hidden=(6,))
     return cls(train, test, partition, net, SgdHyper(), RngStream(0, "init").generator())
 
 
 class TestNativeTraining:
     @pytest.mark.parametrize("mode", ["fedcs", "fedlim", "vanilla"])
-    def test_records_equal_a_per_client_training_loop(self, profiles_small, mode):
+    def test_records_equal_a_per_client_training_loop(self, population_small, mode):
         stop = StopCondition(t_final=Seconds(5 * 180.0))
         runs = []
         for cls in (RecordingTrainer, PerClientTrainer):
-            trainer = native_trainer(cls, profiles_small)
+            trainer = native_trainer(cls, population_small)
             records = run_experiment(
-                small_config(mode=mode), stop, trainer, profiles_small, RngStream(6)
+                small_config(mode=mode), stop, trainer, population_small, RngStream(6)
             )
             runs.append((records, trainer.evaluated))
         (records, evaluated), reference = runs
@@ -347,10 +349,10 @@ class TestNativeTraining:
 
 
 class TestRecordSerialization:
-    def test_json_line_roundtrip(self, profiles_small):
+    def test_json_line_roundtrip(self, population_small):
         config = small_config()
         trainer = SurrogateTrainer()
-        record = run_round_fedcs(fresh_state(trainer), profiles_small, config, trainer, 0)
+        record = run_round_fedcs(fresh_state(trainer), population_small, config, trainer, 0)
         again = RoundRecord.from_json_line(record.to_json_line())
         assert again == record
 
@@ -371,6 +373,12 @@ class TestConfigValidation:
             FedLimOptions(distribution="broadcast")
         with pytest.raises(ParameterError):
             FedLimOptions(upload_order="fifo")
+
+    def test_population_size_is_bounded(self):
+        assert ProtocolConfig(k_total=MAX_CLIENTS).k_total == MAX_CLIENTS
+        for k_total in (0, MAX_CLIENTS + 1):
+            with pytest.raises(ParameterError):
+                ProtocolConfig(k_total=k_total)
 
     def test_cohort_size_is_ceiling(self):
         assert ProtocolConfig(k_total=1000, fraction=0.1).cohort_size == 100

@@ -1,9 +1,9 @@
-import csv
+import math
 
 import numpy as np
 import pytest
 
-from fedcs_sim.channel import CellConfig, ClientPosition
+from fedcs_sim.channel import THERMAL_NOISE_DBM_PER_HZ, CellConfig
 from fedcs_sim.core import (
     ClientId,
     Megabits,
@@ -16,15 +16,17 @@ from fedcs_sim.core import (
     Seconds,
 )
 from fedcs_sim.resources import (
+    MAX_CLIENTS,
+    RELATIVE_CLAMP_FLOOR,
     ClientProfile,
     EstimateColumns,
     FluctuationConfig,
+    Population,
     ResourceRanges,
     TimeBudget,
     estimated_update_time,
     estimated_upload_time,
     generate_profiles,
-    profiles_to_csv,
     realized_times,
 )
 
@@ -35,13 +37,89 @@ def make_profile(data_count=500, capability=50.0, throughput=1.4, cid=1):
         data_count=Samples(data_count),
         mean_capability=SamplesPerSecond(capability),
         mean_throughput=MegabitsPerSecond(throughput),
-        position=ClientPosition(1000.0),
     )
+
+
+def population_of(data_count, capability, throughput):
+    """A population with the given columns, placed at 1 km without shadowing."""
+    n = len(data_count)
+    return Population(data_count, capability, throughput, np.full(n, 1000.0), np.zeros(n))
 
 
 @pytest.fixture
 def budget():
     return TimeBudget()
+
+
+# ---------------------------------------------------------------------------
+# References: the per-client code that the columns replaced, kept verbatim
+# but for the position object, which became a (distance, shadow) pair.
+# ---------------------------------------------------------------------------
+
+
+def reference_place_clients(count, cell, rng):
+    distances = cell.radius_m * np.sqrt(1.0 - rng.random(count))
+    if cell.shadow_sigma_db > 0:
+        shadows = rng.normal(0.0, cell.shadow_sigma_db, count)
+    else:
+        shadows = np.zeros(count)
+    return [(float(d), float(s)) for d, s in zip(distances, shadows)]
+
+
+def reference_path_loss_db(pos, cell):
+    distance_m, shadow_db = pos
+    d = max(distance_m, cell.min_distance_m)
+    return 36.7 * math.log10(d) + 22.7 + 26.0 * math.log10(cell.carrier_freq_ghz) + shadow_db
+
+
+def reference_mean_throughput(pos, cell):
+    noise_dbm = (
+        THERMAL_NOISE_DBM_PER_HZ
+        + 10.0 * math.log10(cell.rb_bandwidth_total_hz)
+        + cell.noise_figure_db
+    )
+    snr_db = (
+        cell.tx_power_dbm + cell.antenna_gain_dbi - reference_path_loss_db(pos, cell) - noise_dbm
+    )
+    snr = 10.0 ** (snr_db / 10.0)
+    efficiency = min(cell.rho_max_bps_hz, math.log2(1.0 + snr / cell.delta_loss))
+    return MegabitsPerSecond(cell.rb_bandwidth_total_hz * efficiency / 1e6)
+
+
+def reference_generate_profiles(count, cell, ranges, rng):
+    """Rows (id, data_count, capability, throughput, distance, shadow)."""
+    positions = reference_place_clients(count, cell, rng.child("placement").generator())
+    res = rng.child("resources").generator()
+    lo, hi = ranges.data_count
+    data_counts = res.integers(lo, hi + 1, size=count)
+    clo, chi = ranges.capability
+    capabilities = res.uniform(clo, chi, size=count)
+    return [
+        (
+            ClientId(i + 1),
+            Samples(int(data_counts[i])),
+            SamplesPerSecond(float(capabilities[i])),
+            reference_mean_throughput(positions[i], cell),
+            *positions[i],
+        )
+        for i in range(count)
+    ]
+
+
+def reference_gaussian_truncated(mean, rel_std, floor, rng):
+    mean = float(mean)
+    if rel_std == 0.0:
+        return mean
+    sample = float(rng.normal(mean, rel_std * mean))
+    return max(sample, max(floor, RELATIVE_CLAMP_FLOOR * mean))
+
+
+def reference_realized_times(profile, budget, fluct, rng):
+    capability = reference_gaussian_truncated(profile.mean_capability, fluct.r, 0.0, rng)
+    throughput = reference_gaussian_truncated(profile.mean_throughput, fluct.r, 0.0, rng)
+    update = Seconds(budget.epochs_per_round * profile.data_count / capability)
+    upload = Seconds(budget.model_size / throughput)
+    return update, upload
 
 
 class TestTimeBudget:
@@ -57,38 +135,96 @@ class TestTimeBudget:
             TimeBudget(model_size=Megabits(0.0))
         with pytest.raises(ParameterError):
             TimeBudget(epochs_per_round=0)
+        with pytest.raises(ParameterError):
+            TimeBudget(epochs_per_round=1001)
 
 
 class TestGenerateProfiles:
     def test_default_ranges_respected(self):
-        profiles = generate_profiles(1000, CellConfig(), ResourceRanges(), RngStream(0))
-        assert len(profiles) == 1000
-        assert [int(p.id) for p in profiles] == list(range(1, 1001))
-        for p in profiles:
-            assert 100 <= p.data_count <= 1000
-            assert 10.0 <= p.mean_capability <= 100.0
-            assert 0.0 < p.mean_throughput <= 8.64 + 1e-12
+        population = generate_profiles(1000, CellConfig(), ResourceRanges(), RngStream(0))
+        assert len(population) == 1000
+        assert population.ids.tolist() == list(range(1, 1001))
+        assert population.data_count.dtype == np.int64
+        assert ((100 <= population.data_count) & (population.data_count <= 1000)).all()
+        assert ((10.0 <= population.capability) & (population.capability <= 100.0)).all()
+        assert ((0.0 < population.throughput) & (population.throughput <= 8.64 + 1e-12)).all()
 
     def test_degenerate_range_collapses(self):
         ranges = ResourceRanges(data_count=(500, 500))
-        profiles = generate_profiles(1000, CellConfig(), ranges, RngStream(1))
-        assert all(p.data_count == 500 for p in profiles)
+        population = generate_profiles(1000, CellConfig(), ranges, RngStream(1))
+        assert (population.data_count == 500).all()
 
     def test_mean_data_count_near_midpoint(self):
-        profiles = generate_profiles(10**4, CellConfig(), ResourceRanges(), RngStream(2))
-        mean = np.mean([int(p.data_count) for p in profiles])
-        assert abs(mean - 550.0) <= 10.0
+        population = generate_profiles(10**4, CellConfig(), ResourceRanges(), RngStream(2))
+        assert abs(population.data_count.mean() - 550.0) <= 10.0
 
     def test_deterministic_under_seed(self):
         a = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
         b = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
-        assert a == b
+        assert list(a) == list(b)
+        for name in ("ids", "data_count", "capability", "throughput", "distance", "shadow"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_count_is_bounded(self):
+        for count in (0, MAX_CLIENTS + 1):
+            with pytest.raises(ParameterError):
+                generate_profiles(count, CellConfig(), ResourceRanges(), RngStream(0))
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ParameterError):
             ResourceRanges(data_count=(0, 100))
         with pytest.raises(ParameterError):
+            ResourceRanges(data_count=(100, 10**6 + 1))
+        with pytest.raises(ParameterError):
             ResourceRanges(capability=(10.0, 5.0))
+
+
+class TestColumnsEqualTheScalarReference:
+    """The population columns are bit-equal to the per-client code they replaced."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            CellConfig(),
+            CellConfig(shadow_sigma_db=0.0),
+            # Clients within 600 m (9% of the disk) sit at the clamped distance.
+            CellConfig(min_distance_m=600.0),
+        ],
+        ids=["default", "no-shadowing", "binding-min-distance"],
+    )
+    def test_at_one_hundred_thousand_clients(self, cell):
+        count = 10**5
+        population = generate_profiles(count, cell, ResourceRanges(), RngStream(11))
+        rows = reference_generate_profiles(count, cell, ResourceRanges(), RngStream(11))
+        columns = [np.array(column) for column in zip(*rows)]
+        names = ("ids", "data_count", "capability", "throughput", "distance", "shadow")
+        for name, expected in zip(names, columns):
+            got = getattr(population, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+        if cell.min_distance_m > 10.0:
+            assert (population.distance < cell.min_distance_m).sum() > count // 20
+
+    def test_rows_carry_the_column_values(self):
+        population = generate_profiles(30, CellConfig(), ResourceRanges(), RngStream(4))
+        rows = reference_generate_profiles(30, CellConfig(), ResourceRanges(), RngStream(4))
+        assert list(population) == [ClientProfile(*row[:4]) for row in rows]
+
+
+class TestPopulation:
+    def test_columns_are_read_only(self):
+        population = population_of([100, 200], [10.0, 20.0], [1.0, 2.0])
+        assert population.ids.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            population.throughput[0] = 5.0
+
+    def test_rejects_zero_throughput(self):
+        with pytest.raises(ModelError, match="client 2"):
+            population_of([100, 200, 300], [10.0, 20.0, 30.0], [1.0, 0.0, 0.0])
+
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ParameterError):
+            population_of([100, 200], [10.0], [1.0, 2.0])
 
 
 class TestEstimatedTimes:
@@ -122,54 +258,76 @@ class TestEstimatedTimes:
         t = float(estimated_upload_time(make_profile(throughput=1.4), budget))
         assert t == pytest.approx(0.0, abs=1e-11)
 
-    def test_columns_reject_zero_throughput(self, budget):
-        profiles = [make_profile(cid=1), make_profile(throughput=0.0, cid=2)]
-        with pytest.raises(ModelError, match="client 2"):
-            EstimateColumns.of(profiles, budget)
+    def test_columns_equal_the_row_estimates(self, budget):
+        population = generate_profiles(500, CellConfig(), ResourceRanges(), RngStream(5))
+        columns = EstimateColumns.of(population, budget)
+        rows = list(population)
+        for column, scalar in (
+            (columns.t_update, estimated_update_time),
+            (columns.t_upload, estimated_upload_time),
+        ):
+            assert column.tobytes() == np.array([float(scalar(p, budget)) for p in rows]).tobytes()
 
 
 class TestRealizedTimes:
-    def test_zero_fluctuation_reproduces_estimates_exactly(self, budget):
+    @pytest.mark.parametrize("r", [0.0, 0.1, 3.0])
+    def test_equal_to_one_scalar_draw_per_client(self, budget, r):
+        population = generate_profiles(1000, CellConfig(), ResourceRanges(), RngStream(6))
+        rows = list(population)
+        positions = RngStream(6, "cohort").generator().choice(1000, size=300, replace=False)
+        fluct = FluctuationConfig(r)
+        rng, reference_rng = (RngStream(6, "fluct").generator() for _ in range(2))
+        update, upload = realized_times(population, positions, budget, fluct, rng)
+        expected = [
+            reference_realized_times(rows[i], budget, fluct, reference_rng)
+            for i in positions.tolist()
+        ]
+        assert update.tolist() == [float(u) for u, _ in expected]
+        assert upload.tolist() == [float(u) for _, u in expected]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        if r == 3.0:
+            # The clamp at 1% of the mean binds on some clients.
+            floor = float(budget.model_size) / (RELATIVE_CLAMP_FLOOR * population.throughput)
+            assert (upload == floor[positions]).sum() > 0
+
+    def test_zero_fluctuation_reproduces_estimates_and_draws_nothing(self, budget):
+        population = generate_profiles(200, CellConfig(), ResourceRanges(), RngStream(0))
+        columns = EstimateColumns.of(population, budget)
+        positions = np.arange(200)[::-1]
         rng = RngStream(0, "fluct").generator()
-        for cid in range(1, 40):
-            p = make_profile(100 + cid * 7, 10.0 + cid, 0.2 + 0.2 * cid, cid)
-            update, upload = realized_times(p, budget, FluctuationConfig(0.0), rng)
-            assert float(update) == float(estimated_update_time(p, budget))
-            assert float(upload) == float(estimated_upload_time(p, budget))
+        update, upload = realized_times(population, positions, budget, FluctuationConfig(), rng)
+        assert update.tobytes() == columns.t_update[positions].tobytes()
+        assert upload.tobytes() == columns.t_upload[positions].tobytes()
+        assert rng.random() == RngStream(0, "fluct").generator().random()
 
     def test_upload_std_tracks_first_order_prediction(self, budget):
         # Delta method: std(model_size / theta') is about r * estimate.
-        p = make_profile(throughput=1.4)
-        fluct = FluctuationConfig(0.10)
+        population = population_of([500], [50.0], [1.4])
         rng = RngStream(7, "fluct").generator()
-        uploads = np.array(
-            [float(realized_times(p, budget, fluct, rng)[1]) for _ in range(10**4)]
-        )
-        predicted = 0.10 * float(estimated_upload_time(p, budget))
+        positions = np.zeros(10**4, dtype=np.int64)
+        _, uploads = realized_times(population, positions, budget, FluctuationConfig(0.1), rng)
+        predicted = 0.10 * float(budget.model_size) / 1.4
         assert abs(uploads.std(ddof=1) - predicted) / predicted <= 0.15
 
-    def test_large_fluctuation_stays_positive(self, budget):
-        p = make_profile()
-        fluct = FluctuationConfig(0.20)
-        rng = RngStream(8, "fluct").generator()
-        for _ in range(2000):
-            update, upload = realized_times(p, budget, fluct, rng)
-            assert float(update) > 0.0
-            assert float(upload) > 0.0
+    def test_sampled_rate_std_matches_relative_spec(self, budget):
+        # Monte-Carlo estimate of the sampled capability's std at mean 100, r = 0.1.
+        population = population_of([100], [100.0], [1.0])
+        rng = RngStream(123, "mc").generator()
+        positions = np.zeros(10**5, dtype=np.int64)
+        update, _ = realized_times(population, positions, budget, FluctuationConfig(0.1), rng)
+        capability = budget.epochs_per_round * 100 / update
+        assert 9.5 <= capability.std(ddof=1) <= 10.5
 
+    def test_relative_clamp_keeps_rates_positive(self, budget):
+        population = population_of([500], [50.0], [1.4])
+        rng = RngStream(10, "clamp").generator()
+        positions = np.zeros(2000, dtype=np.int64)
+        update, upload = realized_times(population, positions, budget, FluctuationConfig(5.0), rng)
+        assert update.max() <= budget.epochs_per_round * 500 / (RELATIVE_CLAMP_FLOOR * 50.0)
+        assert upload.max() <= float(budget.model_size) / (RELATIVE_CLAMP_FLOOR * 1.4)
+        assert (update > 0.0).all() and (upload > 0.0).all()
 
-class TestCsvExport:
-    def test_snapshot_roundtrip(self, tmp_path):
-        profiles = generate_profiles(20, CellConfig(), ResourceRanges(), RngStream(4))
-        path = tmp_path / "profiles.csv"
-        profiles_to_csv(profiles, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["id", "data_count", "capability_sps", "throughput_mbps", "distance_m"]
-        assert len(rows) == 21
-        for row, p in zip(rows[1:], profiles):
-            assert int(row[0]) == int(p.id)
-            assert int(row[1]) == int(p.data_count)
-            assert float(row[2]) == float(p.mean_capability)
-            assert float(row[3]) == float(p.mean_throughput)
-            assert float(row[4]) == float(p.position.distance_m)
+    @pytest.mark.parametrize("r", [-0.1, math.inf, math.nan])
+    def test_invalid_spread_rejected(self, r):
+        with pytest.raises(ParameterError):
+            FluctuationConfig(r)
