@@ -4,9 +4,9 @@ A single cell hosts a large population of clients with heterogeneous data
 sizes, compute capabilities, and wireless throughputs, held as one numpy
 column per quantity (`Population`).  The library models that environment,
 schedules clients against a per-round deadline with a greedy maximizer
-(plus a brute-force oracle for verification), runs the resource-aware
-protocol next to deadline-limited and deadline-free baselines, and
-post-processes record streams into the usual metrics.
+(plus an exact polynomial one to measure it against), runs the
+resource-aware protocol next to deadline-limited and deadline-free
+baselines, and post-processes record streams into the usual metrics.
 """
 
 from .channel import CellConfig, mean_throughput, path_loss_db, place_clients
@@ -66,9 +66,8 @@ from .selection import (
     Schedule,
     dist_time,
     elapsed_theta,
-    feasible,
+    exact_select,
     greedy_select,
-    oracle_select,
 )
 
 __version__ = "0.1.0"

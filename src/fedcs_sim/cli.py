@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -113,7 +114,8 @@ def execute_run(config: ExperimentConfig, seed: int) -> list[RoundRecord]:
 
 
 def _execute_descriptor(payload: dict) -> dict:
-    """Worker entry: run one descriptor and write its per-run files."""
+    """Worker entry: run one descriptor and write its per-run files, or
+    return the failure's one-line message and its traceback."""
     try:
         config = ExperimentConfig(payload["resolved"])
         records = execute_run(config, payload["seed"])
@@ -137,6 +139,7 @@ def _execute_descriptor(payload: dict) -> dict:
             "group_id": payload["group_id"],
             "seed": payload["seed"],
             "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
         }
 
 
@@ -175,7 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         results = [_execute_descriptor(p) for p in payloads]
 
-    failures = {r["run_id"]: r["error"] for r in results if "error" in r}
+    failed = {r["run_id"]: r for r in results if "error" in r}
     groups: dict[str, list[list[RoundRecord]]] = {}
     for r in results:
         if "error" in r:
@@ -191,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "groups": {
             group: summarize(runs, thresholds).as_dict() for group, runs in sorted(groups.items())
         },
-        "failed_runs": dict(sorted(failures.items())),
+        "failed_runs": {run_id: r["error"] for run_id, r in sorted(failed.items())},
     }
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -203,9 +206,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"rounds={s['rounds_completed_mean']:.1f}, "
             f"final_accuracy={s['final_accuracy_mean']:.4f}"
         )
-    for run_id, error in sorted(failures.items()):
-        print(f"FAILED {run_id}: {error}", file=sys.stderr)
-    return 1 if failures else 0
+    for run_id, r in sorted(failed.items()):
+        print(f"FAILED {run_id}: {r['error']}", file=sys.stderr)
+        print(r["traceback"], end="", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

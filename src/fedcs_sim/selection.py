@@ -1,4 +1,4 @@
-"""Deadline-constrained client scheduling: elapsed-time recursion, greedy, oracle.
+"""Deadline-constrained client scheduling: elapsed-time recursion, greedy, exact.
 
 Selected clients upload sequentially while later clients may perform their
 local updates during earlier clients' upload slots.  The elapsed time after
@@ -9,26 +9,24 @@ the i-th client is therefore
 equivalently the sum of all upload times plus every update overhang
 max(0, t_update_j - theta_{j-1}).  A schedule is feasible when
 
-    t_cs + dist_time(S) + theta_|S| + t_agg <= t_round,
+    t_cs + dist_time(S) + theta_|S| + t_agg < t_round,
 
 with dist_time(S) the multicast distribution time, model_size / min
-throughput over the selected set.  The greedy scheduler maximizes the number
-of selected clients against that budget; the brute-force oracle verifies it
-on small instances.
+throughput over the selected set.  The greedy scheduler is the paper's
+heuristic for the largest feasible set; `exact_select` finds that largest
+set in polynomial time, against the same strict deadline.
 
 A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
-once on construction.  The greedy scheduler works on those columns directly,
-one masked `argmin` per pick with an exact early exit, so no per-client
-objects or unit-tagged scalars enter its loop.  `Candidate` is the row view
-that the oracle and the scalar helpers (`elapsed_theta`, `dist_time`) take.
+once on construction.  Both schedulers work on those columns directly, so no
+per-client objects or unit-tagged scalars enter their loops.  `Candidate` is
+the row view that the scalar helpers (`elapsed_theta`, `dist_time`) take.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,11 +40,8 @@ __all__ = [
     "extend_theta",
     "elapsed_theta",
     "dist_time",
-    "feasible",
     "greedy_select",
-    "oracle_select",
-    "ORACLE_MAX_CANDIDATES",
-    "ORACLE_EXHAUSTIVE_LIMIT",
+    "exact_select",
 ]
 
 
@@ -130,14 +125,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Candidate]:
-        """One `Candidate` per row, in id order."""
-        columns = (self.ids, self.t_update, self.t_upload, self.throughput)
-        for cid, t_update, t_upload, throughput in zip(*(c.tolist() for c in columns)):
-            yield Candidate(
-                ClientId(cid), Seconds(t_update), Seconds(t_upload), MegabitsPerSecond(throughput)
-            )
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -164,27 +151,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def as_dict(self) -> dict:
-        return {
-            "order": [int(k) for k in self.order],
-            "theta": [float(t) for t in self.theta],
-            "dist_time": float(self.dist_time),
-            "total_time": float(self.total_time),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        raw = json.loads(text)
-        return cls(
-            order=tuple(ClientId(k) for k in raw["order"]),
-            theta=tuple(float(t) for t in raw["theta"]),
-            dist_time=Seconds(raw["dist_time"]),
-            total_time=Seconds(raw["total_time"]),
-        )
 
 
 def extend_theta(theta: float, t_update: float, t_upload: float) -> float:
@@ -215,11 +181,6 @@ def dist_time(selected: Iterable[Candidate], model_size: Megabits) -> Seconds:
     if slowest is None:
         return Seconds(0.0)
     return Seconds(model_size / slowest)
-
-
-def feasible(schedule_total: Seconds, budget: TimeBudget) -> bool:
-    """Whether a round total fits the deadline (boundary included)."""
-    return schedule_total <= budget.t_round
 
 
 def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
@@ -306,126 +267,78 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     )
 
 
-ORACLE_MAX_CANDIDATES = 10
-ORACLE_EXHAUSTIVE_LIMIT = 8
-_ORACLE_RANDOM_ORDERS = 128
+def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
+    """Largest feasible schedule, found exactly in O(n^2 log n).
 
+    For a fixed set, uploading in release order, ascending (t_update, id),
+    gives the smallest final elapsed time (one machine with release dates,
+    1|r_j|C_max): the largest t_update_j plus the uploads from j on.  Read
+    backwards in time, keeping the most clients with every such term inside
+    the slack is 1||sum U_j, with processing times t_upload and due dates
+    slack - t_update, which Moore-Hodgson solves exactly (Moore, Management
+    Science 15(1), 1968): walk the clients by descending (t_update, id),
+    keep their uploads on a max-heap with a running sum, and whenever a term
+    reaches the slack drop the largest upload kept.
 
-def _lex_smallest_feasible_order(
-    subset: Sequence[Candidate], slack: float
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest order of `subset` whose final elapsed time
-    fits within `slack`, or None.
+    The distribution time depends on the slowest selected link, so the walk
+    is repeated for each distinct throughput tau, fastest first, over the
+    candidates with throughput >= tau; the first largest set wins.  Walks
+    that admit no more clients than the best are skipped, and the sweep
+    stops once the distribution time alone reaches the deadline.
 
-    Depth-first search over positions in ascending-id order; a branch is cut
-    when the current elapsed time plus all remaining upload times already
-    exceeds the slack (elapsed time can only grow, so the bound is exact).
-    The first complete leaf found is therefore the lexicographic minimum.
+    A term is tested as `head + (t_update + sum) < t_round`, with head =
+    (t_cs + t_agg) + model_size / tau: the strict test, in the association,
+    that `greedy_select` applies to its totals.  When the sums are exact (as
+    on integer grids) a set passes exactly when its replayed total does, so
+    any gap to greedy is the heuristic's.  Otherwise the two can differ in
+    the last bit, so a larger set is taken only once its total, replayed in
+    release order by `extend_theta`, is below t_round: every schedule
+    returned fits, and a total within the last bit of the deadline can cost
+    the optimum one client.
+
+    On the paper's cell (100 candidates, T_round = 180 s) a call takes about
+    0.6 ms, and up to about 0.4 s on random cohorts of 1000 candidates
+    (2-vCPU KVM Xeon, CPython 3.11, numpy 2.4).
     """
-    cands = sorted(subset, key=lambda c: int(c.id))
-    n = len(cands)
-    uploads = [float(c.t_upload) for c in cands]
-    updates = [float(c.t_update) for c in cands]
-    used = [False] * n
-    prefix: list[int] = []
-
-    def dfs(theta: float, remaining_upload: float) -> bool:
-        if len(prefix) == n:
-            return True
-        for i in range(n):
-            if used[i]:
-                continue
-            theta_next = extend_theta(theta, updates[i], uploads[i])
-            if theta_next + (remaining_upload - uploads[i]) > slack:
-                continue
-            used[i] = True
-            prefix.append(i)
-            if dfs(theta_next, remaining_upload - uploads[i]):
-                return True
-            prefix.pop()
-            used[i] = False
-        return False
-
-    if dfs(0.0, sum(uploads)):
-        return tuple(int(cands[i].id) for i in prefix)
-    return None
-
-
-def _sampled_feasible_order(
-    subset: Sequence[Candidate], slack: float
-) -> tuple[int, ...] | None:
-    """Order search for oversized subsets: shortest-update-first plus a fixed
-    random sample.  Optimality is only guaranteed up to the exhaustive limit."""
-    cands = sorted(subset, key=lambda c: (float(c.t_update), int(c.id)))
-    trials: list[list[Candidate]] = [list(cands)]
-    rng = np.random.default_rng(0xFEDC5)
-    for _ in range(_ORACLE_RANDOM_ORDERS):
-        perm = rng.permutation(len(cands))
-        trials.append([cands[i] for i in perm])
-    best: tuple[int, ...] | None = None
-    for trial in trials:
-        theta = 0.0
-        for c in trial:
-            theta = extend_theta(theta, float(c.t_update), float(c.t_upload))
-        if theta <= slack:
-            ids = tuple(int(c.id) for c in trial)
-            if best is None or ids < best:
-                best = ids
-    return best
-
-
-def oracle_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
-    """Maximum-cardinality feasible schedule by exhaustive subset search.
-
-    Subsets are tried in decreasing size; for each, orderings are searched
-    (all permutations up to ORACLE_EXHAUSTIVE_LIMIT elements, a heuristic
-    sample above that).  Among maximum-cardinality feasible schedules the
-    lexicographically smallest order is returned, making the result
-    deterministic.  Guarded to ORACLE_MAX_CANDIDATES candidates because the
-    search is combinatorial.
-    """
-    n = len(candidates)
-    if n > ORACLE_MAX_CANDIDATES:
-        raise ParameterError(
-            f"oracle_select accepts at most {ORACLE_MAX_CANDIDATES} candidates, got {n}"
-        )
     model_size = float(budget.model_size)
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
-    by_id = {int(c.id): c for c in candidates}
-    pool = sorted(candidates, key=lambda c: int(c.id))
 
-    for size in range(n, 0, -1):
-        best_order: tuple[int, ...] | None = None
-        for subset in itertools.combinations(pool, size):
-            dist = model_size / min(c.throughput for c in subset)
-            slack = deadline - base - dist
-            if slack < 0:
-                continue
-            # Final elapsed time is at least the sum of uploads, whatever the order.
-            if sum(float(c.t_upload) for c in subset) > slack:
-                continue
-            if size <= ORACLE_EXHAUSTIVE_LIMIT:
-                found = _lex_smallest_feasible_order(subset, slack)
-            else:
-                found = _sampled_feasible_order(subset, slack)
-            if found is not None and (best_order is None or found < best_order):
-                best_order = found
-        if best_order is not None:
-            chosen = [by_id[k] for k in best_order]
-            trajectory = elapsed_theta(chosen)
-            dist = dist_time(chosen, budget.model_size)
-            total = base + float(dist) + float(trajectory[-1])
-            return Schedule(
-                order=tuple(ClientId(k) for k in best_order),
-                theta=tuple(float(t) for t in trajectory),
-                dist_time=dist,
-                total_time=Seconds(total),
-            )
+    # Walk order: descending (t_update, id); its reverse is release order.
+    walk = np.argsort(candidates.t_update, kind="stable")[::-1]
+    t_update = candidates.t_update[walk].tolist()
+    t_upload = candidates.t_upload[walk].tolist()
+    throughput = candidates.throughput[walk]
 
+    best: list[int] = []
+    trajectory, dist = [0.0], 0.0
+    for tau in np.unique(throughput)[::-1].tolist():
+        head = base + model_size / tau
+        if head >= deadline:
+            break
+        admitted = np.flatnonzero(throughput >= tau)
+        if len(admitted) <= len(best):
+            continue
+        kept: list[tuple[float, int]] = []
+        uploads = 0.0
+        for k in admitted.tolist():
+            heapq.heappush(kept, (-t_upload[k], k))
+            uploads += t_upload[k]
+            if head + (t_update[k] + uploads) >= deadline:
+                uploads += heapq.heappop(kept)[0]
+        if len(kept) > len(best):
+            release = sorted((k for _, k in kept), reverse=True)
+            theta_new = [0.0]
+            for k in release:
+                theta_new.append(extend_theta(theta_new[-1], t_update[k], t_upload[k]))
+            dist_new = model_size / float(throughput[release].min())
+            if base + dist_new + theta_new[-1] < deadline:
+                best, trajectory, dist = release, theta_new, dist_new
+
+    ids = candidates.ids[walk].tolist()
     return Schedule(
-        order=(),
-        theta=(0.0,),
-        dist_time=Seconds(0.0),
-        total_time=Seconds(base),
+        order=tuple(ClientId(ids[k]) for k in best),
+        theta=tuple(trajectory),
+        dist_time=Seconds(dist),
+        total_time=Seconds(base + dist + trajectory[-1]),
     )

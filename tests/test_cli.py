@@ -88,6 +88,12 @@ class TestCommands:
         assert summary["groups"] == {}
         for run_id in run_ids:
             assert f"FAILED {run_id}: " in err
+        # Each FAILED line is followed by that run's traceback.
+        reports = err.split("FAILED ")[1:]
+        assert len(reports) == len(run_ids)
+        for report in reports:
+            assert "\nTraceback (most recent call last)" in report
+            assert "FileNotFoundError" in report.split("Traceback", 1)[1]
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,4 +1,4 @@
-import json
+import itertools
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from fedcs_sim.selection import (
     Schedule,
     dist_time,
     elapsed_theta,
+    exact_select,
     extend_theta,
-    feasible,
     greedy_select,
-    oracle_select,
 )
 
 
@@ -175,25 +174,14 @@ class TestDistTime:
         assert dist_time(slower, Megabits(100.0)) >= dist_time(fast, Megabits(100.0))
 
 
-class TestFeasible:
-    def test_boundary_is_feasible(self):
-        assert feasible(Seconds(180.0), budget_of(180.0))
-
-    def test_epsilon_over_is_infeasible(self):
-        assert not feasible(Seconds(180.0 + 1e-9), budget_of(180.0))
-
-    def test_empty_total_is_feasible(self):
-        assert feasible(Seconds(0.0), budget_of(180.0))
-
-
 class TestCandidateSet:
     def test_rows_are_sorted_by_id_and_read_only(self):
         rows = [cand(5, 1, 2, 3.0), cand(2, 4, 5, 6.0), cand(9, 7, 8, 9.0)]
         cands = CandidateSet.of(rows)
         assert cands.ids.tolist() == [2, 5, 9]
         assert cands.t_update.tolist() == [4.0, 1.0, 7.0]
+        assert cands.t_upload.tolist() == [5.0, 2.0, 8.0]
         assert cands.throughput.tolist() == [6.0, 3.0, 9.0]
-        assert list(cands) == sorted(rows, key=lambda c: int(c.id))
         assert len(cands) == 3
         with pytest.raises(ValueError):
             cands.t_upload[0] = 0.0
@@ -256,15 +244,13 @@ class TestGreedy:
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            cands = CandidateSet.of(
-                tuple(
-                    cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
-                    for i in range(n)
-                )
+            rows = tuple(
+                cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
+                for i in range(n)
             )
             budget = budget_of(rng.uniform(30, 300))
-            schedule = greedy_select(cands, budget)
-            by_id = {int(c.id): c for c in cands}
+            schedule = greedy_select(CandidateSet.of(rows), budget)
+            by_id = {int(c.id): c for c in rows}
             for cid in schedule.order:
                 c = by_id[int(cid)]
                 solo = (
@@ -278,16 +264,14 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(1, 12))
-            cands = CandidateSet.of(
-                tuple(
-                    cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
-                    for i in range(n)
-                )
+            rows = tuple(
+                cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
+                for i in range(n)
             )
             budget = budget_of(rng.uniform(30, 400))
-            schedule = greedy_select(cands, budget)
-            assert feasible(schedule.total_time, budget)
-            by_id = {int(c.id): c for c in cands}
+            schedule = greedy_select(CandidateSet.of(rows), budget)
+            assert float(schedule.total_time) < float(budget.t_round)
+            by_id = {int(c.id): c for c in rows}
             replayed = elapsed_theta([by_id[int(k)] for k in schedule.order])
             assert [float(t) for t in schedule.theta] == pytest.approx(
                 [float(t) for t in replayed]
@@ -379,61 +363,213 @@ class TestGreedyMatchesReference:
         assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
 
 
-class TestOracle:
-    def test_three_client_instance_ties_greedy(self):
+def lex_smallest_feasible_order(subset, head, deadline):
+    """Lexicographically smallest order of `subset` whose total, head plus the
+    final elapsed time, stays below `deadline`, or None.
+
+    Depth-first search over positions in ascending-id order; a branch is cut
+    when the current elapsed time plus all remaining upload times already
+    brings the total to the deadline (elapsed time can only grow, so the
+    bound is exact).  The first complete leaf found is therefore the
+    lexicographic minimum.
+    """
+    cands = sorted(subset, key=lambda c: int(c.id))
+    n = len(cands)
+    uploads = [float(c.t_upload) for c in cands]
+    updates = [float(c.t_update) for c in cands]
+    used = [False] * n
+    prefix: list[int] = []
+
+    def dfs(theta: float, remaining_upload: float) -> bool:
+        if len(prefix) == n:
+            return True
+        for i in range(n):
+            if used[i]:
+                continue
+            theta_next = extend_theta(theta, updates[i], uploads[i])
+            if head + (theta_next + (remaining_upload - uploads[i])) >= deadline:
+                continue
+            used[i] = True
+            prefix.append(i)
+            if dfs(theta_next, remaining_upload - uploads[i]):
+                return True
+            prefix.pop()
+            used[i] = False
+        return False
+
+    if dfs(0.0, sum(uploads)):
+        return tuple(int(cands[i].id) for i in prefix)
+    return None
+
+
+def reference_exact(candidates, budget):
+    """Maximum-cardinality feasible schedule by exhaustive subset search.
+
+    The oracle that `exact_select` replaced, kept as its reference for at most
+    eight candidates.  Subsets are tried in decreasing size, and for each all
+    upload orders are searched, so the reference also checks that release
+    order is optimal.  Among maximum-cardinality feasible schedules the
+    lexicographically smallest order is returned.  Its tests are the strict
+    `head + theta < deadline`, head = (t_cs + t_agg) + dist, that
+    `greedy_select` applies to its totals.
+    """
+    model_size = float(budget.model_size)
+    base = float(budget.t_cs) + float(budget.t_agg)
+    deadline = float(budget.t_round)
+    by_id = {int(c.id): c for c in candidates}
+    pool = sorted(candidates, key=lambda c: int(c.id))
+
+    for size in range(len(pool), 0, -1):
+        best_order: tuple[int, ...] | None = None
+        for subset in itertools.combinations(pool, size):
+            dist = model_size / min(c.throughput for c in subset)
+            head = base + dist
+            if head >= deadline:
+                continue
+            # Final elapsed time is at least the sum of uploads, whatever the order.
+            if head + sum(float(c.t_upload) for c in subset) >= deadline:
+                continue
+            found = lex_smallest_feasible_order(subset, head, deadline)
+            if found is not None and (best_order is None or found < best_order):
+                best_order = found
+        if best_order is not None:
+            chosen = [by_id[k] for k in best_order]
+            trajectory = elapsed_theta(chosen)
+            dist = dist_time(chosen, budget.model_size)
+            total = base + float(dist) + float(trajectory[-1])
+            return Schedule(
+                order=tuple(ClientId(k) for k in best_order),
+                theta=tuple(float(t) for t in trajectory),
+                dist_time=dist,
+                total_time=Seconds(total),
+            )
+
+    return Schedule(
+        order=(),
+        theta=(0.0,),
+        dist_time=Seconds(0.0),
+        total_time=Seconds(base),
+    )
+
+
+def assert_exact_schedule(schedule, rows, budget):
+    """In release order, theta replayed by `elapsed_theta`, total below T_round."""
+    by_id = {int(c.id): c for c in rows}
+    chosen = [by_id[int(k)] for k in schedule.order]
+    keys = [(float(c.t_update), int(c.id)) for c in chosen]
+    assert keys == sorted(keys)
+    assert list(schedule.theta) == [float(t) for t in elapsed_theta(chosen)]
+    assert float(schedule.dist_time) == float(dist_time(chosen, budget.model_size))
+    assert float(schedule.total_time) < float(budget.t_round)
+
+
+def deadline_on_a_total(rng, rows, t_cs, t_agg):
+    """A deadline equal to the replayed total of a random non-empty subset, so
+    that subset, and any set with the same total, just misses it."""
+    k = int(rng.integers(1, len(rows) + 1))
+    subset = sorted(rows[:k], key=lambda c: (float(c.t_update), int(c.id)))
+    head = t_cs + t_agg + float(dist_time(subset, Megabits(100.0)))
+    return head + float(elapsed_theta(subset)[-1])
+
+
+class TestExact:
+    def test_three_client_hand_trace_boundary(self):
         cands = CandidateSet.of(
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0))
         )
-        schedule = oracle_select(cands, budget_of(100.001))
-        assert len(schedule) == 3
+        # All three land exactly on 100, so only two fit; any margin admits the third.
+        assert [int(k) for k in exact_select(cands, budget_of(100.0)).order] == [1, 2]
+        schedule = exact_select(cands, budget_of(100.001))
+        assert [int(k) for k in schedule.order] == [1, 2, 3]
+        assert schedule.theta == (0.0, 30.0, 40.0, 90.0)
+        assert float(schedule.dist_time) == 10.0
+        assert float(schedule.total_time) == 100.0
 
-    def test_boundary_total_is_accepted_by_oracle(self):
-        # The feasibility constraint itself is inclusive.
+    def test_total_equal_to_deadline_is_rejected(self):
         cands = CandidateSet.of((cand(1, 20, 40, 10.0),))
-        schedule = oracle_select(cands, budget_of(70.0))
-        assert len(schedule) == 1
-        assert float(schedule.total_time) == 70.0
+        assert len(exact_select(cands, budget_of(70.0))) == 0
+        assert len(exact_select(cands, budget_of(70.001))) == 1
 
     def test_empty_candidate_set(self):
-        schedule = oracle_select(CandidateSet.of(()), budget_of(100.0))
+        schedule = exact_select(CandidateSet.of(()), budget_of(100.0, t_cs=2.0, t_agg=3.0))
         assert len(schedule) == 0
+        assert schedule.theta == (0.0,)
+        assert float(schedule.total_time) == 5.0
 
-    def test_size_guard(self):
-        cands = CandidateSet.of(tuple(cand(i, 1, 1, 10.0) for i in range(1, 12)))
-        with pytest.raises(ParameterError):
-            oracle_select(cands, budget_of(100.0))
-
-    def test_deterministic_lexicographic_tie_break(self):
-        cands = CandidateSet.of(tuple(cand(i, 0, 10, 10.0) for i in range(1, 5)))
-        schedule = oracle_select(cands, budget_of(60.0))
-        # Only four uploads fit; all orders tie, so ids come back sorted.
+    def test_full_ties_keep_the_lowest_ids(self):
+        cands = CandidateSet.of(tuple(cand(i, 0, 10, 10.0) for i in range(6, 0, -1)))
+        schedule = exact_select(cands, budget_of(60.0))
+        # Four uploads fit and every client ties; the lowest ids come back in order.
         assert [int(k) for k in schedule.order] == [1, 2, 3, 4]
 
-    def test_greedy_never_beats_oracle_and_oracle_sometimes_strictly_wins(self):
+    def test_best_set_found_at_a_slower_link(self):
+        # One fast client fits (5 + 30 s) but two do not (5 + 60 s); the two
+        # slow-link clients fit together (25 + 5 + 5 s).
+        rows = (
+            cand(1, 0, 30, 20.0),
+            cand(2, 0, 30, 20.0),
+            cand(3, 0, 5, 4.0),
+            cand(4, 0, 5, 4.0),
+        )
+        budget = budget_of(45.0)
+        schedule = exact_select(CandidateSet.of(rows), budget)
+        assert [int(k) for k in schedule.order] == [3, 4]
+        assert_exact_schedule(schedule, rows, budget)
+
+    def test_matches_brute_force_up_to_eight_candidates(self):
+        rng = np.random.default_rng(20260809)
+        for k in range(480):
+            n = int(rng.integers(0, 9))
+            rounded = k % 2 == 0
+            rows = random_candidates(rng, n, rounded)
+            t_cs, t_agg = (rng.uniform(0, 10), rng.uniform(0, 10)) if k % 4 < 2 else (0.0, 0.0)
+            if rounded:
+                t_cs, t_agg = float(np.round(t_cs)), float(np.round(t_agg))
+            if rounded and n and k % 3 == 0:
+                deadline = deadline_on_a_total(rng, rows, t_cs, t_agg)
+            else:
+                deadline = 10 ** rng.uniform(2.0, 3.0)
+            budget = budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
+            schedule = exact_select(CandidateSet.of(rows), budget)
+            assert len(schedule) == len(reference_exact(rows, budget))
+            assert_exact_schedule(schedule, rows, budget)
+
+    def test_greedy_never_beats_exact_and_exact_sometimes_strictly_wins(self):
         rng = np.random.default_rng(20260809)
         strict = 0
         for _ in range(400):
             n = int(rng.integers(1, 9))
-            cands = CandidateSet.of(
-                tuple(
-                    cand(
-                        j + 1,
-                        rng.uniform(0, 120),
-                        rng.uniform(5, 60),
-                        rng.uniform(1, 12),
-                    )
-                    for j in range(n)
-                )
+            rows = tuple(
+                cand(j + 1, rng.uniform(0, 120), rng.uniform(5, 60), rng.uniform(1, 12))
+                for j in range(n)
             )
+            cands = CandidateSet.of(rows)
             budget = budget_of(rng.uniform(40, 400))
             g = greedy_select(cands, budget)
-            o = oracle_select(cands, budget)
-            assert feasible(g.total_time, budget)
-            assert feasible(o.total_time, budget)
-            assert len(g) <= len(o)
-            if len(g) < len(o):
+            e = exact_select(cands, budget)
+            assert float(g.total_time) < float(budget.t_round)
+            assert_exact_schedule(e, rows, budget)
+            assert len(g) <= len(e)
+            if len(g) < len(e):
                 strict += 1
         assert strict > 0  # greedy is a heuristic, not an optimum
+
+    @pytest.mark.parametrize("n, instances", [(100, 40), (1000, 3)])
+    def test_full_scale_against_greedy(self, n, instances):
+        rng = np.random.default_rng(n + 1)
+        strict = 0
+        for k in range(instances):
+            rows = random_candidates(rng, n, rounded=k % 2 == 0)
+            budget = budget_of(
+                10 ** rng.uniform(1.5, 3.0), t_cs=rng.uniform(0, 10), t_agg=rng.uniform(0, 10)
+            )
+            cands = CandidateSet.of(rows)
+            g = greedy_select(cands, budget)
+            e = exact_select(cands, budget)
+            assert_exact_schedule(e, rows, budget)
+            assert len(g) <= len(e)
+            strict += len(g) < len(e)
+        assert strict > 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -449,27 +585,17 @@ class TestOracle:
         st.floats(20, 400, allow_nan=False),
     )
     def test_cardinality_bound_property(self, rows, t_round):
-        cands = CandidateSet.of(
-            tuple(cand(i + 1, ud, ul, thr) for i, (ud, ul, thr) in enumerate(rows))
-        )
+        rows = tuple(cand(i + 1, ud, ul, thr) for i, (ud, ul, thr) in enumerate(rows))
+        cands = CandidateSet.of(rows)
         budget = budget_of(t_round)
         g = greedy_select(cands, budget)
-        o = oracle_select(cands, budget)
-        assert len(g) <= len(o)
-        assert feasible(g.total_time, budget)
+        e = exact_select(cands, budget)
+        assert len(g) <= len(e)
+        assert float(g.total_time) < float(budget.t_round)
+        assert float(e.total_time) < float(budget.t_round)
 
 
-class TestScheduleSerialization:
-    def test_json_roundtrip(self):
-        cands = CandidateSet.of(
-            (cand(1, 20, 10, 10.0), cand(2, 30, 10, 8.0), cand(3, 80, 10, 5.0))
-        )
-        schedule = greedy_select(cands, budget_of(400.0))
-        again = Schedule.from_json(schedule.to_json())
-        assert again == schedule
-        payload = json.loads(schedule.to_json())
-        assert set(payload) == {"order", "theta", "dist_time", "total_time"}
-
+class TestSchedule:
     def test_structural_invariants_enforced(self):
         with pytest.raises(ParameterError):
             Schedule(order=(ClientId(1),), theta=(0.0,), dist_time=Seconds(0), total_time=Seconds(0))
