@@ -4,7 +4,9 @@ The cell is a single disk with the base station at the centre.  Each client
 gets a fixed mean uplink throughput derived from a distance-dependent NLOS
 path loss, a per-client shadow-fading draw, and a capped Shannon-style
 capacity formula.  Short-term variation around that mean is handled by the
-resources module, not here.
+resources module, not here.  The per-client values are numpy ufunc results
+(log10, power, log2 over whole columns); they may differ from the `math`
+module's scalar functions in the last bits.
 """
 
 from __future__ import annotations
@@ -95,20 +97,20 @@ def place_clients(
     return distances, shadows
 
 
-def _each(f, values: np.ndarray) -> np.ndarray:
-    """`f` of every element as a plain float.  numpy's log10, power and log2
-    can differ from `math` and `**` in the last bit, which would move records."""
-    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=len(values))
-
-
 def path_loss_db(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig) -> np.ndarray:
     """NLOS path loss in dB at each client's distance, shadow fading included.
 
     Distances below the model's validity floor are clamped to it, which also
-    keeps the SNR bounded as d -> 0.
+    keeps the SNR bounded as d -> 0.  Computed with numpy ufuncs, in place,
+    so a value may differ from the `math.log10` formula in the last bits.
     """
-    d = np.maximum(distances, cell.min_distance_m)
-    return 36.7 * _each(math.log10, d) + 22.7 + 26.0 * math.log10(cell.carrier_freq_ghz) + shadows
+    loss = np.maximum(distances, cell.min_distance_m)
+    np.log10(loss, out=loss)
+    loss *= 36.7
+    loss += 22.7
+    loss += 26.0 * math.log10(cell.carrier_freq_ghz)
+    loss += shadows
+    return loss
 
 
 def mean_throughput(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig) -> np.ndarray:
@@ -116,17 +118,25 @@ def mean_throughput(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig
 
     SNR is computed from transmit power, antenna gain, path loss and thermal
     noise over the full allocated bandwidth; the spectral efficiency is
-    log2(1 + SNR / delta_loss) capped at rho_max.  The value is constant for
-    the whole simulation; per-round fluctuation is sampled around it
-    elsewhere.
+    log2(1 + SNR / delta_loss) capped at rho_max, where the value is exactly
+    `cell.max_throughput`.  Each step is a numpy ufunc over the whole column,
+    in place, so a value may differ from the `math` formula in the last bits.
+    Per-round fluctuation is sampled around it elsewhere.
     """
     noise_dbm = (
         THERMAL_NOISE_DBM_PER_HZ
         + 10.0 * math.log10(cell.rb_bandwidth_total_hz)
         + cell.noise_figure_db
     )
-    loss = path_loss_db(distances, shadows, cell)
-    snr_db = cell.tx_power_dbm + cell.antenna_gain_dbi - loss - noise_dbm
-    snr = _each(lambda x: 10.0**x, snr_db / 10.0)
-    efficiency = np.minimum(cell.rho_max_bps_hz, _each(math.log2, 1.0 + snr / cell.delta_loss))
-    return cell.rb_bandwidth_total_hz * efficiency / 1e6
+    x = path_loss_db(distances, shadows, cell)
+    np.subtract(cell.tx_power_dbm + cell.antenna_gain_dbi, x, out=x)
+    x -= noise_dbm  # SNR in dB
+    x /= 10.0
+    np.power(10.0, x, out=x)
+    x /= cell.delta_loss
+    x += 1.0
+    np.log2(x, out=x)
+    np.minimum(cell.rho_max_bps_hz, x, out=x)  # spectral efficiency
+    x *= cell.rb_bandwidth_total_hz
+    x /= 1e6
+    return x

@@ -43,7 +43,14 @@ from .learning import (
     make_blob_dataset,
     partition_dataset,
 )
-from .metrics import atomic_write_text, summarize, write_curve_csv, write_records_jsonl
+from .metrics import (
+    RunStats,
+    atomic_write_text,
+    run_stats,
+    summarize,
+    write_curve_csv,
+    write_records_jsonl,
+)
 from .protocol import RoundRecord, run_experiment
 from .resources import Population, generate_profiles
 
@@ -114,33 +121,22 @@ def execute_run(config: ExperimentConfig, seed: int) -> list[RoundRecord]:
 
 
 def _execute_descriptor(payload: dict) -> dict:
-    """Worker entry: run one descriptor and write its per-run files, or
-    return the failure's one-line message and its traceback."""
+    """Worker entry: run one descriptor, write its per-run files and return
+    its `RunStats` (never the per-round records, which would be pickled back
+    under --parallelism > 1), or the failure's one-line message and traceback."""
+    run_id = payload["run_id"]
+    result = {"run_id": run_id, "group_id": payload["group_id"]}
     try:
         config = ExperimentConfig(payload["resolved"])
         records = execute_run(config, payload["seed"])
-        header = {
-            "config_hash": config.hash,
-            "seed": payload["seed"],
-            "run_id": payload["run_id"],
-        }
+        header = {"config_hash": config.hash, "seed": payload["seed"], "run_id": run_id}
         out_dir = Path(payload["out_dir"])
-        write_records_jsonl(records, out_dir / f"records-{payload['run_id']}.jsonl", header)
-        write_curve_csv(records, out_dir / f"curve-{payload['run_id']}.csv", header)
-        return {
-            "run_id": payload["run_id"],
-            "group_id": payload["group_id"],
-            "seed": payload["seed"],
-            "records": [r.as_dict() for r in records],
-        }
+        write_records_jsonl(records, out_dir / f"records-{run_id}.jsonl", header)
+        write_curve_csv(records, out_dir / f"curve-{run_id}.csv", header)
+        return {**result, "stats": run_stats(records, config.thresholds())}
     except Exception as exc:  # a failed run aborts only this descriptor
-        return {
-            "run_id": payload["run_id"],
-            "group_id": payload["group_id"],
-            "seed": payload["seed"],
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
+        error = f"{type(exc).__name__}: {exc}"
+        return {**result, "error": error, "traceback": traceback.format_exc()}
 
 
 def _payloads(descriptors: list[RunDescriptor], out_dir: Path) -> list[dict]:
@@ -179,13 +175,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         results = [_execute_descriptor(p) for p in payloads]
 
     failed = {r["run_id"]: r for r in results if "error" in r}
-    groups: dict[str, list[list[RoundRecord]]] = {}
+    groups: dict[str, list[RunStats]] = {}
     for r in results:
-        if "error" in r:
-            continue
-        groups.setdefault(r["group_id"], []).append(
-            [RoundRecord.from_dict(raw) for raw in r["records"]]
-        )
+        if "error" not in r:
+            groups.setdefault(r["group_id"], []).append(r["stats"])
 
     thresholds = config.thresholds()
     summary = {

@@ -131,16 +131,16 @@ def _pstd(values: list[float]) -> float:
     return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
 
 
-def summarize(runs: list[list[RoundRecord]], thresholds: list[float]) -> ExperimentSummary:
-    """Aggregate several runs (typically one per seed) of the same setting.
+def summarize(stats: list[RunStats], thresholds: list[float]) -> ExperimentSummary:
+    """Aggregate the `run_stats` of several runs (typically one per seed) of
+    the same setting, each taken at these `thresholds`.
 
     The summary depends only on the set of runs, not on their order.  Means
     are exactly rounded and standard deviations use the population (ddof=0)
     convention.
     """
-    if not runs:
+    if not stats:
         raise ParameterError("summarize requires at least one run")
-    stats = [run_stats(records, thresholds) for records in runs]
 
     toa_mean: dict[float, float | None] = {}
     toa_success: dict[float, float | None] = {}
@@ -154,11 +154,7 @@ def summarize(runs: list[list[RoundRecord]], thresholds: list[float]) -> Experim
 
     finals = [s.final_accuracy for s in stats]
     means = [s.mean_clients_per_round for s in stats]
-    nonempty = [
-        s.mean_clients_per_nonempty_round
-        for s in stats
-        if s.mean_clients_per_nonempty_round is not None
-    ]
+    nonempty = [v for s in stats if (v := s.mean_clients_per_nonempty_round) is not None]
     return ExperimentSummary(
         toa_mean=toa_mean,
         toa_mean_successful=toa_success,

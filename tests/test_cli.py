@@ -1,18 +1,28 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import fedcs_sim
-from fedcs_sim.cli import main
-from fedcs_sim.config import config_hash, resolve_config
+from fedcs_sim.cli import _execute_descriptor, _payloads, main
+from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
+from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
 
 SMALL = {
     "protocol": {"k_total": 60},
     "budget": {"t_final_s": 1800.0},
     "seeds": [0, 1],
     "sweep": {"mode": ["fedcs", "fedlim"]},
+}
+
+# fedlim under fluctuation: every round draws realized times for its cohort.
+FEDLIM_R = {
+    "protocol": {"mode": "fedlim", "k_total": 200},
+    "fluctuation": {"r": 0.1},
+    "budget": {"t_final_s": 1800.0},
+    "seeds": [0, 1],
 }
 
 
@@ -56,6 +66,36 @@ class TestCommands:
         files = directory_bytes(serial)
         assert len(files) == 9
         assert directory_bytes(parallel) == files
+
+    def test_serial_and_parallel_fedlim_sweeps_write_identical_files(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**FEDLIM_R, "sweep": {"t_round_s": [120.0, 180.0]}})
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["run", str(config), "--out", str(serial)]) == 0
+        assert main(["run", str(config), "--out", str(parallel), "--parallelism", "2"]) == 0
+        files = directory_bytes(serial)
+        assert len(files) == 9
+        assert directory_bytes(parallel) == files
+        # The workers' stats summarize to what the written records give.
+        groups = json.loads(files["summary.json"])["groups"]
+        assert sorted(groups) == ["fedlim_tr120", "fedlim_tr180"]
+        thresholds = ExperimentConfig(resolve_config(FEDLIM_R)).thresholds()
+        for group, summary in groups.items():
+            runs = [read_records_jsonl(p)[1] for p in sorted(parallel.glob(f"records-{group}_*"))]
+            stats = [run_stats(records, thresholds) for records in runs]
+            assert summarize(stats, thresholds).as_dict() == summary
+
+    def test_a_run_returns_its_stats_and_no_per_round_data(self, tmp_path):
+        config = ExperimentConfig(resolve_config({**FEDLIM_R, "seeds": [0]}))
+        (payload,) = _payloads(run_descriptors(config), tmp_path)
+        result = _execute_descriptor(payload)
+        assert sorted(result) == ["group_id", "run_id", "stats"]
+        stats = result["stats"]
+        assert isinstance(stats, RunStats)
+        _, records = read_records_jsonl(tmp_path / "records-fedlim_seed0.jsonl")
+        assert stats == run_stats(records, config.thresholds())
+        assert stats.rounds_completed == len(records) > 1
+        # A few hundred bytes cross the process boundary, whatever the round count.
+        assert len(pickle.dumps(result)) < 1000
 
     def test_validate_reports_descriptors_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, SMALL)

@@ -41,9 +41,9 @@ def with_small(**sections):
 
 
 MODES_BY_R = {
-    "fedcs_r0_seed0": "7ca9778ed67ce59d50d502fdd8d55440db0a3a5143429f6b6794319fe2fac6d8",
+    "fedcs_r0_seed0": "dea6bc9f8b43e95fc62f9c553d35389892962e1bb77fffce112a0e14235e6b8b",
     "fedcs_r0_seed1": "3142f5411f60c7f1f04cd17601b1e1e4dcb1ffe8f852df30ec5b1a366a70f3b7",
-    "fedcs_r0.1_seed0": "e32dacdfccff8e0268f6dc5c9a627b888e20eca717a6a81d065e3fb8f5b8edc6",
+    "fedcs_r0.1_seed0": "0063ac15ad04234b98be69e30eb60175e5eb6616075ac5384071de72819eade5",
     "fedcs_r0.1_seed1": "b9fabbf064945307e21cf02808fcd2c66b446e15f50a22a9c040893e5f88977a",
     "fedlim_r0_seed0": "3e935e156584fa5e013450d2000d1cbaf784fbb0afe11c038f5f76847bec945a",
     "fedlim_r0_seed1": "701dad4c7e336083757f7bf4ba7191fb080fd342d040e24db80f88162731b2a5",
@@ -51,7 +51,7 @@ MODES_BY_R = {
     "fedlim_r0.1_seed1": "377f5e54bc132c81bd6bdce284ac93153bd75b5797b9d6de121f821003b4e097",
     "vanilla_r0_seed0": "76d6b86165555f1c52956e66a6907e030963e8c014d05a9d90950b523edc8c95",
     "vanilla_r0_seed1": "bf4b5bbe95f51985d441b6cf024b65b08657c128bade80fa19e3e8266597b591",
-    "vanilla_r0.1_seed0": "9f1e0383a5a251f70ea2361fa62d7aa5ecd3ad2a487792a2fce4973bc5f3b333",
+    "vanilla_r0.1_seed0": "84f624ee8320b1b6b9ec3b85eed34c8626e2af49ce515516cdacfb0acfb17e27",
     "vanilla_r0.1_seed1": "8097927cb46710f80d7d2aa1e439769e008605eff3723b006a68857114fc4c8c",
 }
 
@@ -97,7 +97,7 @@ def test_fedlim_for_every_distribution_and_upload_order(
 def test_fedcs_discarding_late_clients(tmp_path, capsys):
     overlay = with_small(protocol={"late_policy": "discard"}, fluctuation={"r": 0.1}, seeds=[4])
     assert record_digests(tmp_path, overlay) == {
-        "fedcs_seed4": "9965913dc6173ccdcaf0db3134a6b98b56fea2684e04ce3c8f20b0a14cc28a7f"
+        "fedcs_seed4": "d912b34dc335f08e1064c1911539cd49a614dcf7fcf5fce4c0fa8de63f68063e"
     }
 
 

@@ -56,10 +56,15 @@ class TestTimeOfArrival:
         assert present == sorted(present)
 
 
+def summarize_runs(runs, thresholds):
+    """`summarize` over each run's `run_stats`, as the CLI builds them."""
+    return summarize([run_stats(records, thresholds) for records in runs], thresholds)
+
+
 class TestSummarize:
     def test_identical_runs_have_zero_std(self):
         runs = [run_of([0.2, 0.5, 0.7]) for _ in range(10)]
-        summary = summarize(runs, [0.5])
+        summary = summarize_runs(runs, [0.5])
         assert summary.final_accuracy_std == 0.0
         assert summary.std_clients_per_round == 0.0
         assert summary.toa_mean[0.5] == 200.0
@@ -67,7 +72,7 @@ class TestSummarize:
     def test_one_failed_run_blanks_the_aggregate(self):
         good = run_of([0.2, 0.6])
         bad = run_of([0.1, 0.2])
-        summary = summarize([good, bad], [0.5])
+        summary = summarize_runs([good, bad], [0.5])
         assert summary.toa_mean[0.5] is None
         assert summary.toa_mean_successful[0.5] == 200.0
         assert summary.toa_success_count[0.5] == 1
@@ -75,7 +80,7 @@ class TestSummarize:
     def test_two_run_fixture_arithmetic(self):
         a = run_of([0.4, 0.8], clients=[2, 4])
         b = run_of([0.5, 0.9], clients=[6, 8])
-        summary = summarize([a, b], [0.45])
+        summary = summarize_runs([a, b], [0.45])
         assert summary.final_accuracy_mean == pytest.approx((0.8 + 0.9) / 2)
         assert summary.mean_clients_per_round == pytest.approx((3.0 + 7.0) / 2)
         assert summary.total_clients_selected_mean == pytest.approx((6 + 14) / 2)
@@ -84,10 +89,10 @@ class TestSummarize:
 
     def test_permutation_invariant_over_runs(self):
         runs = [run_of([0.1 * i, 0.2 + 0.1 * i]) for i in range(1, 5)]
-        reference = summarize(runs, [0.3])
+        reference = summarize_runs(runs, [0.3])
         for perm in itertools.permutations(range(4)):
             shuffled = [runs[i] for i in perm]
-            again = summarize(shuffled, [0.3])
+            again = summarize_runs(shuffled, [0.3])
             assert again.toa_mean == reference.toa_mean
             assert again.final_accuracy_mean == reference.final_accuracy_mean
             assert again.mean_clients_per_round == reference.mean_clients_per_round
@@ -95,7 +100,7 @@ class TestSummarize:
 
     def test_nonempty_round_statistic(self):
         runs = [run_of([0.2, 0.4, 0.6], clients=[0, 4, 6])]
-        summary = summarize(runs, [])
+        summary = summarize_runs(runs, [])
         assert summary.mean_clients_per_round == pytest.approx(10.0 / 3.0)
         assert summary.mean_clients_per_nonempty_round == pytest.approx(5.0)
 
@@ -106,7 +111,7 @@ class TestSummarize:
             run_stats([], [0.5])
 
     def test_serializable_dict_uses_nan_convention(self):
-        summary = summarize([run_of([0.1])], [0.9])
+        summary = summarize_runs([run_of([0.1])], [0.9])
         payload = summary.as_dict()
         assert payload["toa_mean"]["0.9"] == "NaN"
 
