@@ -168,8 +168,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = _payloads(descriptors, out_dir)
 
-    if args.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
+    # The default fork context starts every worker at once, so never more
+    # than there are runs.
+    workers = min(args.parallelism, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_descriptor, payloads))
     else:
         results = [_execute_descriptor(p) for p in payloads]
@@ -254,6 +257,8 @@ def _dispatch(argv: list[str] | None) -> int:
     val_p.add_argument("config", help="path to a JSON config file")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.parallelism < 1:
+        run_p.error(f"argument --parallelism: must be at least 1, got {args.parallelism}")
 
     if args.print_defaults:
         print(json.dumps(resolved_defaults(), indent=2, sort_keys=True))

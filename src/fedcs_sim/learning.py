@@ -444,7 +444,9 @@ def aggregate(updates: list[tuple[GlobalModel, int]], weighted: bool = False) ->
     Contributions are summed in a canonical order (sorted by parameter bytes,
     then weight) relative to a reference vector, which makes the result
     exactly permutation-invariant and makes averaging N identical models
-    return those parameters bit for bit.
+    return those parameters bit for bit.  When every update carries the same
+    parameter array, as the surrogate trainer's do, that sum is skipped:
+    `first + 0.0` gives the same bytes, -0.0 entries turned to 0.0 included.
     """
     if not updates:
         raise ParameterError("aggregate requires at least one update")
@@ -461,6 +463,10 @@ def aggregate(updates: list[tuple[GlobalModel, int]], weighted: bool = False) ->
         coeffs = [w / total for _, w in updates]
     else:
         coeffs = [1.0 / len(updates)] * len(updates)
+    next_round = max(m.round for m, _ in updates) + 1
+    first = updates[0][0].params
+    if all(m.params is first for m, _ in updates):
+        return GlobalModel(params=first + 0.0, round=next_round)
 
     canon = sorted(
         zip(updates, coeffs), key=lambda item: (item[0][0].params.tobytes(), item[0][1])
@@ -469,7 +475,6 @@ def aggregate(updates: list[tuple[GlobalModel, int]], weighted: bool = False) ->
     acc = np.zeros(count)
     for (m, _), coeff in canon:
         acc += coeff * (m.params - ref)
-    next_round = max(m.round for m, _ in updates) + 1
     return GlobalModel(params=ref + acc, round=next_round)
 
 

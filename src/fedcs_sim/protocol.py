@@ -25,14 +25,7 @@ import numpy as np
 
 from .core import ClientId, ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
-from .resources import (
-    MAX_CLIENTS,
-    EstimateColumns,
-    FluctuationConfig,
-    Population,
-    TimeBudget,
-    realized_times,
-)
+from .resources import MAX_CLIENTS, FluctuationConfig, Population, TimeBudget, realized_times
 from .selection import CandidateSet, extend_theta, greedy_select
 
 __all__ = [
@@ -184,9 +177,10 @@ class RoundRecord:
 class ExperimentState:
     """Mutable per-experiment state threaded through the round engines.
 
-    `estimates` holds the population's estimated-time columns.  Only the
-    fedcs engine uses them; it builds them on its first round, from the
-    population and budget, which stay fixed for the run.
+    `estimates` holds the whole population's estimated times as one
+    validated `CandidateSet`.  Only the fedcs engine uses it; it builds it on
+    its first round, from the population and budget, which stay fixed for
+    the run, and takes each round's cohort from it.
     """
 
     clock: float
@@ -195,7 +189,7 @@ class ExperimentState:
     rng_selection: np.random.Generator
     rng_fluctuation: np.random.Generator
     rng_training: np.random.Generator
-    estimates: EstimateColumns | None = None
+    estimates: CandidateSet | None = None
 
     @classmethod
     def fresh(cls, trainer: Trainer, rng: RngStream) -> "ExperimentState":
@@ -256,15 +250,8 @@ def run_round_fedcs(
     """
     budget = config.budget
     if state.estimates is None:
-        state.estimates = EstimateColumns.of(population, budget)
-    columns = state.estimates
-    positions = _request_positions(state, population, config)
-    candidates = CandidateSet(
-        ids=columns.ids[positions],
-        t_update=columns.t_update[positions],
-        t_upload=columns.t_upload[positions],
-        throughput=columns.throughput[positions],
-    )
+        state.estimates = CandidateSet.estimated(population, budget)
+    candidates = state.estimates.take(_request_positions(state, population, config))
     schedule = greedy_select(candidates, budget)
 
     base = float(budget.t_cs) + float(budget.t_agg)

@@ -34,7 +34,6 @@ __all__ = [
     "MAX_EPOCHS",
     "RELATIVE_CLAMP_FLOOR",
     "ClientProfile",
-    "EstimateColumns",
     "FluctuationConfig",
     "Population",
     "ResourceRanges",
@@ -199,30 +198,6 @@ def estimated_upload_time(profile: ClientProfile, budget: TimeBudget) -> Seconds
     return Seconds(budget.model_size / profile.mean_throughput)
 
 
-@dataclass(frozen=True, eq=False)
-class EstimateColumns:
-    """Estimated times of a whole population, one row per client, in id order.
-
-    `ids` is int64; `t_update`, `t_upload` and `throughput` are float64.  The
-    times are the same float operations as `estimated_update_time` and
-    `estimated_upload_time` on the same values, so they are bit-equal.
-    """
-
-    ids: np.ndarray
-    t_update: np.ndarray
-    t_upload: np.ndarray
-    throughput: np.ndarray
-
-    @classmethod
-    def of(cls, population: Population, budget: TimeBudget) -> "EstimateColumns":
-        return cls(
-            ids=population.ids,
-            t_update=budget.epochs_per_round * population.data_count / population.capability,
-            t_upload=float(budget.model_size) / population.throughput,
-            throughput=population.throughput,
-        )
-
-
 def realized_times(
     population: Population,
     positions: np.ndarray,
@@ -238,10 +213,17 @@ def realized_times(
     drawing client by client, capability first.  With r == 0 the estimates
     are reproduced bit for bit and no draws are consumed.
     """
-    rates = np.stack([population.capability[positions], population.throughput[positions]], 1)
+    capability, throughput = population.capability[positions], population.throughput[positions]
     if fluct.r != 0.0:
-        draws = rng.normal(rates, fluct.r * rates)
-        rates = np.maximum(draws, np.maximum(0.0, RELATIVE_CLAMP_FLOOR * rates))
-    update = budget.epochs_per_round * population.data_count[positions] / rates[:, 0]
-    upload = float(budget.model_size) / rates[:, 1]
+        rates = np.stack([capability, throughput], 1)
+        # Generator.normal(rates, r * rates) is rates + (r * rates) * z, with z
+        # this same stream of standard normals.
+        draws = rng.standard_normal(rates.shape)
+        draws *= fluct.r * rates
+        draws += rates
+        capability, throughput = np.maximum(
+            draws, np.maximum(0.0, RELATIVE_CLAMP_FLOOR * rates), out=draws
+        ).T
+    update = budget.epochs_per_round * population.data_count[positions] / capability
+    upload = float(budget.model_size) / throughput
     return update, upload

@@ -17,9 +17,11 @@ heuristic for the largest feasible set; `exact_select` finds that largest
 set in polynomial time, against the same strict deadline.
 
 A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
-once on construction.  Both schedulers work on those columns directly, so no
-per-client objects or unit-tagged scalars enter their loops.  `Candidate` is
-the row view that the scalar helpers (`elapsed_theta`, `dist_time`) take.
+once on construction.  The fedcs engine builds one set of the whole
+population's estimates per run and takes each round's cohort from it.  Both
+schedulers work on those columns directly, so no per-client objects or
+unit-tagged scalars enter their loops.  `Candidate` is the row view that the
+scalar helpers (`elapsed_theta`, `dist_time`) take.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ClientId, Megabits, MegabitsPerSecond, ParameterError, Seconds, UnitError
-from .resources import TimeBudget
+from .resources import Population, TimeBudget
 
 __all__ = [
     "Candidate",
@@ -61,13 +63,19 @@ class Candidate:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """The cohort that answered a resource request, as columns sorted by id.
+    """Clients that can be scheduled, as columns sorted by id.
 
     `ids` is int64; `t_update`, `t_upload` (seconds) and `throughput`
     (Mbit/s) are float64.  Rows given out of id order are sorted once here,
     and every row is validated once with the rules `Candidate` and `Seconds`
     apply: unique positive ids, finite non-negative times, finite positive
     throughput.  The stored arrays are read-only copies.
+
+    `estimated` builds the set of a whole population's estimates, and
+    `take` gives a subset of its rows without checking them again: rows of
+    a validated set are valid, and strictly increasing positions keep them
+    sorted and unique.  So a run validates each client once, not once per
+    round that requests it.
     """
 
     ids: np.ndarray
@@ -121,6 +129,37 @@ class CandidateSet:
             t_upload=np.array([float(c.t_upload) for c in rows], dtype=np.float64),
             throughput=np.array([float(c.throughput) for c in rows], dtype=np.float64),
         )
+
+    @classmethod
+    def estimated(cls, population: Population, budget: TimeBudget) -> "CandidateSet":
+        """Every client's estimated times, in id order.
+
+        The same float operations as `estimated_update_time` and
+        `estimated_upload_time` on the same values, so bit-equal to them.
+        """
+        return cls(
+            ids=population.ids,
+            t_update=budget.epochs_per_round * population.data_count / population.capability,
+            t_upload=float(budget.model_size) / population.throughput,
+            throughput=population.throughput,
+        )
+
+    def take(self, positions: np.ndarray) -> "CandidateSet":
+        """The rows at `positions`, which must be strictly increasing and
+        non-negative; the rows are not validated again."""
+        positions = np.asarray(positions)
+        if positions.size == 0:
+            positions = positions.astype(np.intp)
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
+            raise ParameterError("positions must be a 1-D integer array")
+        if positions.size and (positions[0] < 0 or not (positions[1:] > positions[:-1]).all()):
+            raise ParameterError("positions must be non-negative and strictly increasing")
+        subset = object.__new__(CandidateSet)
+        for name in ("ids", "t_update", "t_upload", "throughput"):
+            column = getattr(self, name)[positions]
+            column.flags.writeable = False
+            object.__setattr__(subset, name, column)
+        return subset
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -195,9 +234,17 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     it only if the tentative total stays strictly below the deadline.  A
     rejected candidate is never reconsidered.
 
-    Each pick evaluates every cost in one vector expression over the
-    id-sorted columns, removed rows masked to infinity; `argmin` returns the
-    first minimum, which is the lowest id, so the tie-break is exact.
+    The costs are one vector over the id-sorted columns, removed rows set to
+    infinity; `argmin` returns the first minimum, which is the lowest id, so
+    the tie-break is exact.  With spread_k = model_size / throughput_k,
+    computed once per call, dist_time(S + k) is max(spread_k, dist): correctly
+    rounded division is monotone and dist = model_size / min throughput of
+    S, so that maximum equals model_size / min(min_thr, throughput_k) bit for
+    bit.  The vector is rebuilt, as head_k + max(0, t_update_k - theta) with
+    head_k = (max(spread_k, dist) - dist) + t_upload_k, only after an
+    acceptance, and head only when dist changes.  A rejection changes
+    neither theta nor dist, so the next pick reuses the vector with the
+    rejected row set to infinity.
 
     Early exit.  In exact arithmetic tentative_k = base + dist + theta +
     cost_k, with base = t_cs + t_agg, so once the cheapest candidate is
@@ -213,17 +260,22 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     every remaining tentative total, fl(fl(base + dist_new_k) +
     theta_new_k), is at least the bound and would be rejected.
 
-    A call therefore costs O(picks * |pool|) vector work.  On the paper's
-    cell (100 candidates, T_round = 180 s) that is about nine picks per
-    call, about 0.1 ms, where evaluating all |pool|^2 / 2 costs in a Python
-    loop took 3 to 5 ms (2-vCPU KVM Xeon, CPython 3.11, numpy 2.4).
+    A call therefore costs O(acceptances * |pool|) vector work plus one
+    `argmin` per pick.  On the paper's cell (100 candidates, T_round = 180 s)
+    that is about nine picks and six acceptances per call, 94 to 134 us,
+    where rebuilding the vector on every pick took 144 to 214 us (medians 118
+    and 190 us, the two interleaved over 300 cohorts; 2-vCPU KVM Xeon,
+    CPython 3.11, numpy 2.4).
     """
     model_size = float(budget.model_size)
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
     ids = candidates.ids.tolist()
-    t_update, t_upload, throughput = candidates.t_update, candidates.t_upload, candidates.throughput
+    t_update, t_upload = candidates.t_update, candidates.t_upload
+    updates, uploads = t_update.tolist(), t_upload.tolist()
+    throughputs = candidates.throughput.tolist()
+    spread = model_size / candidates.throughput
     n = len(ids)
     removed = np.zeros(n, dtype=bool)
     order: list[ClientId] = []
@@ -231,32 +283,37 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     theta = 0.0
     dist = 0.0
     min_thr = float("inf")
+    head = (np.maximum(spread, dist) - dist) + t_upload
+    cost = head + np.maximum(0.0, t_update - theta)
 
     for picked in range(1, n + 1):
-        cost = (
-            (model_size / np.minimum(min_thr, throughput) - dist)
-            + t_upload
-            + np.maximum(0.0, t_update - theta)
-        )
-        cost[removed] = np.inf
-        i = int(np.argmin(cost))
+        i = int(cost.argmin())
+        if removed[i]:
+            # Every remaining cost is infinite: model_size / throughput
+            # overflows, so each remaining tentative total would be too.
+            break
         removed[i] = True
 
-        thr = float(throughput[i])
-        theta_new = extend_theta(theta, float(t_update[i]), float(t_upload[i]))
+        thr = throughputs[i]
+        theta_new = extend_theta(theta, updates[i], uploads[i])
         dist_new = model_size / min(min_thr, thr)
         tentative = base + dist_new + theta_new
         if tentative < deadline:
             theta = theta_new
-            dist = dist_new
+            if dist_new != dist:
+                dist = dist_new
+                head = (np.maximum(spread, dist) - dist) + t_upload
             min_thr = min(min_thr, thr)
             order.append(ClientId(ids[i]))
             trajectory.append(theta)
+            cost = head + np.maximum(0.0, t_update - theta)
+            cost[removed] = np.inf
         elif picked < n:
             # See the docstring for why this bound loses no feasible candidate.
             min_upload = float(t_upload[~removed].min())
             if base + dist + (theta + min_upload) >= deadline:
                 break
+            cost[i] = np.inf
 
     total = base + dist + theta
     return Schedule(

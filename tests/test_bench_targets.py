@@ -3,9 +3,13 @@ modules and classes, and checks each run with the program's own model
 functions; a rename there must fail here, not only in a benchmark run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from fedcs_sim import cli
 from fedcs_sim.cli import execute_run
 from fedcs_sim.config import ExperimentConfig, resolve_config
 
@@ -37,3 +41,42 @@ def test_run_checks_import_and_pass_on_a_small_fedcs_run(monkeypatch):
     records = execute_run(config, 0)
     assert records
     assert checks.check_run(records, config, 0) == []
+
+
+# The layers each kind of workload is documented to call; a refactor that
+# routes around one of these names would leave its benchmark reading at 0.
+COMMON_LAYERS = {
+    "resources.realized_times",
+    "learning.aggregate",
+    "learning.evaluate",
+    "metrics.write",
+}
+
+
+@pytest.mark.parametrize(
+    "config, layers",
+    [
+        (
+            {"protocol": {"k_total": 60}, "budget": {"t_final_s": 1800.0}},
+            COMMON_LAYERS | {"selection.greedy_select"},
+        ),
+        (
+            {
+                "protocol": {"mode": "fedlim", "k_total": 200},
+                "fluctuation": {"r": 0.1},
+                "budget": {"t_final_s": 1800.0},
+            },
+            COMMON_LAYERS,
+        ),
+    ],
+    ids=["fedcs", "fedlim"],
+)
+def test_a_traced_run_records_every_documented_layer(monkeypatch, tmp_path, config, layers):
+    sample = load_bench_module(monkeypatch, "sample")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "seeds": [0]}))
+    tracer = sample.Tracer()
+    with tracer.patched(sample.targets(True)):
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    recorded = {name for name, *_ in tracer.spans}
+    assert layers <= recorded, sorted(layers - recorded)

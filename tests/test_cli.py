@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fedcs_sim
+from fedcs_sim import cli
 from fedcs_sim.cli import _execute_descriptor, _payloads, main
 from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
@@ -96,6 +99,49 @@ class TestCommands:
         assert stats.rounds_completed == len(records) > 1
         # A few hundred bytes cross the process boundary, whatever the round count.
         assert len(pickle.dumps(result)) < 1000
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_parallelism_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(config), "--out", str(out), "--parallelism", value])
+        assert exit_info.value.code == 2
+        assert f"--parallelism: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parallelism, workers", [(64, 4), (3, 3)])
+    def test_pool_never_has_more_workers_than_runs(
+        self, tmp_path, capsys, monkeypatch, parallelism, workers
+    ):
+        started = []
+
+        class InlinePool:
+            """Records its worker count and runs every task in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        config = write_config(tmp_path, SMALL)  # four runs
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out), "--parallelism", str(parallelism)]) == 0
+        assert started == [workers]
+        assert len(directory_bytes(out)) == 9
+
+    def test_one_run_never_starts_a_pool(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        config = write_config(tmp_path, {**SMALL, "seeds": [0], "sweep": {}})
+        assert main(["run", str(config), "--out", str(tmp_path / "out"), "--parallelism", "8"]) == 0
 
     def test_validate_reports_descriptors_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, SMALL)

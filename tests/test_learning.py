@@ -472,6 +472,26 @@ class TestAggregate:
             merged = aggregate(updates, weighted=weighted)
             assert np.array_equal(merged.params, params)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_model_repeated_gives_the_general_paths_bytes(self, weighted):
+        params = np.array([-0.0, 0.0, 1.5, -2.25e-300, 7e300, -0.0])
+        weights = [3, 0, 11, 5]
+        model = GlobalModel(params=params, round=6)
+        repeated = aggregate([(model, w) for w in weights], weighted=weighted)
+        # Equal but distinct arrays take the general path.
+        copies = [(GlobalModel(params=params, round=6), w) for w in weights]
+        general = aggregate(copies, weighted=weighted)
+        assert repeated.params.tobytes() == general.params.tobytes()
+        assert repeated.round == general.round == 7
+        assert np.signbit(repeated.params).tolist() == [False, False, False, True, False, False]
+
+    def test_one_model_repeated_still_checks_the_weights(self):
+        model = GlobalModel(params=np.array([1.0, -0.0]))
+        with pytest.raises(ParameterError):
+            aggregate([(model, 0), (model, 0)], weighted=True)
+        with pytest.raises(ParameterError):
+            aggregate([(model, 2), (model, -1)])
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             aggregate([])

@@ -19,7 +19,6 @@ from fedcs_sim.resources import (
     MAX_CLIENTS,
     RELATIVE_CLAMP_FLOOR,
     ClientProfile,
-    EstimateColumns,
     FluctuationConfig,
     Population,
     ResourceRanges,
@@ -29,6 +28,7 @@ from fedcs_sim.resources import (
     generate_profiles,
     realized_times,
 )
+from fedcs_sim.selection import CandidateSet
 
 
 def make_profile(data_count=500, capability=50.0, throughput=1.4, cid=1):
@@ -284,7 +284,7 @@ class TestEstimatedTimes:
 
     def test_columns_equal_the_row_estimates(self, budget):
         population = generate_profiles(500, CellConfig(), ResourceRanges(), RngStream(5))
-        columns = EstimateColumns.of(population, budget)
+        columns = CandidateSet.estimated(population, budget)
         rows = list(population)
         for column, scalar in (
             (columns.t_update, estimated_update_time),
@@ -316,7 +316,7 @@ class TestRealizedTimes:
 
     def test_zero_fluctuation_reproduces_estimates_and_draws_nothing(self, budget):
         population = generate_profiles(200, CellConfig(), ResourceRanges(), RngStream(0))
-        columns = EstimateColumns.of(population, budget)
+        columns = CandidateSet.estimated(population, budget)
         positions = np.arange(200)[::-1]
         rng = RngStream(0, "fluct").generator()
         update, upload = realized_times(population, positions, budget, FluctuationConfig(), rng)

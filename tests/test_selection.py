@@ -202,6 +202,35 @@ class TestCandidateSet:
         with pytest.raises(ParameterError):
             CandidateSet(*columns)
 
+    def test_take_equals_a_set_built_from_the_same_rows(self):
+        rng = np.random.default_rng(11)
+        full = CandidateSet.of(random_candidates(rng, 200, rounded=False))
+        for size in (0, 1, 37, 200):
+            positions = np.sort(rng.choice(200, size=size, replace=False))
+            taken = full.take(positions)
+            built = CandidateSet(
+                full.ids[positions],
+                full.t_update[positions],
+                full.t_upload[positions],
+                full.throughput[positions],
+            )
+            assert len(taken) == size
+            for name in ("ids", "t_update", "t_upload", "throughput"):
+                column = getattr(taken, name)
+                assert column.dtype == getattr(built, name).dtype
+                assert column.tobytes() == getattr(built, name).tobytes()
+                assert not column.flags.writeable
+        assert full.take([]).ids.tolist() == []
+        assert len(greedy_select(full.take([]), budget_of(100.0))) == 0
+
+    @pytest.mark.parametrize(
+        "positions", [[-1, 2], [1, 1], [3, 2], [0, 2, 1], [[0, 1]], [0.0, 1.0], [True, False]]
+    )
+    def test_take_rejects_positions_out_of_order(self, positions):
+        full = CandidateSet.of([cand(i, 1.0, 1.0) for i in range(1, 5)])
+        with pytest.raises(ParameterError):
+            full.take(np.array(positions))
+
 
 class TestGreedy:
     def test_all_individually_infeasible_gives_empty(self):
@@ -342,6 +371,16 @@ class TestGreedyMatchesReference:
                 assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
 
 
+    def test_links_too_slow_for_the_model_are_rejected_once(self):
+        # model_size / 1e-310 overflows, so the slow clients cost infinity
+        # once the fast one is in; none of them may be picked twice.
+        rows = [cand(1, 0.0, 1.0, 10.0), cand(2, 0.0, 1.0, 1e-310), cand(3, 5.0, 2.0, 1e-310)]
+        budget = budget_of(1000.0)
+        ref = reference_greedy(rows, budget)
+        assert [int(k) for k in ref.order] == [1]
+        with np.errstate(over="ignore"):
+            assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
+
     def test_acceptance_after_a_rejection_through_rounding(self):
         # Clients 1 and 2 tie on cost, so client 1 is picked first, but the
         # rounding of the tentative total differs: with the deadline at client
@@ -450,6 +489,53 @@ def reference_exact(candidates, budget):
         dist_time=Seconds(0.0),
         total_time=Seconds(base),
     )
+
+
+def adversarial_instance(rng):
+    """A small instance built to stress the rounding identities of the
+    incremental greedy: few shared throughputs (dist often unchanged by an
+    acceptance), integer grids, uploads equal to model_size / throughput,
+    set-up and aggregation times, and deadlines on a prefix's total."""
+    n = int(rng.integers(1, 13))
+    ids = rng.permutation(np.arange(1, 3 * n + 1))[:n]
+    if rng.random() < 0.5:
+        throughput = rng.choice(rng.uniform(0.5, 12, int(rng.integers(1, 4))), n)
+    else:
+        throughput = rng.uniform(0.5, 12, n)
+    if rng.random() < 0.5:
+        t_update = rng.integers(0, 30, n) * 10.0
+        t_upload = rng.integers(1, 60, n) * 1.0
+        throughput = np.maximum(1.0, np.round(throughput))
+    else:
+        t_update = rng.uniform(0, 300, n)
+        t_upload = rng.uniform(1, 60, n)
+    if rng.random() < 0.3:
+        t_upload = 100.0 / throughput
+    t_cs, t_agg = (rng.uniform(0, 10), rng.uniform(0, 10)) if rng.random() < 0.5 else (0.0, 0.0)
+    rows = [
+        cand(int(i), float(u), float(l), float(t))
+        for i, u, l, t in zip(ids, t_update, t_upload, throughput)
+    ]
+    if rng.random() < 0.5:
+        unbounded = reference_greedy(rows, budget_of(1e7, t_cs=t_cs, t_agg=t_agg))
+        k = int(rng.integers(1, len(unbounded) + 1))
+        by_id = {int(c.id): c for c in rows}
+        prefix = [by_id[int(cid)] for cid in unbounded.order[:k]]
+        head = t_cs + t_agg + float(dist_time(prefix, Megabits(100.0)))
+        deadline = head + unbounded.theta[k]
+    else:
+        deadline = t_cs + t_agg + 10 ** rng.uniform(1.0, 3.0)
+    return rows, budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
+
+
+class TestGreedyOnAdversarialInstances:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(1804)
+        for _ in range(2500):
+            rows, budget = adversarial_instance(rng)
+            assert_same_schedule(
+                greedy_select(CandidateSet.of(rows), budget), reference_greedy(rows, budget)
+            )
 
 
 def assert_exact_schedule(schedule, rows, budget):
