@@ -13,6 +13,7 @@ import abc
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +130,22 @@ class LabeledDataset:
             raise ParameterError("n_classes must be >= 2")
         if len(self.labels) and not (0 <= self.labels.min() and self.labels.max() < self.n_classes):
             raise ParameterError("labels must lie in [0, n_classes)")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"features of row {int(np.argmin(finite))} are not finite")
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def inputs(self) -> np.ndarray:
+        """The features with a trailing ones column, (n, d + 1), built on first use."""
+        return with_ones(self.features)
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """The labels one-hot, (n, n_classes), built on first use."""
+        return np.eye(self.n_classes)[self.labels]
 
 
 def make_blob_dataset(
@@ -200,7 +214,10 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     labels = records[:, 0].astype(np.int64)
     features = records[:, 1:].astype(np.float64)
     n_classes = sidecar["n_classes"] if sidecar else int(labels.max()) + 1
-    return LabeledDataset(features=features, labels=labels, n_classes=n_classes)
+    try:
+        return LabeledDataset(features=features, labels=labels, n_classes=n_classes)
+    except ParameterError as exc:
+        raise ParameterError(f"dataset {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +273,12 @@ class MlpNet:
 
     Hidden layers (ReLU) are optional; with none this is plain multinomial
     logistic regression.  Parameters travel as one flat float64 vector so
-    they can be averaged without knowing the layout.  The forward and
-    backward passes work on a stack of m parameter vectors, shape (m, P),
-    each applied to its own batch of equal row count, shape (m, rows, d);
-    a single model is a stack of one.
+    they can be averaged without knowing the layout.  Layer by layer it
+    holds W (a x b) and then the bias b, row-major, which is the (a + 1) x b
+    matrix [W; b]; every layer's input gets a trailing column of ones, so one
+    matmul applies both.  The forward and backward passes work on a stack of
+    m parameter vectors, shape (m, P), each applied to its own batch of equal
+    row count, shape (m, rows, d); a single model is a stack of one.
     """
 
     def __init__(self, n_features: int, n_classes: int, hidden: tuple[int, ...] = ()):
@@ -275,31 +294,26 @@ class MlpNet:
     def init_params(self, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
         return scale * rng.normal(0.0, 1.0, size=self.param_count)
 
-    def _unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per layer, views of the weights (m, a, b) and biases (m, b)."""
+    def _unpack(self, params: np.ndarray) -> list[np.ndarray]:
+        """Per layer, a (m, a + 1, b) view of the [W; b] blocks."""
         if params.shape[1] != self.param_count:
             raise ModelError(f"expected {self.param_count} parameters, got {params.shape[1]}")
-        m = len(params)
-        layers = []
-        pos = 0
+        layers, pos = [], 0
         for a, b in zip(self.dims, self.dims[1:]):
-            w = params[:, pos : pos + a * b].reshape(m, a, b)
-            pos += a * b
-            bias = params[:, pos : pos + b]
-            pos += b
-            layers.append((w, bias))
+            layers.append(params[:, pos : pos + (a + 1) * b].reshape(len(params), a + 1, b))
+            pos += (a + 1) * b
         return layers
 
-    def _forward(self, params: np.ndarray, x: np.ndarray):
-        layers = self._unpack(params)
-        activations = [x]
-        for i, (w, b) in enumerate(layers):
-            z = activations[-1] @ w
-            z += b[:, None]
-            if i < len(layers) - 1:
-                np.maximum(z, 0.0, out=z)
-            activations.append(z)
-        return layers, activations
+    @staticmethod
+    def _forward(layers: list[np.ndarray], x1: np.ndarray):
+        """Each layer's input, ones column included, and the logits."""
+        activations = [x1]
+        for w in layers[:-1]:
+            h = np.ones(x1.shape[:2] + (w.shape[2] + 1,))
+            z = np.matmul(activations[-1], w, out=h[..., :-1])
+            np.maximum(z, 0.0, out=z)
+            activations.append(h)
+        return activations, activations[-1] @ layers[-1]
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -309,8 +323,21 @@ class MlpNet:
         # maximum is exact in any order.
         logits -= np.maximum.reduce(logits.transpose(2, 0, 1).copy(), axis=0)[..., None]
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
+        logits /= np.add.reduce(logits, axis=-1, keepdims=True)
         return logits
+
+    def _backprop(self, layers, x1, onehot, grads) -> None:
+        """Write each model's gradient into `grads`, views laid out as `layers`:
+        one [gW; gb] block per product of a layer's input and its delta."""
+        activations, delta = self._forward(layers, x1)
+        self._softmax(delta)
+        delta -= onehot
+        delta /= x1.shape[1]
+        for i in range(len(layers) - 1, -1, -1):
+            np.matmul(activations[i].transpose(0, 2, 1), delta, out=grads[i])
+            if i > 0:
+                w = layers[i][:, :-1].transpose(0, 2, 1)
+                delta = (delta @ w) * (activations[i][..., :-1] > 0.0)
 
     def gradients(self, params: np.ndarray, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
         """Gradient of each model's mean softmax cross-entropy on its batch.
@@ -320,26 +347,17 @@ class MlpNet:
         the same float operations as a model computed on its own: numpy's
         stacked matmul runs one BLAS product per slice.
         """
-        layers, activations = self._forward(params, x)
-        delta = self._softmax(activations[-1])
-        delta -= onehot
-        delta /= x.shape[1]
-        grads: list[np.ndarray] = []
-        for i in range(len(layers) - 1, -1, -1):
-            gw = activations[i].transpose(0, 2, 1) @ delta
-            # Summing a (rows, m, k) copy over its first axis adds the rows in
-            # the same sequential order as delta.sum(axis=1), in longer loops.
-            grads.append(np.add.reduce(delta.transpose(1, 0, 2).copy(), axis=0))
-            grads.append(gw.reshape(len(gw), -1))
-            if i > 0:
-                delta = (delta @ layers[i][0].transpose(0, 2, 1)) * (activations[i] > 0.0)
-        grads.reverse()
-        return np.concatenate(grads, axis=1)
+        grads = np.empty(params.shape)
+        self._backprop(self._unpack(params), with_ones(x), onehot, self._unpack(grads))
+        return grads
+
+    def _logits(self, flat: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        """(rows, k) logits of one model on (rows, d + 1) inputs."""
+        return self._forward(self._unpack(flat[None]), x1[None])[1][0]
 
     def loss(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy."""
-        _, activations = self._forward(flat[None], x[None])
-        probs = self._softmax(activations[-1])[0]
+        probs = self._softmax(self._logits(flat, with_ones(x))[None])[0]
         return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
 
     def loss_and_grad(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -348,11 +366,15 @@ class MlpNet:
         return self.loss(flat, x, y), grad
 
     def predict(self, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, activations = self._forward(flat[None], x[None])
-        return np.argmax(activations[-1][0], axis=1)
+        return np.argmax(self._logits(flat, with_ones(x)), axis=1)
 
     def accuracy(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.predict(flat, x) == y))
+
+
+def with_ones(x: np.ndarray) -> np.ndarray:
+    """`x` with a trailing column of ones: (..., d) -> (..., d + 1)."""
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
 
 
 def local_update(
@@ -384,8 +406,9 @@ def local_update(
     - Short batches run alone, as a stack of one at their own row count.
       Padding one to a full batch with zero rows changes how BLAS blocks
       `x @ w`, which can change the last bit of the result.
-    - Memory.  Rows are gathered per step from `data` through an index
-      table; no shard and no permuted copy of the features is kept.
+    - Memory.  Each step gathers its rows from `data.inputs` and
+      `data.onehot`, which the dataset builds once; no shard and no permuted
+      copy of the features is kept.  Stack and gradient views are per call.
     """
     sizes = [len(r) for r in rows]
     if 0 in sizes:
@@ -397,8 +420,7 @@ def local_update(
     if not rows:
         return []
     batch, epochs = hyper.batch_size, hyper.epochs
-    features, labels = data.features, data.labels
-    eye = np.eye(net.dims[-1])
+    inputs, onehot = data.inputs, data.onehot
 
     # index[e, j, s] holds the rows of slot s's j-th full batch in epoch e,
     # widths[j] counts the slots that have one, and shorts[s][e] holds the
@@ -418,17 +440,26 @@ def local_update(
 
     lr = hyper.lr0 * hyper.lr_decay**model.round
     params = np.tile(model.params, (len(slots), 1))
+    grads = np.empty_like(params)
 
-    def step(stack: np.ndarray, picked: np.ndarray) -> None:
-        onehot = eye.take(labels.take(picked), 0)
-        stack -= lr * net.gradients(stack, features.take(picked, 0), onehot)
+    def views(lo: int, hi: int):
+        stack, grad = params[lo:hi], grads[: hi - lo]
+        return stack, net._unpack(stack), grad, net._unpack(grad)
+
+    stacks = {width: views(0, width) for width in set(widths)}
+    alone = [views(s, s + 1) for s in range(len(slots))]
+
+    def step(stack, layers, grad, grad_layers, picked: np.ndarray) -> None:
+        net._backprop(layers, inputs.take(picked, 0), onehot.take(picked, 0), grad_layers)
+        grad *= lr
+        stack -= grad
 
     for e in range(epochs):
         for j, width in enumerate(widths):
-            step(params[:width], index[e, j, :width])
+            step(*stacks[width], index[e, j, :width])
         for s, short in enumerate(shorts):
             if short[e].size:
-                step(params[s : s + 1], short[e][None])
+                step(*alone[s], short[e][None])
     return [GlobalModel(params=row, round=model.round) for row in params[slot_of]]
 
 
@@ -564,6 +595,8 @@ class NativeTrainer(Trainer):
     ):
         if train_set.n_classes != test_set.n_classes:
             raise ParameterError("train and test sets must agree on the class count")
+        if not len(test_set):
+            raise ParameterError("test set is empty")
         self.train_set = train_set
         self.test_set = test_set
         self.partition = partition
@@ -584,4 +617,5 @@ class NativeTrainer(Trainer):
         return local_update(model, self.train_set, rows, self.net, self.hyper, rng)
 
     def evaluate(self, model) -> float:
-        return self.net.accuracy(model.params, self.test_set.features, self.test_set.labels)
+        logits = self.net._logits(model.params, self.test_set.inputs)
+        return float(np.mean(np.argmax(logits, axis=1) == self.test_set.labels))

@@ -68,8 +68,19 @@ COMMON_LAYERS = {
             },
             COMMON_LAYERS,
         ),
+        (
+            {
+                "protocol": {"k_total": 60},
+                "trainer": {
+                    "kind": "native",
+                    "native": {"train_samples": 300, "test_samples": 100, "hidden": [4]},
+                },
+                "budget": {"t_final_s": 720.0},
+            },
+            COMMON_LAYERS | {"learning.local_update", "learning.build_trainer"},
+        ),
     ],
-    ids=["fedcs", "fedlim"],
+    ids=["fedcs", "fedlim", "native"],
 )
 def test_a_traced_run_records_every_documented_layer(monkeypatch, tmp_path, config, layers):
     sample = load_bench_module(monkeypatch, "sample")

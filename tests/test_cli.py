@@ -181,6 +181,24 @@ class TestCommands:
             assert "\nTraceback (most recent call last)" in report
             assert "FileNotFoundError" in report.split("Traceback", 1)[1]
 
+    def test_a_dataset_too_small_to_leave_a_test_split_fails_the_run(self, tmp_path, capsys):
+        dataset = tmp_path / "one.csv"
+        dataset.write_text("1,1.0,2.0\n")
+        config = write_config(
+            tmp_path,
+            {
+                **SMALL,
+                "sweep": {},
+                "seeds": [0],
+                "trainer": {"kind": "native", "native": {"dataset_path": str(dataset)}},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        assert "ParameterError: test set is empty" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["failed_runs"]) == ["fedcs_seed0"]
+
 
 def test_closed_stdout_exits_quietly():
     src = Path(fedcs_sim.__file__).resolve().parents[1]

@@ -111,3 +111,17 @@ def test_native_training_on_a_non_iid_partition(tmp_path, capsys):
     assert record_digests(tmp_path, overlay) == {
         "fedcs_seed5": "9e8d83a121cdd3820e64812ef798c83da80a16f10250e547e32bbee88c205541"
     }
+
+
+def test_native_training_with_a_hidden_layer(tmp_path, capsys):
+    overlay = with_small(
+        trainer={
+            "kind": "native",
+            "native": {"train_samples": 600, "test_samples": 200, "hidden": [8]},
+        },
+        budget={"t_final_s": 1800.0},
+        seeds=[6],
+    )
+    assert record_digests(tmp_path, overlay) == {
+        "fedcs_seed6": "dc266c458841247a459e6a139262fafcd103e253559bed83e0379d53c62b25aa"
+    }

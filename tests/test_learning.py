@@ -226,9 +226,39 @@ class TestLocalUpdate:
             )
 
 
+def folded_loss_and_grad(net, flat, x, y):
+    """The 2-D forward and backward pass of one model, each layer one
+    (a + 1) x b matrix [W; b] applied to its input with a ones column
+    appended; also returns the logits."""
+    layers, pos = [], 0
+    for a, b in zip(net.dims, net.dims[1:]):
+        layers.append(flat[pos : pos + (a + 1) * b].reshape(a + 1, b))
+        pos += (a + 1) * b
+    ones = np.ones((len(x), 1))
+    activations = [np.hstack([x, ones])]
+    for wb in layers[:-1]:
+        activations.append(np.hstack([np.maximum(activations[-1] @ wb, 0.0), ones]))
+    logits = activations[-1] @ layers[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = len(y)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads.append((activations[i].T @ delta).ravel())
+        if i > 0:
+            delta = (delta @ layers[i][:-1].T) * (activations[i][:, :-1] > 0.0)
+    grads.reverse()
+    return loss, np.concatenate(grads), logits
+
+
 def reference_loss_and_grad(net, flat, x, y):
-    """The 2-D forward and backward pass of one model that the stacked
-    `MlpNet.gradients` replaced, kept verbatim; also returns the logits."""
+    """The 2-D forward and backward pass of one model with a separate bias
+    add and bias reduction, which the folded pass replaced, kept verbatim;
+    also returns the logits."""
     layers, pos = [], 0
     for a, b in zip(net.dims, net.dims[1:]):
         layers.append((flat[pos : pos + a * b].reshape(a, b), flat[pos + a * b : pos + a * b + b]))
@@ -262,27 +292,46 @@ def reference_loss_and_grad(net, flat, x, y):
     return loss, np.concatenate([g.ravel() for g in grads]), logits
 
 
+def random_stack(hidden, seed):
+    """A net of random widths, a stack of parameter vectors and one batch each."""
+    rng = np.random.default_rng([seed, len(hidden), 7])
+    net = MlpNet(int(rng.integers(1, 9)), int(rng.integers(2, 12)), hidden)
+    m, rows = int(rng.integers(1, 9)), int(rng.integers(1, 81))
+    # Wide weights give saturated softmax rows and dead ReLUs, so exact
+    # zeros (and negative zeros) reach the sums.
+    params = float(rng.choice([0.01, 1.0, 8.0])) * rng.normal(size=(m, net.param_count))
+    x = rng.normal(size=(m, rows, net.dims[0]))
+    y = rng.integers(0, net.dims[-1], size=(m, rows))
+    return net, params, x, y
+
+
 class TestStackedBackprop:
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
     @pytest.mark.parametrize("seed", range(6))
     def test_each_slice_equals_the_two_dimensional_pass(self, hidden, seed):
-        rng = np.random.default_rng([seed, len(hidden), 7])
-        net = MlpNet(int(rng.integers(1, 9)), int(rng.integers(2, 12)), hidden)
-        m, rows = int(rng.integers(1, 9)), int(rng.integers(1, 81))
-        # Wide weights give saturated softmax rows and dead ReLUs, so exact
-        # zeros (and negative zeros) reach the sums.
-        params = float(rng.choice([0.01, 1.0, 8.0])) * rng.normal(size=(m, net.param_count))
-        x = rng.normal(size=(m, rows, net.dims[0]))
-        y = rng.integers(0, net.dims[-1], size=(m, rows))
-
+        net, params, x, y = random_stack(hidden, seed)
         grads = net.gradients(params, x, np.eye(net.dims[-1])[y])
 
-        for s in range(m):
-            loss, grad, logits = reference_loss_and_grad(net, params[s], x[s], y[s])
+        for s in range(len(params)):
+            loss, grad, logits = folded_loss_and_grad(net, params[s], x[s], y[s])
             assert grads[s].tobytes() == grad.tobytes()
             assert net.loss_and_grad(params[s], x[s], y[s])[1].tobytes() == grad.tobytes()
             assert net.loss(params[s], x[s], y[s]) == loss
             assert np.array_equal(net.predict(params[s], x[s]), np.argmax(logits, axis=1))
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_slice_is_close_to_the_unfolded_pass(self, hidden, seed):
+        # Summing the bias inside the BLAS product only rounds differently:
+        # over seeds 0-399 of each hidden shape, the largest relative
+        # difference was 6.1e-14 for a gradient entry and 1.6e-16 for a loss.
+        net, params, x, y = random_stack(hidden, seed)
+        grads = net.gradients(params, x, np.eye(net.dims[-1])[y])
+
+        for s in range(len(params)):
+            loss, grad, _ = reference_loss_and_grad(net, params[s], x[s], y[s])
+            np.testing.assert_allclose(grads[s], grad, rtol=1e-12, atol=0)
+            assert net.loss(params[s], x[s], y[s]) == pytest.approx(loss, rel=1e-12, abs=0)
 
 
 def shard_sizes(rng, count, batch):
@@ -564,3 +613,38 @@ class TestDatasets:
         path.with_suffix(".bin.json").unlink()
         with pytest.raises(ParameterError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected_naming_the_dataset_and_row(self, tmp_path, bad):
+        path = tmp_path / "set.csv"
+        path.write_text(f"0,1.0,2.0\n1,0.5,-1.0\n1,3.0,{bad}\n0,{bad},1.0\n")
+        with pytest.raises(ParameterError, match=r"set\.csv: features of row 2 are not finite"):
+            load_dataset(path)
+
+    def test_inputs_and_onehot_tables(self):
+        data = balanced_dataset(per_class=2, n_classes=3, n_features=2)
+        assert np.array_equal(data.inputs, np.hstack([data.features, np.ones((6, 1))]))
+        assert np.array_equal(data.onehot, np.eye(3)[data.labels])
+        assert data.inputs is data.inputs
+
+
+class TestNativeTrainer:
+    def test_evaluate_is_the_accuracy_on_the_test_set(self):
+        data = balanced_dataset(per_class=20, n_classes=3)
+        test = balanced_dataset(per_class=10, n_classes=3, seed=1)
+        partition = Partition({ClientId(1): np.arange(60)}, "iid")
+        net = MlpNet(4, 3, hidden=(5,))
+        trainer = NativeTrainer(data, test, partition, net, SgdHyper(), np.random.default_rng(0))
+        (model,) = trainer.client_updates(
+            trainer.init_model(), [ClientId(1)], np.random.default_rng(1)
+        )
+        assert trainer.evaluate(model) == net.accuracy(model.params, test.features, test.labels)
+
+    def test_an_empty_test_set_is_rejected(self):
+        data = balanced_dataset(per_class=5, n_classes=3)
+        empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
+        with pytest.raises(ParameterError, match="test set is empty"):
+            NativeTrainer(
+                data, empty, Partition({}, "iid"), MlpNet(4, 3), SgdHyper(),
+                np.random.default_rng(0),
+            )
