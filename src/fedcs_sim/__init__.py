@@ -45,9 +45,7 @@ from .protocol import (
     RoundRecord,
     StopCondition,
     run_experiment,
-    run_round_fedcs,
-    run_round_fedlim,
-    run_round_vanilla,
+    run_round,
 )
 from .resources import (
     ClientProfile,

@@ -211,6 +211,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         records = raw.reshape(sidecar["n_samples"], sidecar["n_features"] + 1).astype(np.float64)
     else:
         raise ParameterError(f"unsupported dataset extension {path.suffix!r}")
+    if len(records) == 0:
+        raise ParameterError(f"dataset {path} is empty")
+    integral = np.isfinite(records[:, 0]) & (records[:, 0] == np.trunc(records[:, 0]))
+    if not integral.all():
+        raise ParameterError(
+            f"dataset {path}: label of row {int(np.argmin(integral))} is not an integer"
+        )
     labels = records[:, 0].astype(np.int64)
     features = records[:, 1:].astype(np.float64)
     n_classes = sidecar["n_classes"] if sidecar else int(labels.max()) + 1
@@ -529,9 +536,9 @@ class Trainer(abc.ABC):
     """Protocol-facing training interface.
 
     The round loop calls init_model once; then, per aggregation,
-    client_updates once with every aggregated client, notify_aggregated with
-    the same clients, and evaluate to obtain the accuracy recorded for the
-    round.
+    client_updates once with every aggregated client, and evaluate to obtain
+    the accuracy recorded for the round.  No other call tells a trainer
+    which clients were aggregated.
 
     client_updates(model, client_ids, rng) returns one model per id, in the
     order given, each trained from `model` on that client's data alone.
@@ -551,17 +558,15 @@ class Trainer(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, model: GlobalModel) -> float: ...
 
-    def notify_aggregated(self, client_ids: tuple[ClientId, ...], round_index: int) -> None:
-        """Hook invoked once per aggregation with the contributing clients."""
-
 
 @dataclass
 class SurrogateTrainer(Trainer):
     """Accuracy stand-in driven purely by the cumulative update count.
 
-    Each (client, round) pair that reaches aggregation bumps the counter;
-    accuracy is the deterministic saturating curve over that counter, so
-    protocol-level experiments never touch real training.
+    Each (client, round) pair that reaches aggregation bumps the counter
+    when the round loop asks for its updates; accuracy is the deterministic
+    saturating curve over that counter, so protocol-level experiments never
+    touch real training.
     """
 
     a_max: float = 0.9
@@ -572,10 +577,8 @@ class SurrogateTrainer(Trainer):
         return GlobalModel(params=np.zeros(0), round=0)
 
     def client_updates(self, model, client_ids, rng):
-        return [model] * len(client_ids)
-
-    def notify_aggregated(self, client_ids, round_index) -> None:
         self.update_count += len(client_ids)
+        return [model] * len(client_ids)
 
     def evaluate(self, model) -> float:
         return surrogate_accuracy(self.update_count, self.a_max, self.tau)

@@ -93,7 +93,7 @@ class ExperimentSummary:
     mean_clients_per_nonempty_round: float | None
     total_clients_selected_mean: float
     rounds_completed_mean: float
-    per_run: tuple[RunStats, ...]
+    runs: int
 
     def as_dict(self) -> dict:
         def _toa_map(d: dict) -> dict:
@@ -116,7 +116,7 @@ class ExperimentSummary:
             ),
             "total_clients_selected_mean": self.total_clients_selected_mean,
             "rounds_completed_mean": self.rounds_completed_mean,
-            "runs": len(self.per_run),
+            "runs": self.runs,
         }
 
 
@@ -166,7 +166,7 @@ def summarize(stats: list[RunStats], thresholds: list[float]) -> ExperimentSumma
         mean_clients_per_nonempty_round=_mean(nonempty) if nonempty else None,
         total_clients_selected_mean=_mean([s.total_clients_selected for s in stats]),
         rounds_completed_mean=_mean([s.rounds_completed for s in stats]),
-        per_run=tuple(stats),
+        runs=len(stats),
     )
 
 

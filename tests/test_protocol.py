@@ -19,9 +19,7 @@ from fedcs_sim.protocol import (
     RoundRecord,
     StopCondition,
     run_experiment,
-    run_round_fedcs,
-    run_round_fedlim,
-    run_round_vanilla,
+    run_round,
 )
 from fedcs_sim.resources import (
     MAX_CLIENTS,
@@ -54,12 +52,20 @@ def fresh_state(trainer=None, seed=0):
     return ExperimentState.fresh(trainer or SurrogateTrainer(), RngStream(seed))
 
 
+class IdRecordingTrainer(SurrogateTrainer):
+    """A surrogate trainer that keeps the ids of every client_updates call."""
+
+    def client_updates(self, model, client_ids, rng):
+        self.trained.append([int(cid) for cid in client_ids])
+        return super().client_updates(model, client_ids, rng)
+
+
 class TestFedcsRound:
     def test_zero_fluctuation_realization_matches_schedule(self, population_small):
         config = small_config()
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
-        record = run_round_fedcs(state, population_small, config, trainer, 0)
+        record = run_round(state, population_small, config, trainer, 0)
         assert record.aggregated_count == len(record.selected_or_completed) > 0
         assert float(record.busy_time) <= float(config.budget.t_round)
         assert float(record.realized_round_duration) == float(config.budget.t_round)
@@ -69,7 +75,7 @@ class TestFedcsRound:
         budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedcs(fresh_state(trainer), population_small, config, trainer, 0)
+        record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         assert len(record.selected_or_completed) == config.cohort_size == 20
 
     def test_extend_policy_never_discards(self, population_small):
@@ -77,7 +83,7 @@ class TestFedcsRound:
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(10):
-            record = run_round_fedcs(state, population_small, config, trainer, idx)
+            record = run_round(state, population_small, config, trainer, idx)
             assert record.aggregated_count == len(record.selected_or_completed)
             assert float(record.realized_round_duration) >= float(config.budget.t_round)
 
@@ -87,9 +93,22 @@ class TestFedcsRound:
         state = fresh_state(trainer)
         for idx in range(10):
             before = state.clock
-            record = run_round_fedcs(state, population_small, config, trainer, idx)
+            record = run_round(state, population_small, config, trainer, idx)
             assert record.aggregated_count <= len(record.selected_or_completed)
             assert state.clock - before == float(config.budget.t_round)
+
+    def test_discard_aggregates_the_on_time_prefix_of_the_schedule(self, population_small):
+        config = small_config(fluct=FluctuationConfig(0.3), late_policy="discard")
+        trainer = IdRecordingTrainer()
+        state = fresh_state(trainer)
+        dropped = 0
+        for idx in range(20):
+            trainer.trained = []
+            record = run_round(state, population_small, config, trainer, idx)
+            prefix = record.selected_or_completed[: record.aggregated_count]
+            assert trainer.trained == ([list(prefix)] if prefix else [])
+            dropped += len(record.selected_or_completed) - record.aggregated_count
+        assert dropped > 0
 
     def test_requested_cohort_is_unique_and_sized(self, population_small):
         config = small_config()
@@ -97,7 +116,7 @@ class TestFedcsRound:
         state = fresh_state(trainer)
         seen = []
         for idx in range(5):
-            record = run_round_fedcs(state, population_small, config, trainer, idx)
+            record = run_round(state, population_small, config, trainer, idx)
             assert len(record.requested) == config.cohort_size
             assert len(set(record.requested)) == config.cohort_size
             seen.append(record.requested)
@@ -131,7 +150,7 @@ class TestFedcsSelectionWiring:
 
             trainer = SurrogateTrainer()
             state = ExperimentState.fresh(trainer, rng)
-            run_round_fedcs(state, population, config, trainer, 0)
+            run_round(state, population, config, trainer, 0)
             columns = state.estimates
             assert columns.ids.tolist() == [int(p.id) for p in profiles]
             for column, scalar in (
@@ -147,7 +166,7 @@ class TestFedlimRound:
         budget = TimeBudget(t_round=Seconds(1.0))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
+        record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         assert record.selected_or_completed == ()
         assert record.aggregated_count == 0
         assert record.accuracy_after == 0.0
@@ -157,7 +176,7 @@ class TestFedlimRound:
         budget = TimeBudget(t_round=Seconds(1e6))
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
+        record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         assert len(record.selected_or_completed) == config.cohort_size
 
     def test_clock_advances_exactly_one_deadline(self, population_small):
@@ -165,7 +184,7 @@ class TestFedlimRound:
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(5):
-            record = run_round_fedlim(state, population_small, config, trainer, idx)
+            record = run_round(state, population_small, config, trainer, idx)
             assert float(record.realized_round_duration) == 180.0
             assert float(record.busy_time) <= 180.0
         assert state.clock == 5 * 180.0
@@ -174,7 +193,7 @@ class TestFedlimRound:
         config = small_config(mode="fedlim", fedlim=FedLimOptions(upload_order="random"))
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
-        record = run_round_fedlim(state, population_small, config, trainer, 0)
+        record = run_round(state, population_small, config, trainer, 0)
         assert record.aggregated_count == len(record.selected_or_completed)
 
     @pytest.mark.parametrize("distribution", ["unicast", "multicast", "none"])
@@ -184,7 +203,7 @@ class TestFedlimRound:
             mode="fedlim", fedlim=FedLimOptions(distribution=distribution, upload_order=order)
         )
         trainer = SurrogateTrainer()
-        record = run_round_fedlim(fresh_state(trainer), population_small, config, trainer, 0)
+        record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         assert 0 <= record.aggregated_count <= config.cohort_size
 
     def test_multicast_over_random_cohort_exceeds_deadline(self, population_small):
@@ -194,7 +213,7 @@ class TestFedlimRound:
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         counts = [
-            run_round_fedlim(state, population_small, config, trainer, idx).aggregated_count
+            run_round(state, population_small, config, trainer, idx).aggregated_count
             for idx in range(10)
         ]
         assert np.mean(counts) < 0.5
@@ -206,7 +225,7 @@ class TestVanillaRound:
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
         for idx in range(3):
-            record = run_round_vanilla(state, population_small, config, trainer, idx)
+            record = run_round(state, population_small, config, trainer, idx)
             assert record.aggregated_count == config.cohort_size
             assert len(record.selected_or_completed) == config.cohort_size
 
@@ -215,8 +234,8 @@ class TestVanillaRound:
         fedcs_durations, vanilla_durations = [], []
         for seed in range(10):
             t1, t2 = SurrogateTrainer(), SurrogateTrainer()
-            r1 = run_round_fedcs(fresh_state(t1, seed), population_small, fedcs_cfg, t1, 0)
-            r2 = run_round_vanilla(fresh_state(t2, seed), population_small, vanilla_cfg, t2, 0)
+            r1 = run_round(fresh_state(t1, seed), population_small, fedcs_cfg, t1, 0)
+            r2 = run_round(fresh_state(t2, seed), population_small, vanilla_cfg, t2, 0)
             fedcs_durations.append(float(r1.realized_round_duration))
             vanilla_durations.append(float(r2.realized_round_duration))
         assert np.mean(vanilla_durations) > np.mean(fedcs_durations)
@@ -352,7 +371,7 @@ class TestRecordSerialization:
     def test_json_line_roundtrip(self, population_small):
         config = small_config()
         trainer = SurrogateTrainer()
-        record = run_round_fedcs(fresh_state(trainer), population_small, config, trainer, 0)
+        record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         again = RoundRecord.from_json_line(record.to_json_line())
         assert again == record
 
