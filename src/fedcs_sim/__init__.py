@@ -38,7 +38,7 @@ from .learning import (
     partition_dataset,
     surrogate_accuracy,
 )
-from .metrics import ExperimentSummary, RunStats, summarize, time_of_arrival
+from .metrics import RunStats, summarize, time_of_arrival
 from .protocol import (
     FedLimOptions,
     ProtocolConfig,

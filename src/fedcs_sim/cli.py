@@ -21,6 +21,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .config import (
@@ -120,36 +121,21 @@ def execute_run(config: ExperimentConfig, seed: int) -> list[RoundRecord]:
     return run_experiment(protocol, config.stop(), trainer, population, rng)
 
 
-def _execute_descriptor(payload: dict) -> dict:
+def _execute_descriptor(descriptor: RunDescriptor, out_dir: Path) -> dict:
     """Worker entry: run one descriptor, write its per-run files and return
-    its `RunStats` (never the per-round records, which would be pickled back
-    under --parallelism > 1), or the failure's one-line message and traceback."""
-    run_id = payload["run_id"]
-    result = {"run_id": run_id, "group_id": payload["group_id"]}
+    `{"stats": RunStats}` (never the per-round records, which would be pickled
+    back under --parallelism > 1), or the failure's one-line `error` and its
+    `traceback`."""
+    run_id = descriptor.run_id
     try:
-        config = ExperimentConfig(payload["resolved"])
-        records = execute_run(config, payload["seed"])
-        header = {"config_hash": config.hash, "seed": payload["seed"], "run_id": run_id}
-        out_dir = Path(payload["out_dir"])
+        config = ExperimentConfig(descriptor.resolved)
+        records = execute_run(config, descriptor.seed)
+        header = {"config_hash": config.hash, "seed": descriptor.seed, "run_id": run_id}
         write_records_jsonl(records, out_dir / f"records-{run_id}.jsonl", header)
         write_curve_csv(records, out_dir / f"curve-{run_id}.csv", header)
-        return {**result, "stats": run_stats(records, config.thresholds())}
+        return {"stats": run_stats(records, config.thresholds())}
     except Exception as exc:  # a failed run aborts only this descriptor
-        error = f"{type(exc).__name__}: {exc}"
-        return {**result, "error": error, "traceback": traceback.format_exc()}
-
-
-def _payloads(descriptors: list[RunDescriptor], out_dir: Path) -> list[dict]:
-    return [
-        {
-            "run_id": d.run_id,
-            "group_id": d.group_id,
-            "seed": d.seed,
-            "resolved": d.resolved,
-            "out_dir": str(out_dir),
-        }
-        for d in descriptors
-    ]
+        return {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -166,30 +152,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     descriptors = run_descriptors(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = _payloads(descriptors, out_dir)
+    execute = partial(_execute_descriptor, out_dir=out_dir)
 
     # The default fork context starts every worker at once, so never more
     # than there are runs.
-    workers = min(args.parallelism, len(payloads))
+    workers = min(args.parallelism, len(descriptors))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_descriptor, payloads))
+            results = list(pool.map(execute, descriptors))
     else:
-        results = [_execute_descriptor(p) for p in payloads]
+        results = [execute(d) for d in descriptors]
 
-    failed = {r["run_id"]: r for r in results if "error" in r}
+    # `map` keeps order, so each result pairs with its descriptor.
+    failed = {d.run_id: r for d, r in zip(descriptors, results) if "error" in r}
     groups: dict[str, list[RunStats]] = {}
-    for r in results:
+    for d, r in zip(descriptors, results):
         if "error" not in r:
-            groups.setdefault(r["group_id"], []).append(r["stats"])
+            groups.setdefault(d.group_id, []).append(r["stats"])
 
     thresholds = config.thresholds()
     summary = {
         "config_hash": config.hash,
         "seeds": config.resolved["seeds"],
-        "groups": {
-            group: summarize(runs, thresholds).as_dict() for group, runs in sorted(groups.items())
-        },
+        "groups": {group: summarize(runs, thresholds) for group, runs in sorted(groups.items())},
         "failed_runs": {run_id: r["error"] for run_id, r in sorted(failed.items())},
     }
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")

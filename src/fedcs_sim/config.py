@@ -321,7 +321,11 @@ def parse_config(path: str | Path) -> "ExperimentConfig":
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        user = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        user = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(user, dict):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -202,15 +203,21 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else None
-    if path.suffix == ".csv":
-        records = np.loadtxt(path, delimiter=",", ndmin=2)
-    elif path.suffix == ".bin":
-        if sidecar is None:
-            raise ParameterError(f"binary dataset {path} requires sidecar {sidecar_path}")
-        raw = np.fromfile(path, dtype="<f4")
-        records = raw.reshape(sidecar["n_samples"], sidecar["n_features"] + 1).astype(np.float64)
-    else:
+    if path.suffix not in (".csv", ".bin"):
         raise ParameterError(f"unsupported dataset extension {path.suffix!r}")
+    if path.suffix == ".bin" and sidecar is None:
+        raise ParameterError(f"binary dataset {path} requires sidecar {sidecar_path}")
+    try:  # a ragged or non-numeric CSV, or a .bin of the wrong size
+        if path.suffix == ".csv":
+            with warnings.catch_warnings():  # a file with no rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                records = np.loadtxt(path, delimiter=",", ndmin=2)
+        else:
+            raw = np.fromfile(path, dtype="<f4")
+            shape = (sidecar["n_samples"], sidecar["n_features"] + 1)
+            records = raw.reshape(shape).astype(np.float64)
+    except ValueError as exc:
+        raise ParameterError(f"dataset {path}: {exc}") from exc
     if len(records) == 0:
         raise ParameterError(f"dataset {path} is empty")
     integral = np.isfinite(records[:, 0]) & (records[:, 0] == np.trunc(records[:, 0]))

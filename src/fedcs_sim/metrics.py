@@ -1,4 +1,5 @@
-"""Post-processing of round-record streams: arrival times, summaries, exports."""
+"""Post-processing of round-record streams: arrival times, per-run stats, the
+summary.json group objects, and the records and curve exports."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .protocol import RoundRecord
 
 __all__ = [
     "RunStats",
-    "ExperimentSummary",
     "time_of_arrival",
     "run_stats",
     "summarize",
@@ -71,55 +71,6 @@ def run_stats(records: list[RoundRecord], thresholds: list[float]) -> RunStats:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
-    """Multi-seed aggregation of run statistics.
-
-    toa_mean[t] is the mean arrival clock over runs, absent (None) as soon as
-    any run fails to reach t; toa_mean_successful[t] reports the mean over
-    the runs that did reach it, with toa_success_count[t] saying how many.
-    Every aggregate depends only on the set of runs, not on their order.
-    Means are exactly rounded and standard deviations use the population
-    (ddof=0) convention.
-    """
-
-    toa_mean: dict[float, float | None]
-    toa_mean_successful: dict[float, float | None]
-    toa_success_count: dict[float, int]
-    final_accuracy_mean: float
-    final_accuracy_std: float
-    mean_clients_per_round: float
-    std_clients_per_round: float
-    mean_clients_per_nonempty_round: float | None
-    total_clients_selected_mean: float
-    rounds_completed_mean: float
-    runs: int
-
-    def as_dict(self) -> dict:
-        def _toa_map(d: dict) -> dict:
-            return {repr(float(k)): ("NaN" if v is None else v) for k, v in sorted(d.items())}
-
-        return {
-            "toa_mean": _toa_map(self.toa_mean),
-            "toa_mean_successful": _toa_map(self.toa_mean_successful),
-            "toa_success_count": {
-                repr(float(k)): v for k, v in sorted(self.toa_success_count.items())
-            },
-            "final_accuracy_mean": self.final_accuracy_mean,
-            "final_accuracy_std": self.final_accuracy_std,
-            "mean_clients_per_round": self.mean_clients_per_round,
-            "std_clients_per_round": self.std_clients_per_round,
-            "mean_clients_per_nonempty_round": (
-                "NaN"
-                if self.mean_clients_per_nonempty_round is None
-                else self.mean_clients_per_nonempty_round
-            ),
-            "total_clients_selected_mean": self.total_clients_selected_mean,
-            "rounds_completed_mean": self.rounds_completed_mean,
-            "runs": self.runs,
-        }
-
-
 def _mean(values: list[float]) -> float:
     """Exactly rounded mean: fsum makes it independent of summation order."""
     return math.fsum(values) / len(values)
@@ -131,43 +82,47 @@ def _pstd(values: list[float]) -> float:
     return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
 
 
-def summarize(stats: list[RunStats], thresholds: list[float]) -> ExperimentSummary:
+def summarize(stats: list[RunStats], thresholds: list[float]) -> dict:
     """Aggregate the `run_stats` of several runs (typically one per seed) of
-    the same setting, each taken at these `thresholds`.
+    the same setting, each taken at these `thresholds`, into the group object
+    that summary.json holds.
 
-    The summary depends only on the set of runs, not on their order.  Means
-    are exactly rounded and standard deviations use the population (ddof=0)
-    convention.
+    Per threshold, keyed by `repr(float(t))`: `toa_mean` is the mean arrival
+    clock over runs, "NaN" as soon as any run fails to reach t;
+    `toa_mean_successful` is the mean over the runs that did reach it ("NaN"
+    when none did), and `toa_success_count` says how many did.
+    `mean_clients_per_nonempty_round` is "NaN" when no run aggregated a
+    client.  The summary depends only on the set of runs, not on their order.
+    Means are exactly rounded and standard deviations use the population
+    (ddof=0) convention.
     """
     if not stats:
         raise ParameterError("summarize requires at least one run")
 
-    toa_mean: dict[float, float | None] = {}
-    toa_success: dict[float, float | None] = {}
-    toa_count: dict[float, int] = {}
-    for t in thresholds:
-        values = [s.toa[t] for s in stats]
-        reached = [v for v in values if v is not None]
-        toa_count[t] = len(reached)
-        toa_success[t] = _mean(reached) if reached else None
-        toa_mean[t] = toa_success[t] if len(reached) == len(values) else None
+    toa_mean, toa_success, toa_count = {}, {}, {}
+    for t in sorted(thresholds):
+        key = repr(float(t))
+        reached = [v for s in stats if (v := s.toa[t]) is not None]
+        toa_count[key] = len(reached)
+        toa_success[key] = _mean(reached) if reached else "NaN"
+        toa_mean[key] = toa_success[key] if len(reached) == len(stats) else "NaN"
 
     finals = [s.final_accuracy for s in stats]
     means = [s.mean_clients_per_round for s in stats]
     nonempty = [v for s in stats if (v := s.mean_clients_per_nonempty_round) is not None]
-    return ExperimentSummary(
-        toa_mean=toa_mean,
-        toa_mean_successful=toa_success,
-        toa_success_count=toa_count,
-        final_accuracy_mean=_mean(finals),
-        final_accuracy_std=_pstd(finals),
-        mean_clients_per_round=_mean(means),
-        std_clients_per_round=_pstd(means),
-        mean_clients_per_nonempty_round=_mean(nonempty) if nonempty else None,
-        total_clients_selected_mean=_mean([s.total_clients_selected for s in stats]),
-        rounds_completed_mean=_mean([s.rounds_completed for s in stats]),
-        runs=len(stats),
-    )
+    return {
+        "toa_mean": toa_mean,
+        "toa_mean_successful": toa_success,
+        "toa_success_count": toa_count,
+        "final_accuracy_mean": _mean(finals),
+        "final_accuracy_std": _pstd(finals),
+        "mean_clients_per_round": _mean(means),
+        "std_clients_per_round": _pstd(means),
+        "mean_clients_per_nonempty_round": _mean(nonempty) if nonempty else "NaN",
+        "total_clients_selected_mean": _mean([s.total_clients_selected for s in stats]),
+        "rounds_completed_mean": _mean([s.rounds_completed for s in stats]),
+        "runs": len(stats),
+    }
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

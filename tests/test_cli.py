@@ -9,7 +9,7 @@ import pytest
 
 import fedcs_sim
 from fedcs_sim import cli
-from fedcs_sim.cli import _execute_descriptor, _payloads, main
+from fedcs_sim.cli import _execute_descriptor, main
 from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
 
@@ -85,13 +85,13 @@ class TestCommands:
         for group, summary in groups.items():
             runs = [read_records_jsonl(p)[1] for p in sorted(parallel.glob(f"records-{group}_*"))]
             stats = [run_stats(records, thresholds) for records in runs]
-            assert summarize(stats, thresholds).as_dict() == summary
+            assert summarize(stats, thresholds) == summary
 
     def test_a_run_returns_its_stats_and_no_per_round_data(self, tmp_path):
         config = ExperimentConfig(resolve_config({**FEDLIM_R, "seeds": [0]}))
-        (payload,) = _payloads(run_descriptors(config), tmp_path)
-        result = _execute_descriptor(payload)
-        assert sorted(result) == ["group_id", "run_id", "stats"]
+        (descriptor,) = run_descriptors(config)
+        result = _execute_descriptor(descriptor, tmp_path)
+        assert sorted(result) == ["stats"]
         stats = result["stats"]
         assert isinstance(stats, RunStats)
         _, records = read_records_jsonl(tmp_path / "records-fedlim_seed0.jsonl")
@@ -180,6 +180,20 @@ class TestCommands:
         for report in reports:
             assert "\nTraceback (most recent call last)" in report
             assert "FileNotFoundError" in report.split("Traceback", 1)[1]
+
+    def test_serial_and_parallel_failing_sweeps_report_alike(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        config = write_config(
+            tmp_path,
+            {**SMALL, "trainer": {"kind": "native", "native": {"dataset_path": str(missing)}}},
+        )
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["run", str(config), "--out", str(serial)]) == 1
+        serial_err = capsys.readouterr().err
+        assert main(["run", str(config), "--out", str(parallel), "--parallelism", "2"]) == 1
+        assert capsys.readouterr().err == serial_err
+        assert serial_err.count("FAILED ") == serial_err.count("\nTraceback ") == 4
+        assert directory_bytes(parallel) == directory_bytes(serial)
 
     def test_a_dataset_too_small_to_leave_a_test_split_fails_the_run(self, tmp_path, capsys):
         dataset = tmp_path / "one.csv"

@@ -282,6 +282,21 @@ def test_an_integer_beyond_the_float_range_is_not_a_number(tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: cell.tx_power_dbm: expected a number\n"
 
 
+def test_a_directory_is_not_a_readable_config(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {tmp_path}: ")
+
+
+def test_a_config_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seeds": [0], "output_dir": "r\xe9sultats"}')
+    assert main(["validate", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {config}: ")
+    assert "can't decode byte 0xe9" in err
+
+
 @pytest.mark.parametrize("key", ["bs_height_m", "ue_height_m", "rb_count"])
 def test_deleted_cell_keys_are_unknown(key):
     assert config_error({"cell": {key: 1}}) == f"cell.{key}: unknown key"

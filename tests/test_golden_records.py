@@ -125,3 +125,21 @@ def test_native_training_with_a_hidden_layer(tmp_path, capsys):
     assert record_digests(tmp_path, overlay) == {
         "fedcs_seed6": "dc266c458841247a459e6a139262fafcd103e253559bed83e0379d53c62b25aa"
     }
+
+
+def test_summary_of_a_sweep_with_unreached_thresholds(tmp_path, capsys):
+    """The whole summary.json of a sweep whose thresholds are reached by every
+    run (0.1 at 180 s), by two of three (0.3 at 180 s) and by none (0.99), and
+    whose 10 s groups never aggregate a client."""
+    overlay = with_small(
+        seeds=[0, 1, 2],
+        metrics={"thresholds": [0.1, 0.3, 0.99]},
+        sweep={"mode": ["fedcs", "fedlim", "vanilla"], "t_round_s": [10.0, 180.0]},
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overlay))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == (
+        "f95675949c3e4e4b448313d7e5d759873a68fb3abe781fefcbf0b7e4bb73e3df"
+    )

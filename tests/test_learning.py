@@ -632,7 +632,37 @@ class TestDatasets:
     def test_empty_file_is_rejected_naming_the_dataset(self, tmp_path):
         path = tmp_path / "set.csv"
         path.write_text("")
-        with pytest.warns(UserWarning), pytest.raises(ParameterError, match=r"set\.csv is empty"):
+        with pytest.raises(ParameterError, match=r"set\.csv is empty"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["\n\n\n", "# label,f1,f2\n\n# no rows\n"])
+    def test_a_file_of_blank_or_comment_lines_is_empty(self, tmp_path, text):
+        path = tmp_path / "set.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=r"set\.csv is empty"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1.0,2.0\n1,0.5\n", "the number of columns changed"),
+            ("0,1.0,2.0\n1,x,-1.0\n", "could not convert string 'x'"),
+        ],
+    )
+    def test_a_ragged_or_non_numeric_csv_is_rejected_naming_the_dataset(
+        self, tmp_path, text, message
+    ):
+        path = tmp_path / "set.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=rf"set\.csv: {message}"):
+            load_dataset(path)
+
+    def test_a_binary_file_shorter_than_its_sidecar_is_rejected(self, tmp_path):
+        data = make_blob_dataset(10, 3, 2, RngStream(5, "data").generator())
+        path = tmp_path / "set.bin"
+        save_dataset(data, path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ParameterError, match=r"set\.bin: cannot reshape array of size 39"):
             load_dataset(path)
 
     def test_inputs_and_onehot_tables(self):
