@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ClientId, ModelError, ParameterError
-from .resources import MAX_DATA_COUNT
+from .resources import MAX_DATA_COUNT, MAX_EPOCHS
 
 __all__ = [
     "GlobalModel",
@@ -103,8 +103,8 @@ class SgdHyper:
         # No shard is larger, so a larger batch would train as this one does.
         if not 1 <= self.batch_size <= MAX_DATA_COUNT:
             raise ParameterError(f"batch_size must be in [1, {MAX_DATA_COUNT}]", field="batch_size")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1", field="epochs")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ParameterError(f"epochs must be in [1, {MAX_EPOCHS}]", field="epochs")
         if self.lr0 < 0:
             raise ParameterError("lr0 must be >= 0", field="lr0")
         if not 0 < self.lr_decay <= 1:
@@ -127,6 +127,8 @@ class LabeledDataset:
             raise ParameterError("features must be (n, d) and labels (n,)")
         if len(self.features) != len(self.labels):
             raise ParameterError("features and labels must have equal length")
+        if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, (int, np.integer)):
+            raise ParameterError(f"n_classes must be an integer, got {self.n_classes!r}")
         if self.n_classes < 2:
             raise ParameterError("n_classes must be >= 2")
         if len(self.labels) and not (0 <= self.labels.min() and self.labels.max() < self.n_classes):
@@ -201,13 +203,23 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     in which case the class count is inferred as max(label) + 1.
     """
     path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else None
     if path.suffix not in (".csv", ".bin"):
         raise ParameterError(f"unsupported dataset extension {path.suffix!r}")
-    if path.suffix == ".bin" and sidecar is None:
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar = None
+    if sidecar_path.exists():
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ParameterError(f"dataset sidecar {sidecar_path}: {exc}") from exc
+        keys = ("n_samples", "n_features", "n_classes") if path.suffix == ".bin" else ("n_classes",)
+        if not isinstance(sidecar, dict) or not all(k in sidecar for k in keys):
+            raise ParameterError(
+                f"dataset sidecar {sidecar_path} must be a JSON object with {', '.join(keys)}"
+            )
+    elif path.suffix == ".bin":
         raise ParameterError(f"binary dataset {path} requires sidecar {sidecar_path}")
-    try:  # a ragged or non-numeric CSV, or a .bin of the wrong size
+    try:  # a ragged or non-numeric CSV, or a .bin of the wrong size or shape type
         if path.suffix == ".csv":
             with warnings.catch_warnings():  # a file with no rows is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -216,7 +228,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             raw = np.fromfile(path, dtype="<f4")
             shape = (sidecar["n_samples"], sidecar["n_features"] + 1)
             records = raw.reshape(shape).astype(np.float64)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"dataset {path}: {exc}") from exc
     if len(records) == 0:
         raise ParameterError(f"dataset {path} is empty")

@@ -88,9 +88,15 @@ class Population:
         count = len(columns["data_count"])
         if any(c.shape != (count,) for c in columns.values()):
             raise ParameterError("population columns must be 1-D arrays of equal length")
-        if not columns["throughput"].all():
-            cid = int(np.argmin(columns["throughput"] != 0.0)) + 1
-            raise ModelError(f"client {cid} has zero mean throughput")
+        capability, throughput = columns["capability"], columns["throughput"]
+        valid = np.isfinite(capability) & (capability > 0.0)
+        valid &= np.isfinite(throughput) & (throughput > 0.0)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise ModelError(
+                f"client {i + 1} needs finite positive mean capability and throughput, "
+                f"got {float(capability[i])!r} and {float(throughput[i])!r}"
+            )
         columns["ids"] = np.arange(1, count + 1, dtype=np.int64)
         for name, column in columns.items():
             column.flags.writeable = False

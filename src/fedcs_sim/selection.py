@@ -11,17 +11,22 @@ max(0, t_update_j - theta_{j-1}).  A schedule is feasible when
 
     t_cs + dist_time(S) + theta_|S| + t_agg < t_round,
 
-with dist_time(S) the multicast distribution time, model_size / min
-throughput over the selected set.  The greedy scheduler is the paper's
-heuristic for the largest feasible set; `exact_select` finds that largest
-set in polynomial time, against the same strict deadline.
+with dist_time(S) the multicast distribution time.  The server multicasts
+the model at the slowest selected link, and each client uploads the same
+model at its own link rate, so dist_time(S) is the longest upload time in
+S.  The greedy scheduler is the paper's heuristic for the largest feasible
+set; `exact_select` finds that largest set in polynomial time, against the
+same strict deadline.
 
 A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
 once on construction.  The fedcs engine builds one set of the whole
 population's estimates per run and takes each round's cohort from it.  Both
 schedulers work on those columns directly, so no per-client objects or
 unit-tagged scalars enter their loops.  `Candidate` is the row view that the
-scalar helpers (`elapsed_theta`, `dist_time`) take.
+scalar helpers (`elapsed_theta`, `dist_time`) take.  `dist_time` divides the
+model size by the slowest throughput; with every upload model_size /
+throughput, that is the longest upload to the last bit, because correctly
+rounded division is monotone.
 """
 
 from __future__ import annotations
@@ -65,11 +70,10 @@ class Candidate:
 class CandidateSet:
     """Clients that can be scheduled, as columns sorted by id.
 
-    `ids` is int64; `t_update`, `t_upload` (seconds) and `throughput`
-    (Mbit/s) are float64.  Rows given out of id order are sorted once here,
-    and every row is validated once with the rules `Candidate` and `Seconds`
-    apply: unique positive ids, finite non-negative times, finite positive
-    throughput.  The stored arrays are read-only copies.
+    `ids` is int64; `t_update` and `t_upload` (seconds) are float64.  Rows
+    given out of id order are sorted once here, and every row is validated
+    once with the rules `ClientId` and `Seconds` apply: unique positive ids,
+    finite non-negative times.  The stored arrays are read-only copies.
 
     `estimated` builds the set of a whole population's estimates, and
     `take` gives a subset of its rows without checking them again: rows of
@@ -81,16 +85,13 @@ class CandidateSet:
     ids: np.ndarray
     t_update: np.ndarray
     t_upload: np.ndarray
-    throughput: np.ndarray
 
     def __post_init__(self) -> None:
         ids = np.asarray(self.ids)
         if ids.size and ids.dtype.kind not in "iu":
             raise UnitError(f"candidate ids must be integers, got dtype {ids.dtype}")
         ids = ids.astype(np.int64)
-        columns = [
-            np.array(c, dtype=np.float64) for c in (self.t_update, self.t_upload, self.throughput)
-        ]
+        columns = [np.array(c, dtype=np.float64) for c in (self.t_update, self.t_upload)]
         if ids.ndim != 1 or any(c.shape != ids.shape for c in columns):
             raise ParameterError("candidate columns must be 1-D arrays of equal length")
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
@@ -101,8 +102,7 @@ class CandidateSet:
                 raise ParameterError("candidate ids must be unique")
         if ids.size and ids[0] < 1:
             raise UnitError(f"ClientId must be a positive integer, got {int(ids[0])!r}")
-        t_update, t_upload, throughput = columns
-        for name, times in (("t_update", t_update), ("t_upload", t_upload)):
+        for name, times in zip(("t_update", "t_upload"), columns):
             bad = ~(np.isfinite(times) & (times >= 0.0))
             if bad.any():
                 i = int(np.argmax(bad))
@@ -110,12 +110,7 @@ class CandidateSet:
                     f"candidate {int(ids[i])} {name} must be finite and non-negative, "
                     f"got {float(times[i])!r}"
                 )
-        bad = ~(np.isfinite(throughput) & (throughput > 0.0))
-        if bad.any():
-            raise ParameterError(
-                f"candidate {int(ids[int(np.argmax(bad))])} must have finite positive throughput"
-            )
-        for name, column in zip(("ids", "t_update", "t_upload", "throughput"), (ids, *columns)):
+        for name, column in zip(("ids", "t_update", "t_upload"), (ids, *columns)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -127,7 +122,6 @@ class CandidateSet:
             ids=np.array([int(c.id) for c in rows], dtype=np.int64),
             t_update=np.array([float(c.t_update) for c in rows], dtype=np.float64),
             t_upload=np.array([float(c.t_upload) for c in rows], dtype=np.float64),
-            throughput=np.array([float(c.throughput) for c in rows], dtype=np.float64),
         )
 
     @classmethod
@@ -136,12 +130,13 @@ class CandidateSet:
 
         The same float operations as `estimated_update_time` and
         `estimated_upload_time` on the same values, so bit-equal to them.
+        `Population` admits only finite positive rates, so an infinite rate
+        cannot plan a 0 s time; a time that overflows is rejected here.
         """
         return cls(
             ids=population.ids,
             t_update=budget.epochs_per_round * population.data_count / population.capability,
             t_upload=float(budget.model_size) / population.throughput,
-            throughput=population.throughput,
         )
 
     def take(self, positions: np.ndarray) -> "CandidateSet":
@@ -155,7 +150,7 @@ class CandidateSet:
         if positions.size and (positions[0] < 0 or not (positions[1:] > positions[:-1]).all()):
             raise ParameterError("positions must be non-negative and strictly increasing")
         subset = object.__new__(CandidateSet)
-        for name in ("ids", "t_update", "t_upload", "throughput"):
+        for name in ("ids", "t_update", "t_upload"):
             column = getattr(self, name)[positions]
             column.flags.writeable = False
             object.__setattr__(subset, name, column)
@@ -227,24 +222,22 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
 
     Repeatedly picks the candidate with the smallest marginal cost
 
-        cost_k = (dist_time(S + k) - dist_time(S)) + t_upload_k
+        cost_k = (max(dist, t_upload_k) - dist) + t_upload_k
                      + max(0, t_update_k - theta)
 
     (ties broken by lower client id), removes it from the pool, and accepts
     it only if the tentative total stays strictly below the deadline.  A
-    rejected candidate is never reconsidered.
+    rejected candidate is never reconsidered.  dist is the longest upload
+    accepted so far, so max(dist, t_upload_k) is the distribution time with
+    k added.
 
     The costs are one vector over the id-sorted columns, removed rows set to
     infinity; `argmin` returns the first minimum, which is the lowest id, so
-    the tie-break is exact.  With spread_k = model_size / throughput_k,
-    computed once per call, dist_time(S + k) is max(spread_k, dist): correctly
-    rounded division is monotone and dist = model_size / min throughput of
-    S, so that maximum equals model_size / min(min_thr, throughput_k) bit for
-    bit.  The vector is rebuilt, as head_k + max(0, t_update_k - theta) with
-    head_k = (max(spread_k, dist) - dist) + t_upload_k, only after an
-    acceptance, and head only when dist changes.  A rejection changes
-    neither theta nor dist, so the next pick reuses the vector with the
-    rejected row set to infinity.
+    the tie-break is exact.  The vector is rebuilt, as head_k + max(0,
+    t_update_k - theta) with head_k = (max(t_upload_k, dist) - dist) +
+    t_upload_k, only after an acceptance, and head only when dist changes.
+    A rejection changes neither theta nor dist, so the next pick reuses the
+    vector with the rejected row set to infinity.
 
     Early exit.  In exact arithmetic tentative_k = base + dist + theta +
     cost_k, with base = t_cs + t_agg, so once the cheapest candidate is
@@ -254,56 +247,46 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
 
         base + dist + (theta + min(t_upload over remaining)) >= deadline.
 
-    This bound is exact: for every remaining k, dist_new_k >= dist (the
-    slowest link can only get slower) and theta_new_k >= fl(theta +
-    t_upload_k), and rounded addition is monotone in each argument, so
-    every remaining tentative total, fl(fl(base + dist_new_k) +
-    theta_new_k), is at least the bound and would be rejected.
+    This bound is exact: for every remaining k, dist_new_k = max(dist,
+    t_upload_k) >= dist and theta_new_k >= fl(theta + t_upload_k), and
+    rounded addition is monotone in each argument, so every remaining
+    tentative total, fl(fl(base + dist_new_k) + theta_new_k), is at least
+    the bound and would be rejected.
 
     A call therefore costs O(acceptances * |pool|) vector work plus one
-    `argmin` per pick.  On the paper's cell (100 candidates, T_round = 180 s)
-    that is about nine picks and six acceptances per call, 94 to 134 us,
-    where rebuilding the vector on every pick took 144 to 214 us (medians 118
-    and 190 us, the two interleaved over 300 cohorts; 2-vCPU KVM Xeon,
-    CPython 3.11, numpy 2.4).
+    `argmin` per pick.
     """
-    model_size = float(budget.model_size)
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
     ids = candidates.ids.tolist()
     t_update, t_upload = candidates.t_update, candidates.t_upload
     updates, uploads = t_update.tolist(), t_upload.tolist()
-    throughputs = candidates.throughput.tolist()
-    spread = model_size / candidates.throughput
     n = len(ids)
     removed = np.zeros(n, dtype=bool)
     order: list[ClientId] = []
     trajectory = [0.0]
     theta = 0.0
     dist = 0.0
-    min_thr = float("inf")
-    head = (np.maximum(spread, dist) - dist) + t_upload
+    head = (np.maximum(t_upload, dist) - dist) + t_upload
     cost = head + np.maximum(0.0, t_update - theta)
 
     for picked in range(1, n + 1):
         i = int(cost.argmin())
         if removed[i]:
-            # Every remaining cost is infinite: model_size / throughput
-            # overflows, so each remaining tentative total would be too.
+            # Every remaining cost overflowed to infinity (times near the
+            # float maximum), so every remaining tentative total would too.
             break
         removed[i] = True
 
-        thr = throughputs[i]
         theta_new = extend_theta(theta, updates[i], uploads[i])
-        dist_new = model_size / min(min_thr, thr)
+        dist_new = max(dist, uploads[i])
         tentative = base + dist_new + theta_new
         if tentative < deadline:
             theta = theta_new
             if dist_new != dist:
                 dist = dist_new
-                head = (np.maximum(spread, dist) - dist) + t_upload
-            min_thr = min(min_thr, thr)
+                head = (np.maximum(t_upload, dist) - dist) + t_upload
             order.append(ClientId(ids[i]))
             trajectory.append(theta)
             cost = head + np.maximum(0.0, t_update - theta)
@@ -337,43 +320,38 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     keep their uploads on a max-heap with a running sum, and whenever a term
     reaches the slack drop the largest upload kept.
 
-    The distribution time depends on the slowest selected link, so the walk
-    is repeated for each distinct throughput tau, fastest first, over the
-    candidates with throughput >= tau; the first largest set wins.  Walks
-    that admit no more clients than the best are skipped, and the sweep
-    stops once the distribution time alone reaches the deadline.
+    The distribution time is the longest selected upload, so the walk is
+    repeated for each distinct upload time u, shortest first, over the
+    candidates with t_upload <= u; the first largest set wins.  Walks that
+    admit no more clients than the best are skipped, and the sweep stops
+    once the distribution time alone reaches the deadline.
 
     A term is tested as `head + (t_update + sum) < t_round`, with head =
-    (t_cs + t_agg) + model_size / tau: the strict test, in the association,
-    that `greedy_select` applies to its totals.  When the sums are exact (as
-    on integer grids) a set passes exactly when its replayed total does, so
+    (t_cs + t_agg) + u: the strict test, in the association, that
+    `greedy_select` applies to its totals.  When the sums are exact (as on
+    integer grids) a set passes exactly when its replayed total does, so
     any gap to greedy is the heuristic's.  Otherwise the two can differ in
     the last bit, so a larger set is taken only once its total, replayed in
     release order by `extend_theta`, is below t_round: every schedule
     returned fits, and a total within the last bit of the deadline can cost
     the optimum one client.
-
-    On the paper's cell (100 candidates, T_round = 180 s) a call takes about
-    0.6 ms, and up to about 0.4 s on random cohorts of 1000 candidates
-    (2-vCPU KVM Xeon, CPython 3.11, numpy 2.4).
     """
-    model_size = float(budget.model_size)
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
     # Walk order: descending (t_update, id); its reverse is release order.
     walk = np.argsort(candidates.t_update, kind="stable")[::-1]
     t_update = candidates.t_update[walk].tolist()
-    t_upload = candidates.t_upload[walk].tolist()
-    throughput = candidates.throughput[walk]
+    upload_times = candidates.t_upload[walk]
+    t_upload = upload_times.tolist()
 
     best: list[int] = []
     trajectory, dist = [0.0], 0.0
-    for tau in np.unique(throughput)[::-1].tolist():
-        head = base + model_size / tau
+    for level in np.unique(upload_times).tolist():
+        head = base + level
         if head >= deadline:
             break
-        admitted = np.flatnonzero(throughput >= tau)
+        admitted = np.flatnonzero(upload_times <= level)
         if len(admitted) <= len(best):
             continue
         kept: list[tuple[float, int]] = []
@@ -388,7 +366,7 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
             theta_new = [0.0]
             for k in release:
                 theta_new.append(extend_theta(theta_new[-1], t_update[k], t_upload[k]))
-            dist_new = model_size / float(throughput[release].min())
+            dist_new = max(t_upload[k] for k in release)
             if base + dist_new + theta_new[-1] < deadline:
                 best, trajectory, dist = release, theta_new, dist_new
 

@@ -33,13 +33,22 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
     assert missing == []
 
 
-def test_run_checks_import_and_pass_on_a_small_fedcs_run(monkeypatch):
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        {"protocol": {"k_total": 60}, "budget": {"t_final_s": 1800.0}},
+        {
+            "protocol": {"k_total": 200},
+            "budget": {"t_final_s": 1800.0, "t_cs_s": 2.5, "t_agg_s": 1.5},
+        },
+    ],
+    ids=["paper", "overheads"],
+)
+def test_run_checks_import_and_pass_on_a_small_fedcs_run(monkeypatch, overlay):
     checks = load_bench_module(monkeypatch, "checks")
-    config = ExperimentConfig(
-        resolve_config({"protocol": {"k_total": 60}, "budget": {"t_final_s": 1800.0}})
-    )
+    config = ExperimentConfig(resolve_config(overlay))
     records = execute_run(config, 0)
-    assert records
+    assert any(r.selected_or_completed for r in records)
     assert checks.check_run(records, config, 0) == []
 
 

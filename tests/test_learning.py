@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from fedcs_sim.learning import (
     save_dataset,
     surrogate_accuracy,
 )
-from fedcs_sim.resources import Population
+from fedcs_sim.resources import MAX_EPOCHS, Population
 
 
 def reference_local_update(model, features, labels, net, hyper, rng):
@@ -127,6 +130,11 @@ class TestPartition:
 
 
 class TestLocalUpdate:
+    def test_epochs_are_bounded_like_the_round_budget(self):
+        assert SgdHyper(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+        with pytest.raises(ParameterError, match=rf"epochs must be in \[1, {MAX_EPOCHS}\]"):
+            SgdHyper(epochs=MAX_EPOCHS + 1)
+
     def test_zero_learning_rate_is_identity(self):
         net = MlpNet(4, 3)
         rng = RngStream(0, "train").generator()
@@ -664,6 +672,82 @@ class TestDatasets:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParameterError, match=r"set\.bin: cannot reshape array of size 39"):
             load_dataset(path)
+
+    @staticmethod
+    def saved_with_sidecar(tmp_path, suffix, edit):
+        """A saved dataset whose sidecar text is replaced by `edit(sidecar)`."""
+        path = tmp_path / f"set{suffix}"
+        save_dataset(make_blob_dataset(10, 3, 2, RngStream(5, "data").generator()), path)
+        sidecar = path.with_suffix(suffix + ".json")
+        sidecar.write_text(edit(json.loads(sidecar.read_text())))
+        return path
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_a_malformed_sidecar_is_rejected_naming_it(self, tmp_path, suffix):
+        path = self.saved_with_sidecar(tmp_path, suffix, lambda sidecar: "{not json")
+        with pytest.raises(ParameterError, match=re.escape(f"{path.name}.json: Expecting")):
+            load_dataset(path)
+
+    def test_a_sidecar_that_cannot_be_read_is_rejected_naming_it(self, tmp_path):
+        path = self.saved_with_sidecar(tmp_path, ".csv", json.dumps)
+        sidecar = path.with_suffix(".csv.json")
+        sidecar.write_bytes(b'{"n_classes": 2, "note": "\xff"}')
+        with pytest.raises(ParameterError, match=r"set\.csv\.json: 'utf-8' codec"):
+            load_dataset(path)
+        sidecar.unlink()
+        sidecar.mkdir()
+        with pytest.raises(ParameterError, match=r"set\.csv\.json: \[Errno"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "n_features, message",
+        [
+            (None, r"set\.bin\.json must be a JSON object with n_samples, n_features"),
+            (2.0, r"set\.bin: 'float' object cannot be interpreted as an integer"),
+        ],
+    )
+    def test_a_binary_sidecar_without_an_integer_n_features_is_rejected_naming_it(
+        self, tmp_path, n_features, message
+    ):
+        def edit(sidecar):
+            sidecar["n_features"] = n_features
+            if n_features is None:
+                del sidecar["n_features"]
+            return json.dumps(sidecar)
+
+        path = self.saved_with_sidecar(tmp_path, ".bin", edit)
+        with pytest.raises(ParameterError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    @pytest.mark.parametrize("root", [[], [2]])
+    def test_a_sidecar_that_is_not_an_object_is_rejected_naming_it(self, tmp_path, suffix, root):
+        path = self.saved_with_sidecar(tmp_path, suffix, lambda sidecar: json.dumps(root))
+        with pytest.raises(ParameterError, match=re.escape(f"{path.name}.json must be a JSON")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_a_text_class_count_is_rejected_naming_the_dataset(self, tmp_path, suffix):
+        path = self.saved_with_sidecar(
+            tmp_path, suffix, lambda sidecar: json.dumps({**sidecar, "n_classes": "two"})
+        )
+        message = f"{path.name}: n_classes must be an integer, got 'two'"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_a_float_class_count_is_rejected_naming_the_dataset(self, tmp_path, suffix):
+        path = self.saved_with_sidecar(
+            tmp_path, suffix, lambda sidecar: json.dumps({**sidecar, "n_classes": 2.0})
+        )
+        message = f"{path.name}: n_classes must be an integer, got 2.0"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("n_classes", [2.0, True, "2"])
+    def test_a_class_count_that_is_not_an_integer_is_rejected(self, n_classes):
+        with pytest.raises(ParameterError, match="n_classes must be an integer"):
+            LabeledDataset(np.zeros((2, 1)), np.array([0, 1]), n_classes)
 
     def test_inputs_and_onehot_tables(self):
         data = balanced_dataset(per_class=2, n_classes=3, n_features=2)

@@ -30,7 +30,7 @@ from fedcs_sim.resources import (
     estimated_upload_time,
     generate_profiles,
 )
-from fedcs_sim.selection import Candidate
+from fedcs_sim.selection import Candidate, CandidateSet, dist_time, greedy_select
 from test_learning import reference_local_update
 from test_selection import reference_greedy
 
@@ -159,6 +159,41 @@ class TestFedcsSelectionWiring:
             ):
                 expected = np.array([float(scalar(p, budget)) for p in profiles])
                 assert column.tobytes() == expected.tobytes()
+
+
+class TestDistributionTimeIdentity:
+    """The planners take the distribution time as the longest selected
+    upload; bench/checks.py re-plans it as model_size over the slowest link.
+    Each upload is model_size / throughput, correctly rounded and so monotone
+    in the throughput, which makes the two equal to the last bit."""
+
+    @pytest.mark.parametrize("k_total, cohort", [(1000, 100), (100_000, 1000)])
+    def test_longest_upload_is_model_size_over_slowest_link(self, k_total, cohort):
+        population = generate_profiles(k_total, CellConfig(), ResourceRanges(), RngStream(k_total))
+        by_id = {int(p.id): p for p in population}
+        rng = np.random.default_rng(k_total)
+        scheduled = 0
+        for t_round in (60.0, 180.0, 600.0):
+            budget = TimeBudget(t_round=Seconds(t_round))
+            estimates = CandidateSet.estimated(population, budget)
+            for _ in range(40):
+                positions = np.sort(rng.choice(k_total, size=cohort, replace=False))
+                schedule = greedy_select(estimates.take(positions), budget)
+                rows = [
+                    Candidate(
+                        id=p.id,
+                        t_update=estimated_update_time(p, budget),
+                        t_upload=estimated_upload_time(p, budget),
+                        throughput=p.mean_throughput,
+                    )
+                    for p in (by_id[int(cid)] for cid in schedule.order)
+                ]
+                uploads = estimates.t_upload[np.array(schedule.order, dtype=np.int64) - 1]
+                dist = float(schedule.dist_time)
+                assert dist == float(dist_time(rows, budget.model_size))
+                assert dist == float(uploads.max(initial=0.0))
+                scheduled += len(rows) > 0
+        assert scheduled > 100
 
 
 class TestFedlimRound:

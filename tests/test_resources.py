@@ -246,6 +246,14 @@ class TestPopulation:
         with pytest.raises(ModelError, match="client 2"):
             population_of([100, 200, 300], [10.0, 20.0, 30.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("column", ["capability", "throughput"])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, column, bad):
+        rates = {"capability": [10.0, 20.0, 30.0], "throughput": [1.0, 2.0, 3.0]}
+        rates[column][1] = rates[column][2] = bad
+        with pytest.raises(ModelError, match="client 2 needs finite positive mean capability"):
+            population_of([100, 200, 300], rates["capability"], rates["throughput"])
+
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ParameterError):
             population_of([100, 200], [10.0], [1.0, 2.0])

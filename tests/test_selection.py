@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,6 +24,11 @@ def cand(cid, t_update, t_upload, throughput=10.0):
     return Candidate(
         ClientId(cid), Seconds(t_update), Seconds(t_upload), MegabitsPerSecond(throughput)
     )
+
+
+def link(cid, t_update, throughput):
+    """A candidate that uploads the 100 Mbit model of `budget_of` at `throughput`."""
+    return cand(cid, t_update, 100.0 / throughput, throughput)
 
 
 def budget_of(t_round, model_size=100.0, t_cs=0.0, t_agg=0.0):
@@ -178,10 +184,10 @@ class TestCandidateSet:
     def test_rows_are_sorted_by_id_and_read_only(self):
         rows = [cand(5, 1, 2, 3.0), cand(2, 4, 5, 6.0), cand(9, 7, 8, 9.0)]
         cands = CandidateSet.of(rows)
+        assert [f.name for f in dataclasses.fields(cands)] == ["ids", "t_update", "t_upload"]
         assert cands.ids.tolist() == [2, 5, 9]
         assert cands.t_update.tolist() == [4.0, 1.0, 7.0]
         assert cands.t_upload.tolist() == [5.0, 2.0, 8.0]
-        assert cands.throughput.tolist() == [6.0, 3.0, 9.0]
         assert len(cands) == 3
         with pytest.raises(ValueError):
             cands.t_upload[0] = 0.0
@@ -189,13 +195,12 @@ class TestCandidateSet:
     @pytest.mark.parametrize(
         "columns",
         [
-            ([1, 2], [1.0], [1.0, 1.0], [1.0, 1.0]),  # unequal lengths
-            ([3, 3], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),  # repeated id
-            ([0], [1.0], [1.0], [1.0]),  # id below 1
-            ([1.5], [1.0], [1.0], [1.0]),  # non-integral id
-            ([1], [-1.0], [1.0], [1.0]),  # negative time
-            ([1], [1.0], [np.inf], [1.0]),  # non-finite time
-            ([1], [1.0], [1.0], [0.0]),  # zero throughput
+            ([1, 2], [1.0], [1.0, 1.0]),  # unequal lengths
+            ([3, 3], [1.0, 1.0], [1.0, 1.0]),  # repeated id
+            ([0], [1.0], [1.0]),  # id below 1
+            ([1.5], [1.0], [1.0]),  # non-integral id
+            ([1], [-1.0], [1.0]),  # negative time
+            ([1], [1.0], [np.inf]),  # non-finite time
         ],
     )
     def test_invalid_columns_rejected(self, columns):
@@ -209,13 +214,10 @@ class TestCandidateSet:
             positions = np.sort(rng.choice(200, size=size, replace=False))
             taken = full.take(positions)
             built = CandidateSet(
-                full.ids[positions],
-                full.t_update[positions],
-                full.t_upload[positions],
-                full.throughput[positions],
+                full.ids[positions], full.t_update[positions], full.t_upload[positions]
             )
             assert len(taken) == size
-            for name in ("ids", "t_update", "t_upload", "throughput"):
+            for name in ("ids", "t_update", "t_upload"):
                 column = getattr(taken, name)
                 assert column.dtype == getattr(built, name).dtype
                 assert column.tobytes() == getattr(built, name).tobytes()
@@ -273,10 +275,7 @@ class TestGreedy:
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            rows = tuple(
-                cand(i + 1, rng.uniform(0, 200), rng.uniform(1, 100), rng.uniform(1, 12))
-                for i in range(n)
-            )
+            rows = tuple(link(i + 1, rng.uniform(0, 200), rng.uniform(1, 12)) for i in range(n))
             budget = budget_of(rng.uniform(30, 300))
             schedule = greedy_select(CandidateSet.of(rows), budget)
             by_id = {int(c.id): c for c in rows}
@@ -318,21 +317,21 @@ class TestGreedy:
         assert float(schedule.total_time) == 5.0
 
 
+# Uploads u for which 100 / u is exact, so a throughput of 100 / u gives back u.
+UPLOAD_GRID = np.array([1.0, 2.0, 4.0, 5.0, 8.0, 10.0, 16.0, 20.0, 25.0, 32.0, 40.0, 50.0])
+
+
 def random_candidates(rng, n, rounded):
-    """n candidates with shuffled, sparse ids.  Rounding the times and
-    throughputs to coarse grids makes many marginal costs tie exactly."""
+    """n candidates with shuffled, sparse ids, each uploading in 100 / throughput.
+    Rounding the update times to a 10 s grid and the uploads to UPLOAD_GRID
+    keeps sums exact and makes many marginal costs tie exactly."""
     ids = rng.permutation(np.arange(1, 3 * n + 1))[:n]
     t_update = rng.uniform(0, 300, n)
-    t_upload = rng.uniform(1, 60, n)
     throughput = rng.uniform(0.5, 12, n)
     if rounded:
         t_update = np.round(t_update, -1)
-        t_upload = np.round(t_upload)
-        throughput = np.maximum(1.0, np.round(throughput))
-    return [
-        cand(int(i), float(u), float(l), float(t))
-        for i, u, l, t in zip(ids, t_update, t_upload, throughput)
-    ]
+        throughput = 100.0 / rng.choice(UPLOAD_GRID, n)
+    return [link(int(i), float(u), float(t)) for i, u, t in zip(ids, t_update, throughput)]
 
 
 class TestGreedyMatchesReference:
@@ -370,33 +369,40 @@ class TestGreedyMatchesReference:
                 assert unbounded.order[k - 1] not in ref.order
                 assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
 
-
-    def test_links_too_slow_for_the_model_are_rejected_once(self):
-        # model_size / 1e-310 overflows, so the slow clients cost infinity
-        # once the fast one is in; none of them may be picked twice.
-        rows = [cand(1, 0.0, 1.0, 10.0), cand(2, 0.0, 1.0, 1e-310), cand(3, 5.0, 2.0, 1e-310)]
-        budget = budget_of(1000.0)
+    def test_costs_that_overflow_are_not_picked_twice(self):
+        # Client 2's cost, twice its 1e308 s upload, overflows, so once client
+        # 1 is in every remaining cost is infinite; client 1 must not be
+        # picked again.
+        rows = [link(1, 0.0, 100.0), link(2, 0.0, 1e-306)]
+        budget = budget_of(1.5e308)
         ref = reference_greedy(rows, budget)
         assert [int(k) for k in ref.order] == [1]
         with np.errstate(over="ignore"):
             assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
 
     def test_acceptance_after_a_rejection_through_rounding(self):
-        # Clients 1 and 2 tie on cost, so client 1 is picked first, but the
-        # rounding of the tentative total differs: with the deadline at client
-        # 1's total, client 1 is rejected and client 2 still fits.  Client 3
-        # never fits.  Stopping at the first rejection, or bounding with the
-        # largest remaining upload, would lose client 2.
-        rows = [
-            cand(1, 233.53278450004373, 30.99716280674893, 5.828577930490194),
-            cand(2, 242.62661150467162, 24.202050602889337, 6.730322593744597),
-            cand(3, 0.0, 1000.0, 10.0),
-        ]
-        first = rows[0]
-        deadline = 0.0 + 100.0 / float(first.throughput) + extend_theta(
-            0.0, float(first.t_update), float(first.t_upload)
-        )
-        budget = budget_of(deadline)
+        # Clients 1 and 2 tie on cost, 2 * t_upload + t_update, so client 1 is
+        # picked first, but their totals round differently: with the deadline
+        # at client 1's total, client 1 is rejected and client 2 still fits.
+        # Client 3 never fits.  Stopping at the first rejection, or bounding
+        # with the largest remaining upload, would lose client 2.  About one
+        # draw in six of this seeded search gives such a pair.
+        def total(c):
+            return float(c.t_upload) + extend_theta(0.0, float(c.t_update), float(c.t_upload))
+
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            first = link(1, rng.uniform(200, 250), rng.uniform(5, 7))
+            cost = 2 * float(first.t_upload) + float(first.t_update)
+            throughput = rng.uniform(5, 7)
+            second = link(2, cost - 2 * (100.0 / throughput), throughput)
+            tied = 2 * float(second.t_upload) + float(second.t_update) == cost
+            if tied and total(second) < total(first):
+                break
+        else:
+            pytest.fail("the search found no tied pair")
+        rows = [first, second, link(3, 0.0, 0.1)]
+        budget = budget_of(total(first))
         ref = reference_greedy(rows, budget)
         assert [int(k) for k in ref.order] == [2]
         assert_same_schedule(greedy_select(CandidateSet.of(rows), budget), ref)
@@ -494,28 +500,21 @@ def reference_exact(candidates, budget):
 def adversarial_instance(rng):
     """A small instance built to stress the rounding identities of the
     incremental greedy: few shared throughputs (dist often unchanged by an
-    acceptance), integer grids, uploads equal to model_size / throughput,
-    set-up and aggregation times, and deadlines on a prefix's total."""
+    acceptance), exact grids, set-up and aggregation times, and deadlines on
+    a prefix's total.  Every upload is model_size / throughput."""
     n = int(rng.integers(1, 13))
     ids = rng.permutation(np.arange(1, 3 * n + 1))[:n]
-    if rng.random() < 0.5:
-        throughput = rng.choice(rng.uniform(0.5, 12, int(rng.integers(1, 4))), n)
-    else:
-        throughput = rng.uniform(0.5, 12, n)
+    links = int(rng.integers(1, 4)) if rng.random() < 0.5 else n
     if rng.random() < 0.5:
         t_update = rng.integers(0, 30, n) * 10.0
-        t_upload = rng.integers(1, 60, n) * 1.0
-        throughput = np.maximum(1.0, np.round(throughput))
+        throughput = 100.0 / rng.choice(UPLOAD_GRID, links)
     else:
         t_update = rng.uniform(0, 300, n)
-        t_upload = rng.uniform(1, 60, n)
-    if rng.random() < 0.3:
-        t_upload = 100.0 / throughput
+        throughput = rng.uniform(0.5, 12, links)
+    if links < n:
+        throughput = rng.choice(throughput, n)
     t_cs, t_agg = (rng.uniform(0, 10), rng.uniform(0, 10)) if rng.random() < 0.5 else (0.0, 0.0)
-    rows = [
-        cand(int(i), float(u), float(l), float(t))
-        for i, u, l, t in zip(ids, t_update, t_upload, throughput)
-    ]
+    rows = [link(int(i), float(u), float(t)) for i, u, t in zip(ids, t_update, throughput)]
     if rng.random() < 0.5:
         unbounded = reference_greedy(rows, budget_of(1e7, t_cs=t_cs, t_agg=t_agg))
         k = int(rng.integers(1, len(unbounded) + 1))
@@ -572,9 +571,10 @@ class TestExact:
         assert float(schedule.total_time) == 100.0
 
     def test_total_equal_to_deadline_is_rejected(self):
-        cands = CandidateSet.of((cand(1, 20, 40, 10.0),))
-        assert len(exact_select(cands, budget_of(70.0))) == 0
-        assert len(exact_select(cands, budget_of(70.001))) == 1
+        # The 40 s upload is also the distribution time: 40 + 20 + 40 = 100 s.
+        cands = CandidateSet.of((cand(1, 20, 40, 2.5),))
+        assert len(exact_select(cands, budget_of(100.0))) == 0
+        assert len(exact_select(cands, budget_of(100.001))) == 1
 
     def test_empty_candidate_set(self):
         schedule = exact_select(CandidateSet.of(()), budget_of(100.0, t_cs=2.0, t_agg=3.0))
@@ -589,15 +589,11 @@ class TestExact:
         assert [int(k) for k in schedule.order] == [1, 2, 3, 4]
 
     def test_best_set_found_at_a_slower_link(self):
-        # One fast client fits (5 + 30 s) but two do not (5 + 60 s); the two
-        # slow-link clients fit together (25 + 5 + 5 s).
-        rows = (
-            cand(1, 0, 30, 20.0),
-            cand(2, 0, 30, 20.0),
-            cand(3, 0, 5, 4.0),
-            cand(4, 0, 5, 4.0),
-        )
-        budget = budget_of(45.0)
+        # One fast-link client fits (5 + 25 + 5 s) but two do not (5 + 25 +
+        # 10 s); the two slow-link clients fit together (10 + 10 + 10 s), and
+        # no set with a fast client does at the slower link (10 + 25 + 5 s).
+        rows = (link(1, 25, 20.0), link(2, 25, 20.0), link(3, 0, 10.0), link(4, 0, 10.0))
+        budget = budget_of(38.0)
         schedule = exact_select(CandidateSet.of(rows), budget)
         assert [int(k) for k in schedule.order] == [3, 4]
         assert_exact_schedule(schedule, rows, budget)
@@ -625,10 +621,7 @@ class TestExact:
         strict = 0
         for _ in range(400):
             n = int(rng.integers(1, 9))
-            rows = tuple(
-                cand(j + 1, rng.uniform(0, 120), rng.uniform(5, 60), rng.uniform(1, 12))
-                for j in range(n)
-            )
+            rows = tuple(link(j + 1, rng.uniform(0, 120), rng.uniform(1, 12)) for j in range(n))
             cands = CandidateSet.of(rows)
             budget = budget_of(rng.uniform(40, 400))
             g = greedy_select(cands, budget)
