@@ -170,9 +170,11 @@ class ExperimentState:
     """Mutable per-experiment state threaded through the round engines.
 
     `estimates` holds the whole population's estimated times as one
-    validated `CandidateSet`.  Only the fedcs engine uses it; it builds it on
-    its first round, from the population and budget, which stay fixed for
-    the run, and takes each round's cohort from it.
+    validated `CandidateSet`, and `schedulable` its
+    `CandidateSet.schedulable` mask.  Only the fedcs engine uses them; it
+    builds both on its first round, from the population and budget, which
+    stay fixed for the run, and plans each round on the schedulable members
+    of the requested cohort.
     """
 
     clock: float
@@ -182,6 +184,7 @@ class ExperimentState:
     rng_fluctuation: np.random.Generator
     rng_training: np.random.Generator
     estimates: CandidateSet | None = None
+    schedulable: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, trainer: Trainer, rng: RngStream) -> "ExperimentState":
@@ -221,8 +224,12 @@ def _fedcs_round(state: ExperimentState, population: Population, config: Protoco
     budget = config.budget
     if state.estimates is None:
         state.estimates = CandidateSet.estimated(population, budget)
+        state.schedulable = state.estimates.schedulable(budget)
     requested = _request_positions(state, population, config)
-    schedule = greedy_select(state.estimates.take(requested), budget)
+    # Greedy rejects every other cohort member from any state, and dropping
+    # a client it would reject changes neither its picks nor its acceptances.
+    planned = requested[state.schedulable[requested]]
+    schedule = greedy_select(state.estimates.take(planned), budget)
     selected = np.array(schedule.order, dtype=np.int64) - 1  # row i holds client i + 1
     base = float(budget.t_cs) + float(budget.t_agg)
     if not schedule.order:

@@ -20,9 +20,15 @@ same strict deadline.
 
 A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
 once on construction.  The fedcs engine builds one set of the whole
-population's estimates per run and takes each round's cohort from it.  Both
-schedulers work on those columns directly, so no per-client objects or
-unit-tagged scalars enter their loops.  `Candidate` is the row view that the
+population's estimates per run, with its `schedulable` mask of the clients
+whose solo total fits the deadline, and plans each round on the schedulable
+members of the requested cohort: greedy rejects every other client from any
+state, so it picks and accepts the same clients either way.  Both
+schedulers work on the columns directly, so no per-client objects or
+unit-tagged scalars enter their loops.  Greedy scans its pool in upload
+order and stops each pick at the first upload above the cheapest cost, and
+after a rejection at the first remaining upload that cannot fit; both
+bounds are exact in floats.  `Candidate` is the row view that the
 scalar helpers (`elapsed_theta`, `dist_time`) take.  `dist_time` divides the
 model size by the slowest throughput; with every upload model_size /
 throughput, that is the longest upload to the last bit, because correctly
@@ -32,6 +38,7 @@ rounded division is monotone.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -156,6 +163,30 @@ class CandidateSet:
             object.__setattr__(subset, name, column)
         return subset
 
+    def schedulable(self, budget: TimeBudget) -> np.ndarray:
+        """Bool mask of the rows that `greedy_select` could ever accept.
+
+        Row k is kept when (base + u_k) + (u_k + t_k) < t_round * (1 +
+        1e-9), with base = t_cs + t_agg, u the upload and t the update
+        time: its total when scheduled alone.  A dropped row is rejected
+        from every greedy state (theta, dist).  Its tentative total there is
+        fl(fl(base + max(dist, u)) + theta_new), with theta_new rounded from
+        theta + u + max(0, t - theta) >= u + t; each of the three roundings
+        loses at most a factor (1 - 2^-53), so the total is at least (base +
+        2u + t)(1 - 2^-53)^3.  The solo total tested here is at most (base +
+        2u + t)(1 + 2^-53)^2, so a row greedy accepts has a solo total below
+        t_round (1 + 6 * 2^-53), well inside the 1e-9 relative margin and the
+        rounding of the margin's product.  A solo total that overflows is
+        dropped only while the limit itself is finite, that is while t_round
+        stays 1e-9 below the float maximum; above that every row is kept.
+        """
+        base = float(budget.t_cs) + float(budget.t_agg)
+        limit = float(budget.t_round) * (1.0 + 1e-9)
+        if limit == math.inf:
+            return np.ones(len(self), dtype=bool)
+        with np.errstate(over="ignore"):
+            return (base + self.t_upload) + (self.t_upload + self.t_update) < limit
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -222,7 +253,7 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
 
     Repeatedly picks the candidate with the smallest marginal cost
 
-        cost_k = (max(dist, t_upload_k) - dist) + t_upload_k
+        cost_k = ((max(t_upload_k, dist) - dist) + t_upload_k)
                      + max(0, t_update_k - theta)
 
     (ties broken by lower client id), removes it from the pool, and accepts
@@ -231,13 +262,13 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     accepted so far, so max(dist, t_upload_k) is the distribution time with
     k added.
 
-    The costs are one vector over the id-sorted columns, removed rows set to
-    infinity; `argmin` returns the first minimum, which is the lowest id, so
-    the tie-break is exact.  The vector is rebuilt, as head_k + max(0,
-    t_update_k - theta) with head_k = (max(t_upload_k, dist) - dist) +
-    t_upload_k, only after an acceptance, and head only when dist changes.
-    A rejection changes neither theta nor dist, so the next pick reuses the
-    vector with the rejected row set to infinity.
+    Scan order.  The pool is kept once per call in ascending (t_upload, id)
+    order, and each pick scans it from the front.  Every rounded step of
+    cost_k adds a non-negative amount to t_upload_k, so cost_k >= t_upload_k
+    in floats as well, and the scan stops at the first t_upload_k above the
+    cheapest cost seen: that candidate and every later one cost more.  Costs
+    that overflow to infinity (times near the float maximum) tie like any
+    others, so the lowest id among them is picked and tested.
 
     Early exit.  In exact arithmetic tentative_k = base + dist + theta +
     cost_k, with base = t_cs + t_agg, so once the cheapest candidate is
@@ -245,58 +276,55 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     can be off in the last bit, so the loop instead stops after a rejection
     once
 
-        base + dist + (theta + min(t_upload over remaining)) >= deadline.
+        base + dist + (theta + min(t_upload over remaining)) >= deadline,
 
-    This bound is exact: for every remaining k, dist_new_k = max(dist,
+    where the minimum is the first remaining candidate in scan order.  This
+    bound is exact: for every remaining k, dist_new_k = max(dist,
     t_upload_k) >= dist and theta_new_k >= fl(theta + t_upload_k), and
     rounded addition is monotone in each argument, so every remaining
     tentative total, fl(fl(base + dist_new_k) + theta_new_k), is at least
     the bound and would be rejected.
-
-    A call therefore costs O(acceptances * |pool|) vector work plus one
-    `argmin` per pick.
     """
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
-    ids = candidates.ids.tolist()
-    t_update, t_upload = candidates.t_update, candidates.t_upload
-    updates, uploads = t_update.tolist(), t_upload.tolist()
-    n = len(ids)
-    removed = np.zeros(n, dtype=bool)
+    # Positions in ascending (t_upload, id) order: the id-sorted rows, stably
+    # sorted by upload.  `pool` holds the positions not yet picked.
+    scan = np.argsort(candidates.t_upload, kind="stable")
+    uploads = candidates.t_upload[scan].tolist()
+    updates = candidates.t_update[scan].tolist()
+    ids = candidates.ids[scan].tolist()
+    pool = list(range(len(ids)))
     order: list[ClientId] = []
     trajectory = [0.0]
     theta = 0.0
     dist = 0.0
-    head = (np.maximum(t_upload, dist) - dist) + t_upload
-    cost = head + np.maximum(0.0, t_update - theta)
 
-    for picked in range(1, n + 1):
-        i = int(cost.argmin())
-        if removed[i]:
-            # Every remaining cost overflowed to infinity (times near the
-            # float maximum), so every remaining tentative total would too.
-            break
-        removed[i] = True
-
-        theta_new = extend_theta(theta, updates[i], uploads[i])
-        dist_new = max(dist, uploads[i])
-        tentative = base + dist_new + theta_new
-        if tentative < deadline:
-            theta = theta_new
-            if dist_new != dist:
-                dist = dist_new
-                head = (np.maximum(t_upload, dist) - dist) + t_upload
-            order.append(ClientId(ids[i]))
-            trajectory.append(theta)
-            cost = head + np.maximum(0.0, t_update - theta)
-            cost[removed] = np.inf
-        elif picked < n:
-            # See the docstring for why this bound loses no feasible candidate.
-            min_upload = float(t_upload[~removed].min())
-            if base + dist + (theta + min_upload) >= deadline:
+    while pool:
+        best, best_id, at = math.inf, math.inf, 0
+        for j, k in enumerate(pool):
+            upload = uploads[k]
+            if upload > best:
                 break
-            cost[i] = np.inf
+            update = updates[k]
+            # Bit-equal to the docstring's cost_k, since dist - dist is +0.0.
+            cost = ((upload - dist if upload > dist else 0.0) + upload) + (
+                update - theta if update > theta else 0.0
+            )
+            if cost < best or (cost == best and ids[k] < best_id):
+                best, best_id, at = cost, ids[k], j
+        k = pool.pop(at)
+
+        theta_new = extend_theta(theta, updates[k], uploads[k])
+        dist_new = max(dist, uploads[k])
+        if base + dist_new + theta_new < deadline:
+            theta = theta_new
+            dist = dist_new
+            order.append(ClientId(ids[k]))
+            trajectory.append(theta)
+        elif pool and base + dist + (theta + uploads[pool[0]]) >= deadline:
+            # See the docstring for why this bound loses no feasible candidate.
+            break
 
     total = base + dist + theta
     return Schedule(

@@ -160,6 +160,35 @@ class TestFedcsSelectionWiring:
                 expected = np.array([float(scalar(p, budget)) for p in profiles])
                 assert column.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "t_round, t_cs, t_agg",
+        [(60.0, 0.0, 0.0), (180.0, 0.0, 0.0), (600.0, 0.0, 0.0), (180.0, 2.5, 1.5)],
+    )
+    def test_rounds_match_reference_greedy_across_budgets(self, t_round, t_cs, t_agg):
+        # The engine plans only the schedulable members of each cohort; the
+        # reference plans the whole cohort.
+        budget = TimeBudget(t_round=Seconds(t_round), t_cs=Seconds(t_cs), t_agg=Seconds(t_agg))
+        config = ProtocolConfig(budget=budget)
+        stop = StopCondition(t_final=Seconds(12 * t_round))
+        rng = RngStream(2)
+        population = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
+        by_id = {int(p.id): p for p in population}
+        records = run_experiment(config, stop, SurrogateTrainer(), population, rng)
+        assert len(records) == 12
+        assert any(record.selected_or_completed for record in records)
+        for record in records:
+            rows = [
+                Candidate(
+                    id=p.id,
+                    t_update=estimated_update_time(p, budget),
+                    t_upload=estimated_upload_time(p, budget),
+                    throughput=p.mean_throughput,
+                )
+                for p in (by_id[cid] for cid in record.requested)
+            ]
+            expected = reference_greedy(rows, budget)
+            assert record.selected_or_completed == tuple(int(k) for k in expected.order)
+
 
 class TestDistributionTimeIdentity:
     """The planners take the distribution time as the longest selected

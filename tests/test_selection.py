@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -535,6 +536,86 @@ class TestGreedyOnAdversarialInstances:
             assert_same_schedule(
                 greedy_select(CandidateSet.of(rows), budget), reference_greedy(rows, budget)
             )
+
+
+def solo_total(c, base):
+    """A candidate's total when scheduled alone, as `schedulable` sums it."""
+    u = float(c.t_upload)
+    return (base + u) + (u + float(c.t_update))
+
+
+def boundary_instances(rng, scale, t_cs, t_agg):
+    """Instances of 2 to 6 clients, each with deadlines 2 ulps below to 2 ulps
+    above the solo total of each of its clients.  Every upload is
+    model_size / throughput; at scale 1.7e306 the times reach the float
+    maximum and many solo totals overflow."""
+    base = t_cs + t_agg
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        ids = rng.permutation(np.arange(1, 3 * n + 1))[:n]
+        uploads = rng.uniform(0.5, 40.0, n) * scale
+        updates = rng.uniform(0.0, 100.0, n) * scale
+        rows = [link(int(i), float(t), 100.0 / float(u)) for i, t, u in zip(ids, updates, uploads)]
+        for c in rows:
+            for steps in range(-2, 3):
+                deadline = solo_total(c, base)
+                for _ in range(abs(steps)):
+                    deadline = math.nextafter(deadline, math.copysign(math.inf, steps))
+                if base < deadline < math.inf:
+                    yield rows, budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
+
+
+class TestSchedulable:
+    """`CandidateSet.schedulable` drops only clients greedy never accepts."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7e306], ids=["seconds", "near-overflow"])
+    @pytest.mark.parametrize("t_cs, t_agg", [(0.0, 0.0), (2.5, 1.5)])
+    def test_masked_greedy_equals_full_greedy_and_reference(self, scale, t_cs, t_agg):
+        rng = np.random.default_rng([round(math.log10(scale)), int(t_cs)])
+        late = dropped = 0
+        for rows, budget in boundary_instances(rng, scale, t_cs, t_agg):
+            full = CandidateSet.of(rows)
+            mask = full.schedulable(budget)
+            ref = reference_greedy(rows, budget)
+            assert_same_schedule(greedy_select(full, budget), ref)
+            assert_same_schedule(greedy_select(full.take(np.flatnonzero(mask)), budget), ref)
+            by_id = {int(c.id): c for c in rows}
+            solo = [solo_total(by_id[int(cid)], t_cs + t_agg) for cid in ref.order]
+            late += any(total >= float(budget.t_round) for total in solo)
+            dropped += int((~mask).sum())
+        # Some accepted client's solo total is on or above the deadline: it
+        # fits only after another client has raised theta, through rounding,
+        # so a mask without a margin would lose it.
+        assert late > 0
+        assert dropped > 0
+
+    def test_solo_totals_that_overflow(self):
+        # Client 2's solo total overflows; client 3's, 1e308 s, fits.
+        rows = [
+            link(1, 0.0, 100.0 / 1e300),
+            link(2, 1e308, 100.0 / 5e307),
+            link(3, 0.0, 100.0 / 5e307),
+        ]
+        for t_round, kept in ((1.6e308, [True, False, True]), (np.finfo(float).max, [True] * 3)):
+            # At the float maximum the margin's product overflows, so the
+            # mask keeps every row rather than compare against infinity.
+            budget = budget_of(t_round)
+            full = CandidateSet.of(rows)
+            mask = full.schedulable(budget)
+            assert mask.tolist() == kept
+            ref = reference_greedy(rows, budget)
+            assert_same_schedule(greedy_select(full, budget), ref)
+            assert_same_schedule(greedy_select(full.take(np.flatnonzero(mask)), budget), ref)
+
+    def test_mask_of_a_taken_cohort_is_the_mask_taken(self):
+        rng = np.random.default_rng(5)
+        full = CandidateSet.of(random_candidates(rng, 300, rounded=False))
+        budget = budget_of(180.0, t_cs=2.5, t_agg=1.5)
+        positions = np.sort(rng.choice(300, size=100, replace=False))
+        mask = full.schedulable(budget)
+        assert mask.dtype == bool and mask.shape == (300,)
+        assert full.take(positions).schedulable(budget).tolist() == mask[positions].tolist()
+        assert 0 < mask.sum() < 300
 
 
 def assert_exact_schedule(schedule, rows, budget):
