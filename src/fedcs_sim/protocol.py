@@ -12,7 +12,11 @@ fedcs:   greedy client selection on the estimated times, then multicast
          fit the round deadline.
 fedlim:  deadline-limited baseline: the whole cohort downloads the model,
          updates in parallel, and uploads sequentially until the first upload
-         misses the deadline.  The clock advances by exactly one deadline.
+         misses the deadline.  No upload ends before release + upload, so the
+         queue is cut after the first client whose release + upload passes
+         the deadline by a relative 1e-9 (see `_fedlim_uploads`), and the
+         `channel` and `ready` orders sort only the clients up to that cut.
+         The clock advances by exactly one deadline.
 vanilla: the same random cohort with no deadline; the round lasts as long as
          the slowest path takes.
 
@@ -265,14 +269,70 @@ def _fedlim_release_times(
     return t_cs + update
 
 
+def _fedlim_uploads(
+    release: np.ndarray,
+    upload: np.ndarray,
+    upload_order: str,
+    deadline: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, float]:
+    """Serve uploads one at a time, in `upload_order`, until the first one
+    that ends after `deadline`: the cohort positions served in time, in
+    upload order, and the clock when serving stopped.
+
+    The order is shortest upload first (`channel`) or earliest release first
+    (`ready`), ties in position order, or one permutation drawn from `rng`
+    (`random`).  Only its prefix up to and including the first late client
+    is served, where a client is late when b = fl(release + upload) >
+    fl(deadline * (1 + 1e-9)).  Serving stops there at the latest: with
+    eps = 2^-53, the clock after serving (r, u) from clock theta >= 0 is
+    fl(fl(theta + u) + fl(r - theta)) >= (r + u)(1 - eps)^2 when r > theta,
+    both summands being non-negative, and fl(theta + u) >= (r + u)(1 - eps)
+    otherwise.  As b <= (r + u)(1 + eps) and the limit is at least
+    deadline (1 + 1e-9 - 2 eps)(1 - eps), a late client's clock exceeds
+    deadline (1 + 1e-9 - 2 eps)(1 - eps)^3 / (1 + eps) > deadline.  A b
+    that overflows means r + u exceeds the largest float F, so the clock is
+    at least F (1 - eps)^2, while a finite limit keeps the deadline below
+    F / ((1 + 1e-9 - 2 eps)(1 - eps)) < F (1 - eps)^2.  A limit that
+    overflows marks no client late.  A plain b > deadline could cut too
+    early: the clock can land an ulp below b, and a later client with a
+    sub-ulp upload then still completes.
+
+    For `channel` and `ready` every client before the first late one has a
+    key at most the smallest late key, so only those positions are sorted;
+    their stable argsort is that prefix of `np.lexsort((positions, key))`
+    over the whole cohort.
+    """
+    late = release + upload > deadline * (1.0 + 1e-9)
+    if upload_order == "random":
+        sequence = rng.permutation(len(release))
+    else:
+        key = release if upload_order == "ready" else upload
+        head = np.flatnonzero(key <= key.min(initial=math.inf, where=late))
+        sequence = head[np.argsort(key[head], kind="stable")]
+    stops = np.flatnonzero(late[sequence])
+    if len(stops):
+        sequence = sequence[: stops[0] + 1]
+    clock = 0.0
+    done = 0
+    for t_release, t_upload in zip(release[sequence].tolist(), upload[sequence].tolist()):
+        clock = extend_theta(clock, t_release, t_upload)
+        if clock > deadline:
+            break
+        done += 1
+    return sequence[:done], clock
+
+
 def _fedlim_round(state: ExperimentState, population: Population, config: ProtocolConfig):
     """The deadline-limited baseline.
 
     The whole cohort participates: clients receive the model, update in
     parallel, then upload one at a time in the configured order.  A client
-    counts as completed only if its upload finishes within the deadline,
-    measured from the round start; the first late upload ends the round.
-    The clock always advances by exactly t_round.
+    counts as completed only if its upload finishes within t_round - t_agg,
+    measured from the round start; the first late upload ends the round, so
+    only the queue up to the first client that cannot finish is ordered and
+    served (`_fedlim_uploads`).  The clock always advances by exactly
+    t_round.
     """
     budget = config.budget
     requested = _request_positions(state, population, config)
@@ -280,25 +340,11 @@ def _fedlim_round(state: ExperimentState, population: Population, config: Protoc
         population, requested, budget, config.fluct, state.rng_fluctuation
     )
     release = _fedlim_release_times(update, upload, config.fedlim, float(budget.t_cs))
-
-    order = config.fedlim.upload_order
-    if order == "random":
-        sequence = state.rng_selection.permutation(len(requested))
-    elif order == "ready":
-        sequence = np.lexsort((requested, release))
-    else:  # channel: shortest upload first
-        sequence = np.lexsort((requested, upload))
-
     deadline = float(budget.t_round) - float(budget.t_agg)
-    releases, uploads = release.tolist(), upload.tolist()
-    clock = 0.0
-    done = 0
-    for i in sequence.tolist():
-        clock = extend_theta(clock, releases[i], uploads[i])
-        if clock > deadline:
-            break
-        done += 1
-    completed = requested[sequence[:done]]
+    served, clock = _fedlim_uploads(
+        release, upload, config.fedlim.upload_order, deadline, state.rng_selection
+    )
+    completed = requested[served]
     advance = float(budget.t_round)
     return requested, completed, completed, min(clock, advance), advance
 

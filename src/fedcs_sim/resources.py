@@ -216,8 +216,10 @@ def realized_times(
     Capability and throughput are re-sampled around their means from
     Normal(mean, r * mean), clamped below at RELATIVE_CLAMP_FLOOR * mean, in
     one (n, 2) draw of [capability, throughput] rows: the same numbers as
-    drawing client by client, capability first.  With r == 0 the estimates
-    are reproduced bit for bit and no draws are consumed.
+    drawing client by client, capability first.  `Population` admits only
+    finite positive means, so the floor is at least +0.0 without a clamp of
+    its own.  With r == 0 the estimates are reproduced bit for bit and no
+    draws are consumed.
     """
     capability, throughput = population.capability[positions], population.throughput[positions]
     if fluct.r != 0.0:
@@ -227,9 +229,7 @@ def realized_times(
         draws = rng.standard_normal(rates.shape)
         draws *= fluct.r * rates
         draws += rates
-        capability, throughput = np.maximum(
-            draws, np.maximum(0.0, RELATIVE_CLAMP_FLOOR * rates), out=draws
-        ).T
+        capability, throughput = np.maximum(draws, RELATIVE_CLAMP_FLOOR * rates, out=draws).T
     update = budget.epochs_per_round * population.data_count[positions] / capability
     upload = float(budget.model_size) / throughput
     return update, upload

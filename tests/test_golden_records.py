@@ -94,6 +94,28 @@ def test_fedlim_for_every_distribution_and_upload_order(
     assert record_digests(tmp_path, overlay) == {"fedlim_seed3": expected}
 
 
+
+# With t_agg > 0 a round's busy time is the clock of the client that ends the
+# upload queue whenever that clock falls between the upload deadline
+# (t_round - t_agg) and t_round, so these digests pin that client too.
+FEDLIM_OVERHEADS = {
+    "channel": "d8b4a7c13330cf0e447ecf4fe7dfba36f9389411928f0b24ccb52abbf366a6f7",
+    "ready": "4ce8cc72fc7eafc501d240340e981e7d1548c521be4c6f519165d2cbcd856092",
+    "random": "2163314b02c736aad1ff28bf38b08a7945ece2b1359d9e3573a3f99ae9c49614",
+}
+
+
+@pytest.mark.parametrize("upload_order", sorted(FEDLIM_OVERHEADS))
+def test_fedlim_with_selection_and_aggregation_overheads(tmp_path, capsys, upload_order):
+    overlay = with_small(
+        protocol={"mode": "fedlim", "fedlim": {"upload_order": upload_order}},
+        budget={"model_size_megabytes": 1.0, "t_cs_s": 5.0, "t_agg_s": 20.0},
+        fluctuation={"r": 0.1},
+        seeds=[3],
+    )
+    expected = FEDLIM_OVERHEADS[upload_order]
+    assert record_digests(tmp_path, overlay) == {"fedlim_seed3": expected}
+
 def test_fedcs_discarding_late_clients(tmp_path, capsys):
     overlay = with_small(protocol={"late_policy": "discard"}, fluctuation={"r": 0.1}, seeds=[4])
     assert record_digests(tmp_path, overlay) == {

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedcs_sim.channel import CellConfig
 from fedcs_sim.core import ParameterError, RngStream, Seconds
@@ -13,11 +17,16 @@ from fedcs_sim.learning import (
     partition_dataset,
 )
 from fedcs_sim.protocol import (
+    FEDLIM_DISTRIBUTIONS,
+    FEDLIM_UPLOAD_ORDERS,
     ExperimentState,
     FedLimOptions,
     ProtocolConfig,
     RoundRecord,
     StopCondition,
+    _fedlim_release_times,
+    _fedlim_uploads,
+    _request_positions,
     run_experiment,
     run_round,
 )
@@ -29,8 +38,9 @@ from fedcs_sim.resources import (
     estimated_update_time,
     estimated_upload_time,
     generate_profiles,
+    realized_times,
 )
-from fedcs_sim.selection import Candidate, CandidateSet, dist_time, greedy_select
+from fedcs_sim.selection import Candidate, CandidateSet, dist_time, extend_theta, greedy_select
 from test_learning import reference_local_update
 from test_selection import reference_greedy
 
@@ -160,34 +170,53 @@ class TestFedcsSelectionWiring:
                 expected = np.array([float(scalar(p, budget)) for p in profiles])
                 assert column.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "t_round, t_cs, t_agg",
-        [(60.0, 0.0, 0.0), (180.0, 0.0, 0.0), (600.0, 0.0, 0.0), (180.0, 2.5, 1.5)],
-    )
-    def test_rounds_match_reference_greedy_across_budgets(self, t_round, t_cs, t_agg):
-        # The engine plans only the schedulable members of each cohort; the
-        # reference plans the whole cohort.
-        budget = TimeBudget(t_round=Seconds(t_round), t_cs=Seconds(t_cs), t_agg=Seconds(t_agg))
+    @staticmethod
+    def assert_rounds_match_reference_greedy(budget):
+        """Run 12 fedcs rounds under `budget` and check each selection against
+        the reference greedy over the whole cohort; the candidates selected.
+
+        The engine plans only the schedulable members of each cohort; the
+        reference plans the whole cohort."""
         config = ProtocolConfig(budget=budget)
-        stop = StopCondition(t_final=Seconds(12 * t_round))
+        stop = StopCondition(t_final=Seconds(12 * float(budget.t_round)))
         rng = RngStream(2)
         population = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
         by_id = {int(p.id): p for p in population}
         records = run_experiment(config, stop, SurrogateTrainer(), population, rng)
         assert len(records) == 12
         assert any(record.selected_or_completed for record in records)
+        selected = []
         for record in records:
-            rows = [
-                Candidate(
+            rows = {
+                int(p.id): Candidate(
                     id=p.id,
                     t_update=estimated_update_time(p, budget),
                     t_upload=estimated_upload_time(p, budget),
                     throughput=p.mean_throughput,
                 )
                 for p in (by_id[cid] for cid in record.requested)
-            ]
-            expected = reference_greedy(rows, budget)
+            }
+            expected = reference_greedy(list(rows.values()), budget)
             assert record.selected_or_completed == tuple(int(k) for k in expected.order)
+            selected += [rows[cid] for cid in record.selected_or_completed]
+        return selected
+
+    @pytest.mark.parametrize(
+        "t_round, t_cs, t_agg",
+        [(60.0, 0.0, 0.0), (180.0, 0.0, 0.0), (600.0, 0.0, 0.0), (180.0, 2.5, 1.5)],
+    )
+    def test_rounds_match_reference_greedy_across_budgets(self, t_round, t_cs, t_agg):
+        budget = TimeBudget(t_round=Seconds(t_round), t_cs=Seconds(t_cs), t_agg=Seconds(t_agg))
+        self.assert_rounds_match_reference_greedy(budget)
+
+    def test_clients_accepted_within_the_overheads_of_the_deadline_are_planned(self):
+        # A schedulable mask that charged t_cs + t_agg twice would drop every
+        # client whose solo total lies within t_cs + t_agg of the deadline.
+        budget = TimeBudget(t_round=Seconds(180.0), t_cs=Seconds(20.0), t_agg=Seconds(20.0))
+        base = float(budget.t_cs) + float(budget.t_agg)
+        selected = self.assert_rounds_match_reference_greedy(budget)
+        solo = [base + 2 * float(c.t_upload) + float(c.t_update) for c in selected]
+        assert any(total >= float(budget.t_round) - base for total in solo)
 
 
 class TestDistributionTimeIdentity:
@@ -281,6 +310,148 @@ class TestFedlimRound:
             for idx in range(10)
         ]
         assert np.mean(counts) < 0.5
+
+
+def reference_fedlim_uploads(requested, release, upload, upload_order, deadline, rng):
+    """The fedlim upload queue served in full: the whole cohort ordered by
+    `np.lexsort` on the key, ties by requested id, or one permutation, then
+    served until the first client whose upload ends after the deadline."""
+    if upload_order == "random":
+        sequence = rng.permutation(len(requested))
+    elif upload_order == "ready":
+        sequence = np.lexsort((requested, release))
+    else:
+        sequence = np.lexsort((requested, upload))
+    releases, uploads = release.tolist(), upload.tolist()
+    clock = 0.0
+    done = 0
+    for i in sequence.tolist():
+        clock = extend_theta(clock, releases[i], uploads[i])
+        if clock > deadline:
+            break
+        done += 1
+    return sequence[:done], clock
+
+
+def assert_queue_matches_reference(release, upload, upload_order, deadline, seed=0):
+    requested = np.arange(len(release)) * 3 + 1  # ascending, as a cohort's rows are
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    served, clock = _fedlim_uploads(release, upload, upload_order, deadline, rng)
+    expected, expected_clock = reference_fedlim_uploads(
+        requested, release, upload, upload_order, deadline, reference_rng
+    )
+    assert served.tolist() == expected.tolist()
+    assert clock == expected_clock
+    # The random order still draws one full permutation.
+    assert rng.random() == reference_rng.random()
+    return served
+
+
+# Some values from a short list, so that keys tie.
+TIMES = st.one_of(st.sampled_from([0.5, 1.0, 4.0, 20.0]), st.floats(0.01, 200.0))
+
+
+class TestFedlimUploadQueue:
+    """The fedlim engine orders and serves only the queue up to the first
+    client that cannot finish; serving the whole ordered cohort must give the
+    same completed clients and the same clock."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(TIMES, TIMES), min_size=1, max_size=40),
+        st.sampled_from(FEDLIM_DISTRIBUTIONS),
+        st.sampled_from(FEDLIM_UPLOAD_ORDERS),
+        st.sampled_from([0.0, 2.5, 30.0]),
+        st.sampled_from([0.0, 1.5, 40.0]),
+        st.floats(50.0, 2000.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([(5.0, 1.0)], "unicast", "channel", 0.0, 0.0, 100.0, 0)  # one client, on time
+    @example([(5.0, 1.0)], "none", "ready", 2.5, 1.5, 50.0, 0)  # one client, on time
+    @example([(150.0, 60.0)], "unicast", "random", 2.5, 1.5, 50.0, 0)  # one client, late
+    @example([(100.0, 4.0)] * 6, "multicast", "channel", 0.0, 1.5, 60.0, 1)  # all late, tied
+    @example([(1.0, 0.5)] * 8, "none", "ready", 30.0, 40.0, 2000.0, 2)  # none late, tied
+    def test_served_clients_and_clock_match_the_full_queue(
+        self, rows, distribution, upload_order, t_cs, t_agg, t_round, seed
+    ):
+        update, upload = (np.array(column) for column in zip(*rows))
+        options = FedLimOptions(distribution=distribution, upload_order=upload_order)
+        release = _fedlim_release_times(update, upload, options, t_cs)
+        assert_queue_matches_reference(release, upload, upload_order, t_round - t_agg, seed)
+
+    @pytest.mark.parametrize("upload_order", FEDLIM_UPLOAD_ORDERS)
+    def test_no_client_late_and_every_client_late(self, upload_order):
+        rng = np.random.default_rng(11)
+        update, upload = rng.uniform(1, 50, 30), rng.uniform(0.5, 5, 30)
+        release = _fedlim_release_times(update, upload, FedLimOptions(), 2.5)
+        everyone = assert_queue_matches_reference(release, upload, upload_order, 1e6)
+        assert len(everyone) == 30
+        nobody = assert_queue_matches_reference(release, upload, upload_order, 1.0)
+        assert len(nobody) == 0
+
+    @staticmethod
+    def clocks_an_ulp_below_the_bound(count):
+        """Two clients (release, upload) and a deadline equal to the clock at
+        which the second upload ends, fl(fl(theta + u) + fl(r - theta)), where
+        that clock is below fl(r + u): the plain bound calls the second client
+        late, yet it completes."""
+        rng = np.random.default_rng(5)
+        while count:
+            r1, u1, u2 = rng.uniform(0, 10), rng.uniform(0.1, 1), rng.uniform(1, 10)
+            theta = extend_theta(0.0, r1, u1)
+            r2 = theta + rng.uniform(0, 50)
+            deadline = extend_theta(theta, r2, u2)
+            if r2 + u2 > deadline:
+                count -= 1
+                yield (r1, u1), (r2, u2), deadline
+
+    @pytest.mark.parametrize("upload_order", ["channel", "ready"])
+    def test_a_client_whose_bound_passes_the_deadline_by_an_ulp_completes(self, upload_order):
+        for first, second, deadline in self.clocks_an_ulp_below_the_bound(20):
+            release, upload = (np.array(column) for column in zip(second, first))
+            served = assert_queue_matches_reference(release, upload, upload_order, deadline)
+            assert served.tolist() == [1, 0]
+
+    def test_the_queue_runs_on_past_a_client_an_ulp_inside_the_deadline(self):
+        # A third client released with the second and a sub-ulp upload also
+        # completes, so cutting the queue at the plain bound would drop it.
+        for first, (r2, u2), deadline in self.clocks_an_ulp_below_the_bound(20):
+            release = np.array([r2, first[0], r2])
+            upload = np.array([u2, first[1], math.ulp(deadline) / 4])
+            served = assert_queue_matches_reference(release, upload, "ready", deadline)
+            assert served.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("upload_order", FEDLIM_UPLOAD_ORDERS)
+    def test_five_rounds_at_benchmark_scale(self, upload_order):
+        # The fedlim-100k benchmark cell: K = 100 000, C = 0.01, r = 0.1.
+        config = ProtocolConfig(
+            mode="fedlim",
+            k_total=100_000,
+            fraction=0.01,
+            fluct=FluctuationConfig(r=0.1),
+            fedlim=FedLimOptions(upload_order=upload_order),
+        )
+        population = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), RngStream(3))
+        trainer = SurrogateTrainer()
+        state, reference = fresh_state(trainer, 3), fresh_state(trainer, 3)
+        deadline = float(config.budget.t_round)
+        completed = 0
+        for idx in range(5):
+            record = run_round(state, population, config, trainer, idx)
+            requested = _request_positions(reference, population, config)
+            update, upload = realized_times(
+                population, requested, config.budget, config.fluct, reference.rng_fluctuation
+            )
+            release = _fedlim_release_times(update, upload, config.fedlim, 0.0)  # t_cs = 0
+            served, clock = reference_fedlim_uploads(
+                requested, release, upload, upload_order, deadline, reference.rng_selection
+            )
+            assert record.requested == tuple(population.ids[requested].tolist())
+            completed_ids = population.ids[requested[served]].tolist()
+            assert record.selected_or_completed == tuple(completed_ids)
+            assert float(record.busy_time) == min(clock, deadline)
+            completed += len(served)
+        assert 0 < completed < 5 * config.cohort_size
 
 
 class TestVanillaRound:
