@@ -11,9 +11,10 @@ those defaults from its object, and validation builds every object through
 the same ExperimentConfig accessors a run uses, reporting the object's
 ParameterError at the offending key's path.  This module owns only the JSON
 type and shape of each value, and the rules of keys that no object checks:
-the trainer kind, the native dataset sizes and paths, classes per client
-against the class count, the metric thresholds, the seed and sweep lists,
-and the output directory.
+the trainer kind, the native dataset sizes and paths, the memory a native
+run's sample index tables may take, classes per client against the class
+count, the metric thresholds, the seed and sweep lists, and the output
+directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
@@ -132,6 +133,10 @@ DEFAULT_CONFIG: dict[str, Any] = _default_config()
 
 # The most samples the generated train or test set may hold.
 _MAX_GENERATED_SAMPLES = 10**6
+
+# The most bytes of int64 sample indices a native run may need in one table:
+# the partition, or one round's `local_update` batch index table.
+_MAX_NATIVE_INDEX_BYTES = 2 * 2**30
 
 # Keys whose value None is meaningful rather than a type error.
 _NULLABLE = {
@@ -267,6 +272,8 @@ def _validate(cfg: dict[str, Any]) -> None:
     _require(1 <= native["test_samples"] <= _MAX_GENERATED_SAMPLES,
              "trainer.native.test_samples", f"must be in [1, {_MAX_GENERATED_SAMPLES}]")
     _require(native["blob_spread"] > 0, "trainer.native.blob_spread", "must be positive")
+    if cfg["trainer"]["kind"] == "native":
+        _check_native_index_bytes(config)
     partition = cfg["partition"]
     # Only the generated blobs have a class count known before a run.
     _require(
@@ -296,6 +303,33 @@ def _validate(cfg: dict[str, Any]) -> None:
             except ConfigError as exc:
                 raise ConfigError(f"sweep.{axis}: {exc}") from exc
         _require(len(set(values)) == len(values), f"sweep.{axis}", "must not repeat values")
+
+
+def _check_native_index_bytes(config: "ExperimentConfig") -> None:
+    """Reject a native run whose worst case needs more than
+    `_MAX_NATIVE_INDEX_BYTES` in one table of int64 sample indices.
+
+    With n the largest data count: the partition holds up to k_total x n
+    indices, and one round's `local_update` index table up to epochs x
+    (n // batch_size) x cohort size x batch_size, when every client of the
+    cohort is aggregated.  Only the sizes are computed; nothing is allocated.
+    """
+    protocol, hyper = config.protocol(), config.sgd_hyper()
+    most = config.ranges().data_count[1]
+    limit = f"over the {_MAX_NATIVE_INDEX_BYTES / 2**30:g} GiB limit"
+    table = 8 * hyper.epochs * (most // hyper.batch_size) * protocol.cohort_size * hyper.batch_size
+    _require(
+        table <= _MAX_NATIVE_INDEX_BYTES,
+        "trainer.kind",
+        f"native local_update index table of {table} bytes (epochs_per_round x "
+        f"(data_count_range[1] // batch_size) x cohort size x batch_size int64s) is {limit}",
+    )
+    shards = 8 * protocol.k_total * most
+    _require(
+        shards <= _MAX_NATIVE_INDEX_BYTES,
+        "trainer.kind",
+        f"native partition of {shards} bytes (k_total x data_count_range[1] int64s) is {limit}",
+    )
 
 
 def _variant(cfg: dict[str, Any], values: dict[str, Any]) -> dict[str, Any]:

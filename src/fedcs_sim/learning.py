@@ -501,13 +501,17 @@ def aggregate(updates: list[tuple[GlobalModel, int]], weighted: bool = False) ->
     Contributions are summed in a canonical order (sorted by parameter bytes,
     then weight) relative to a reference vector, which makes the result
     exactly permutation-invariant and makes averaging N identical models
-    return those parameters bit for bit.  When every update carries the same
-    parameter array, as the surrogate trainer's do, that sum is skipped:
-    `first + 0.0` gives the same bytes, -0.0 entries turned to 0.0 included.
+    return those parameters bit for bit.  An unweighted average of one
+    model repeated, as the surrogate trainer's updates are, skips the sum
+    and every per-update check but the weights': that sum would give
+    `params + 0.0`, the same bytes, -0.0 entries turned to 0.0 included.
     """
     if not updates:
         raise ParameterError("aggregate requires at least one update")
-    count = updates[0][0].param_count
+    first = updates[0][0]
+    if not weighted and all(m is first and w >= 0 for m, w in updates):
+        return GlobalModel(params=first.params + 0.0, round=first.round + 1)
+    count = first.param_count
     for m, w in updates:
         if m.param_count != count:
             raise ModelError("all updates must have the same parameter count")
@@ -521,10 +525,6 @@ def aggregate(updates: list[tuple[GlobalModel, int]], weighted: bool = False) ->
     else:
         coeffs = [1.0 / len(updates)] * len(updates)
     next_round = max(m.round for m, _ in updates) + 1
-    first = updates[0][0].params
-    if all(m.params is first for m, _ in updates):
-        return GlobalModel(params=first + 0.0, round=next_round)
-
     canon = sorted(
         zip(updates, coeffs), key=lambda item: (item[0][0].params.tobytes(), item[0][1])
     )
@@ -560,7 +560,8 @@ class Trainer(abc.ABC):
     which clients were aggregated.
 
     client_updates(model, client_ids, rng) returns one model per id, in the
-    order given, each trained from `model` on that client's data alone.
+    order given, each trained from `model` on that client's data alone.  The
+    ids are plain ints, already validated by the `Population` they index.
     Every training draw comes from `rng`, in the order that training the
     clients one after another would take them, so a trainer may batch the
     work across clients without changing a result.
@@ -571,7 +572,7 @@ class Trainer(abc.ABC):
 
     @abc.abstractmethod
     def client_updates(
-        self, model: GlobalModel, client_ids: list[ClientId], rng: np.random.Generator
+        self, model: GlobalModel, client_ids: list[int], rng: np.random.Generator
     ) -> list[GlobalModel]: ...
 
     @abc.abstractmethod
@@ -591,6 +592,9 @@ class SurrogateTrainer(Trainer):
     a_max: float = 0.9
     tau: float = 100.0
     update_count: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        surrogate_accuracy(0, self.a_max, self.tau)  # the curve's own checks of a_max and tau
 
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=np.zeros(0), round=0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClientId, ParameterError, RngStream, Seconds
+from .core import ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
 from .resources import MAX_CLIENTS, FluctuationConfig, Population, TimeBudget, realized_times
 from .selection import CandidateSet, extend_theta, greedy_select
@@ -232,8 +232,9 @@ def _fedcs_round(state: ExperimentState, population: Population, config: Protoco
     requested = _request_positions(state, population, config)
     # Greedy rejects every other cohort member from any state, and dropping
     # a client it would reject changes neither its picks nor its acceptances.
+    # The sorted draw, masked, is strictly increasing: no need for take's checks.
     planned = requested[state.schedulable[requested]]
-    schedule = greedy_select(state.estimates.take(planned), budget)
+    schedule = greedy_select(state.estimates._rows(planned), budget)
     selected = np.array(schedule.order, dtype=np.int64) - 1  # row i holds client i + 1
     base = float(budget.t_cs) + float(budget.t_agg)
     if not schedule.order:
@@ -242,18 +243,20 @@ def _fedcs_round(state: ExperimentState, population: Population, config: Protoco
     updates, uploads = realized_times(
         population, selected, budget, config.fluct, state.rng_fluctuation
     )
-    realized_dist = float(uploads.max())
+    updates, uploads = updates.tolist(), uploads.tolist()
+    realized_dist = max(uploads)
     theta = 0.0
-    finishes = []
-    for update, upload in zip(updates.tolist(), uploads.tolist()):
+    for update, upload in zip(updates, uploads):
         theta = extend_theta(theta, update, upload)
-        finishes.append(theta)
     busy = base + realized_dist + theta
     if config.late_policy == "extend":
         return requested, selected, selected, busy, max(float(budget.t_round), busy)
     cutoff = float(budget.t_round) - float(budget.t_agg)
     # Finishes never decrease, so the on-time clients are a prefix.
-    on_time = sum(float(budget.t_cs) + realized_dist + finish <= cutoff for finish in finishes)
+    finish, on_time = 0.0, 0
+    for update, upload in zip(updates, uploads):
+        finish = extend_theta(finish, update, upload)
+        on_time += float(budget.t_cs) + realized_dist + finish <= cutoff
     return requested, selected, selected[:on_time], busy, float(budget.t_round)
 
 
@@ -391,7 +394,7 @@ def run_round(
         state, population, config
     )
     if len(aggregated):
-        ids = [ClientId(cid) for cid in population.ids[aggregated].tolist()]
+        ids = population.ids[aggregated].tolist()
         updated = trainer.client_updates(state.model, ids, state.rng_training)
         counts = population.data_count[aggregated].tolist()
         state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)

@@ -156,11 +156,16 @@ class CandidateSet:
             raise ParameterError("positions must be a 1-D integer array")
         if positions.size and (positions[0] < 0 or not (positions[1:] > positions[:-1]).all()):
             raise ParameterError("positions must be non-negative and strictly increasing")
+        return self._rows(positions)
+
+    def _rows(self, positions: np.ndarray) -> "CandidateSet":
+        """`take` without its checks: `positions` must already be a 1-D
+        integer array, non-negative and strictly increasing."""
         subset = object.__new__(CandidateSet)
+        columns = vars(subset)
         for name in ("ids", "t_update", "t_upload"):
-            column = getattr(self, name)[positions]
+            column = columns[name] = getattr(self, name)[positions]
             column.flags.writeable = False
-            object.__setattr__(subset, name, column)
         return subset
 
     def schedulable(self, budget: TimeBudget) -> np.ndarray:
@@ -195,11 +200,12 @@ class CandidateSet:
 class Schedule:
     """Ordered selection with its elapsed-time trajectory and totals.
 
-    theta[0] is always 0 and theta[i] is the elapsed time after the i-th
-    selected client; total_time = t_cs + dist_time + theta[-1] + t_agg.
+    `order` holds client ids as plain ints.  theta[0] is always 0 and
+    theta[i] is the elapsed time after the i-th selected client; total_time
+    = t_cs + dist_time + theta[-1] + t_agg.
     """
 
-    order: tuple[ClientId, ...]
+    order: tuple[int, ...]
     theta: tuple[float, ...]
     dist_time: Seconds
     total_time: Seconds
@@ -213,6 +219,13 @@ class Schedule:
             raise ParameterError("theta must be non-decreasing")
         if len(set(self.order)) != len(self.order):
             raise ParameterError("schedule order must not repeat clients")
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "Schedule":
+        """A schedule whose invariants hold by construction: `__post_init__` is skipped."""
+        schedule = object.__new__(cls)
+        vars(schedule).update(fields)
+        return schedule
 
     def __len__(self) -> int:
         return len(self.order)
@@ -295,7 +308,7 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     updates = candidates.t_update[scan].tolist()
     ids = candidates.ids[scan].tolist()
     pool = list(range(len(ids)))
-    order: list[ClientId] = []
+    order: list[int] = []
     trajectory = [0.0]
     theta = 0.0
     dist = 0.0
@@ -320,14 +333,16 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
         if base + dist_new + theta_new < deadline:
             theta = theta_new
             dist = dist_new
-            order.append(ClientId(ids[k]))
+            order.append(ids[k])
             trajectory.append(theta)
         elif pool and base + dist + (theta + uploads[pool[0]]) >= deadline:
             # See the docstring for why this bound loses no feasible candidate.
             break
 
+    # Each pick is popped from the pool, so no id repeats, and extend_theta
+    # never lowers theta: the schedule's checks hold without running them.
     total = base + dist + theta
-    return Schedule(
+    return Schedule._unchecked(
         order=tuple(order),
         theta=tuple(trajectory),
         dist_time=Seconds(dist),
@@ -400,7 +415,7 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
 
     ids = candidates.ids[walk].tolist()
     return Schedule(
-        order=tuple(ClientId(ids[k]) for k in best),
+        order=tuple(ids[k] for k in best),
         theta=tuple(trajectory),
         dist_time=Seconds(dist),
         total_time=Seconds(base + dist + trajectory[-1]),

@@ -352,3 +352,41 @@ def test_integer_keys_accept_their_bound(path):
 )
 def test_classes_per_client_is_bounded_only_where_the_class_count_is_known(overlay):
     run_descriptors(ExperimentConfig(resolve_config(overlay)))
+
+
+# A native config whose worst cases fill the 2 GiB index limit exactly:
+# 1024 clients with up to 2**18 samples each make a 2**31-byte partition,
+# and one epoch of single-sample batches over a whole cohort of 1024 makes
+# a 2**31-byte local_update index table.
+AT_THE_INDEX_LIMIT = {
+    "trainer.kind": "native",
+    "trainer.native.batch_size": 1,
+    "budget.epochs_per_round": 1,
+    "resources.data_count_range": [100, 2**18],
+    "protocol.fraction": 1.0,
+}
+
+
+def test_native_index_tables_at_the_limit_validate():
+    run_descriptors(
+        ExperimentConfig(resolve_config(overlay_of("protocol.k_total", 1024, AT_THE_INDEX_LIMIT)))
+    )
+
+
+@pytest.mark.parametrize(
+    "fraction, table",
+    [(1.0, "local_update index table"), (0.999, "partition")],
+    ids=["cohort-of-1025", "cohort-of-1024"],
+)
+def test_native_index_tables_one_client_past_the_limit_are_rejected(fraction, table):
+    # 1025 clients put the partition one client past the limit; a cohort of
+    # 1025 puts the index table there too, and that is reported first.
+    overlay = overlay_of(
+        "protocol.k_total", 1025, {**AT_THE_INDEX_LIMIT, "protocol.fraction": fraction}
+    )
+    message = config_error(overlay)
+    assert message.startswith(f"trainer.kind: native {table} of "), message
+    assert "over the 2 GiB limit" in message
+    surrogate = copy.deepcopy(overlay)
+    surrogate["trainer"]["kind"] = "surrogate"
+    run_descriptors(ExperimentConfig(resolve_config(surrogate)))

@@ -602,12 +602,14 @@ class TestAggregate:
         assert repeated.round == general.round == 7
         assert np.signbit(repeated.params).tolist() == [False, False, False, True, False, False]
 
-    def test_one_model_repeated_still_checks_the_weights(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_model_repeated_still_checks_the_weights(self, weighted):
         model = GlobalModel(params=np.array([1.0, -0.0]))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="positive total weight"):
             aggregate([(model, 0), (model, 0)], weighted=True)
-        with pytest.raises(ParameterError):
-            aggregate([(model, 2), (model, -1)])
+        for weights in ([2, -1], [-1, 2], [-1]):
+            with pytest.raises(ParameterError, match="weights must be non-negative"):
+                aggregate([(model, w) for w in weights], weighted=weighted)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -634,6 +636,14 @@ class TestSurrogate:
     def test_monotone_in_update_count(self):
         values = [surrogate_accuracy(u, 0.9, 100.0) for u in range(0, 2000, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "field, value", [("a_max", 2.0), ("a_max", -0.1), ("tau", 0.0), ("tau", -5.0)]
+    )
+    def test_trainer_rejects_a_bad_curve_on_construction(self, field, value):
+        with pytest.raises(ParameterError) as info:
+            SurrogateTrainer(**{field: value})
+        assert info.value.field == field
 
     def test_trainer_counts_distinct_client_rounds(self):
         trainer = SurrogateTrainer(a_max=0.9, tau=100.0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedcs_sim import protocol
 from fedcs_sim.channel import CellConfig
-from fedcs_sim.core import ParameterError, RngStream, Seconds
+from fedcs_sim.core import ClientId, ParameterError, RngStream, Seconds
 from fedcs_sim.learning import (
     LabeledDataset,
     MlpNet,
@@ -63,10 +64,10 @@ def fresh_state(trainer=None, seed=0):
 
 
 class IdRecordingTrainer(SurrogateTrainer):
-    """A surrogate trainer that keeps the ids of every client_updates call."""
+    """A surrogate trainer that keeps the ids of every client_updates call, as given."""
 
     def client_updates(self, model, client_ids, rng):
-        self.trained.append([int(cid) for cid in client_ids])
+        self.trained.append(list(client_ids))
         return super().client_updates(model, client_ids, rng)
 
 
@@ -106,19 +107,6 @@ class TestFedcsRound:
             record = run_round(state, population_small, config, trainer, idx)
             assert record.aggregated_count <= len(record.selected_or_completed)
             assert state.clock - before == float(config.budget.t_round)
-
-    def test_discard_aggregates_the_on_time_prefix_of_the_schedule(self, population_small):
-        config = small_config(fluct=FluctuationConfig(0.3), late_policy="discard")
-        trainer = IdRecordingTrainer()
-        state = fresh_state(trainer)
-        dropped = 0
-        for idx in range(20):
-            trainer.trained = []
-            record = run_round(state, population_small, config, trainer, idx)
-            prefix = record.selected_or_completed[: record.aggregated_count]
-            assert trainer.trained == ([list(prefix)] if prefix else [])
-            dropped += len(record.selected_or_completed) - record.aggregated_count
-        assert dropped > 0
 
     def test_requested_cohort_is_unique_and_sized(self, population_small):
         config = small_config()
@@ -491,6 +479,59 @@ class TestVanillaRound:
         assert abs(records_v[-1].accuracy_after - records_c[-1].accuracy_after) < 0.02
 
 
+class TestRunRound:
+    @pytest.mark.parametrize(
+        "mode, late_policy",
+        [("fedcs", "extend"), ("fedcs", "discard"), ("fedlim", "extend"), ("vanilla", "extend")],
+    )
+    def test_the_trainer_gets_the_aggregated_ids_in_order_as_plain_ints(
+        self, population_small, mode, late_policy
+    ):
+        # The aggregated clients are the first aggregated_count of the
+        # record's selected_or_completed: under discard, the on-time prefix.
+        config = small_config(mode=mode, fluct=FluctuationConfig(0.3), late_policy=late_policy)
+        trainer = IdRecordingTrainer()
+        state = fresh_state(trainer)
+        dropped = trained = 0
+        for idx in range(20):
+            trainer.trained = []
+            record = run_round(state, population_small, config, trainer, idx)
+            prefix = record.selected_or_completed[: record.aggregated_count]
+            assert trainer.trained == ([list(prefix)] if prefix else [])
+            assert all(type(cid) is int for ids in trainer.trained for cid in ids)
+            dropped += len(record.selected_or_completed) - record.aggregated_count
+            trained += record.aggregated_count
+        assert trained > 0
+        assert (dropped > 0) == (late_policy == "discard")
+
+    def test_each_fedcs_round_plans_a_valid_read_only_subset(self, population_small, monkeypatch):
+        # The engine builds its per-round subsets without CandidateSet's
+        # checks; each must pass them and keep its columns read-only.
+        planned = []
+
+        def recording_greedy(candidates, budget):
+            planned.append(candidates)
+            return greedy_select(candidates, budget)
+
+        monkeypatch.setattr(protocol, "greedy_select", recording_greedy)
+        stop = StopCondition(t_final=Seconds(15 * 180.0))
+        for seed in range(4):
+            planned.clear()
+            records = run_experiment(
+                small_config(), stop, SurrogateTrainer(), population_small, RngStream(seed)
+            )
+            assert len(planned) == len(records) == 15
+            for subset, record in zip(planned, records):
+                assert (subset.ids[1:] > subset.ids[:-1]).all()
+                assert set(subset.ids.tolist()) <= set(record.requested)
+                checked = CandidateSet(subset.ids, subset.t_update, subset.t_upload)
+                for name in ("ids", "t_update", "t_upload"):
+                    column = getattr(subset, name)
+                    assert not column.flags.writeable
+                    assert column.tobytes() == getattr(checked, name).tobytes()
+            assert sum(len(subset) for subset in planned) > 0
+
+
 class TestRunExperiment:
     def test_zero_final_deadline_yields_no_records(self, population_small):
         records = run_experiment(
@@ -539,6 +580,30 @@ class TestRunExperiment:
         mean_fedcs = np.mean([r.aggregated_count for r in fedcs])
         mean_fedlim = np.mean([r.aggregated_count for r in fedlim])
         assert mean_fedcs >= mean_fedlim
+
+    @pytest.mark.parametrize("mode", ["fedcs", "fedlim"])
+    def test_no_client_id_is_wrapped_per_round(self, population_small, monkeypatch, mode):
+        # Ids are validated once, by the population; a ClientId built per
+        # round or per client would make a longer run build more of them.
+        built = []
+        plain = ClientId.__new__
+
+        def counting(cls, value):
+            built.append(value)
+            return plain(cls, value)
+
+        monkeypatch.setattr(ClientId, "__new__", counting)
+        counts = []
+        for rounds in (2, 20):
+            built.clear()
+            stop = StopCondition(t_final=Seconds(rounds * 180.0))
+            records = run_experiment(
+                small_config(mode=mode), stop, SurrogateTrainer(), population_small, RngStream(1)
+            )
+            assert len(records) == rounds
+            assert sum(r.aggregated_count for r in records) > 0
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_population_size_checked(self, population_small):
         config = ProtocolConfig(mode="fedcs", k_total=999)

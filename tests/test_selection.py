@@ -780,3 +780,33 @@ class TestSchedule:
                 dist_time=Seconds(0),
                 total_time=Seconds(0),
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.floats(0, 300, allow_nan=False),
+                st.floats(0, 80, allow_nan=False),
+            ),
+            max_size=12,
+            unique_by=lambda row: row[0],
+        ),
+        st.floats(1, 600, allow_nan=False),
+        st.sampled_from([(0.0, 0.0), (2.5, 1.5)]),
+    )
+    def test_selections_pass_the_public_checks(self, rows, t_round, overheads):
+        # greedy_select skips Schedule's checks; every schedule either planner
+        # returns must pass them, with the set's own ids as plain ints.
+        ids, t_update, t_upload = zip(*rows) if rows else ((), (), ())
+        cands = CandidateSet(np.array(ids, dtype=np.int64), t_update, t_upload)
+        budget = budget_of(t_round + sum(overheads), t_cs=overheads[0], t_agg=overheads[1])
+        for select in (greedy_select, exact_select):
+            s = select(cands, budget)
+            rebuilt = Schedule(
+                order=s.order, theta=s.theta, dist_time=s.dist_time, total_time=s.total_time
+            )
+            assert rebuilt == s
+            assert all(type(cid) is int for cid in s.order)
+            assert set(s.order) <= set(cands.ids.tolist())
+            assert type(s.dist_time) is type(s.total_time) is Seconds
