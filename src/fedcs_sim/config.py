@@ -11,10 +11,10 @@ those defaults from its object, and validation builds every object through
 the same ExperimentConfig accessors a run uses, reporting the object's
 ParameterError at the offending key's path.  This module owns only the JSON
 type and shape of each value, and the rules of keys that no object checks:
-the trainer kind, the native dataset sizes and paths, the memory a native
-run's sample index tables may take, classes per client against the class
-count, the metric thresholds, the seed and sweep lists, and the output
-directory.
+the trainer kind, a positive final deadline, the native dataset sizes and
+paths, the memory a native run's sample index tables may take, classes per
+client against the class count, the metric thresholds, the seed and sweep
+lists, and the output directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
@@ -261,7 +261,9 @@ def _validate(cfg: dict[str, Any]) -> None:
             path = f"{section}.{_JSON_KEYS.get(exc.field, exc.field)}" if exc.field else section
             raise ConfigError(f"{path}: {exc}") from exc
 
-    # Rules of the keys that no object owns.
+    # Rules of the keys that no object owns.  A run stopped at t_final = 0
+    # has no rounds, and so no statistics to report.
+    _require(cfg["budget"]["t_final_s"] > 0, "budget.t_final_s", "must be positive")
     _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
     _require(native["test_dataset_path"] is None or native["dataset_path"] is not None,
              "trainer.native.test_dataset_path", "requires dataset_path to be set")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ClientId, ModelError, ParameterError
-from .resources import MAX_DATA_COUNT, MAX_EPOCHS
+from .resources import MAX_DATA_COUNT, MAX_EPOCHS, TimeBudget
 
 __all__ = [
     "GlobalModel",
@@ -95,7 +95,8 @@ class SgdHyper:
     """Minibatch SGD hyperparameters for local updates."""
 
     batch_size: int = 50
-    epochs: int = 5
+    # A run trains as many epochs as its budget grants per round.
+    epochs: int = TimeBudget.epochs_per_round
     lr0: float = 0.25
     lr_decay: float = 0.99
 
@@ -256,7 +257,7 @@ def partition_dataset(
     population,
     mode: str,
     rng: np.random.Generator,
-    classes_per_client: int = 2,
+    classes_per_client: int = Partition.classes_per_client,
 ) -> Partition:
     """Assign each client of a `Population` its `data_count` sample indices.
 

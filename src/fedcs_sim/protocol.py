@@ -20,6 +20,10 @@ fedlim:  deadline-limited baseline: the whole cohort downloads the model,
 vanilla: the same random cohort with no deadline; the round lasts as long as
          the slowest path takes.
 
+Each engine times the order it serves with one `selection.finish_times`
+chain and reads its deadline cuts from that chain by bisection, since
+finishes never decrease.
+
 `run_round` does the rest once for every mode: it trains and aggregates the
 `aggregated` rows, evaluates, advances the clock and builds the RoundRecord.
 `run_experiment` calls it until the final deadline or a target accuracy.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,7 @@ import numpy as np
 from .core import ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
 from .resources import MAX_CLIENTS, FluctuationConfig, Population, TimeBudget, realized_times
-from .selection import CandidateSet, extend_theta, greedy_select
+from .selection import CandidateSet, finish_times, greedy_select
 
 __all__ = [
     "MODES",
@@ -223,7 +228,8 @@ def _fedcs_round(state: ExperimentState, population: Population, config: Protoco
     every selected client aggregates and the clock advances by
     max(t_round, realized total); under `discard` only the prefix of the
     schedule finishing within the deadline aggregates and the clock advances
-    by exactly t_round.
+    by exactly t_round.  An empty schedule draws no random numbers and is
+    busy for t_cs + t_agg.
     """
     budget = config.budget
     if state.estimates is None:
@@ -236,27 +242,19 @@ def _fedcs_round(state: ExperimentState, population: Population, config: Protoco
     planned = requested[state.schedulable[requested]]
     schedule = greedy_select(state.estimates._rows(planned), budget)
     selected = np.array(schedule.order, dtype=np.int64) - 1  # row i holds client i + 1
-    base = float(budget.t_cs) + float(budget.t_agg)
-    if not schedule.order:
-        return requested, selected, selected, base, float(budget.t_round)
-
     updates, uploads = realized_times(
         population, selected, budget, config.fluct, state.rng_fluctuation
     )
-    updates, uploads = updates.tolist(), uploads.tolist()
-    realized_dist = max(uploads)
-    theta = 0.0
-    for update, upload in zip(updates, uploads):
-        theta = extend_theta(theta, update, upload)
-    busy = base + realized_dist + theta
+    uploads = uploads.tolist()
+    realized_dist = max(uploads, default=0.0)
+    finish = finish_times(updates.tolist(), uploads)
+    busy = float(budget.t_cs) + float(budget.t_agg) + realized_dist + finish[-1]
     if config.late_policy == "extend":
         return requested, selected, selected, busy, max(float(budget.t_round), busy)
     cutoff = float(budget.t_round) - float(budget.t_agg)
+    head = float(budget.t_cs) + realized_dist
     # Finishes never decrease, so the on-time clients are a prefix.
-    finish, on_time = 0.0, 0
-    for update, upload in zip(updates, uploads):
-        finish = extend_theta(finish, update, upload)
-        on_time += float(budget.t_cs) + realized_dist + finish <= cutoff
+    on_time = bisect_right(finish, cutoff, 1, key=lambda f: head + f) - 1
     return requested, selected, selected[:on_time], busy, float(budget.t_round)
 
 
@@ -316,14 +314,9 @@ def _fedlim_uploads(
     stops = np.flatnonzero(late[sequence])
     if len(stops):
         sequence = sequence[: stops[0] + 1]
-    clock = 0.0
-    done = 0
-    for t_release, t_upload in zip(release[sequence].tolist(), upload[sequence].tolist()):
-        clock = extend_theta(clock, t_release, t_upload)
-        if clock > deadline:
-            break
-        done += 1
-    return sequence[:done], clock
+    finish = finish_times(release[sequence].tolist(), upload[sequence].tolist())
+    done = bisect_right(finish, deadline) - 1
+    return sequence[:done], finish[min(done + 1, len(sequence))]
 
 
 def _fedlim_round(state: ExperimentState, population: Population, config: ProtocolConfig):
@@ -366,9 +359,7 @@ def _vanilla_round(state: ExperimentState, population: Population, config: Proto
     )
     dist = float(upload.max())
     sequence = state.rng_selection.permutation(len(requested))
-    theta = 0.0
-    for t_update, t_upload in zip(update[sequence].tolist(), upload[sequence].tolist()):
-        theta = extend_theta(theta, t_update, t_upload)
+    theta = finish_times(update[sequence].tolist(), upload[sequence].tolist())[-1]
     total = float(budget.t_cs) + dist + theta + float(budget.t_agg)
     ordered = requested[sequence]
     return requested, ordered, ordered, total, total

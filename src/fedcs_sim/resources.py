@@ -82,12 +82,23 @@ class Population:
     ids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        columns = {"data_count": np.array(self.data_count, dtype=np.int64)}
+        # Counts are checked as floats: an int64 cast would truncate 2.5 and wrap NaN.
+        columns = {"data_count": np.array(self.data_count, dtype=np.float64)}
         for name in ("capability", "throughput", "distance", "shadow"):
             columns[name] = np.array(getattr(self, name), dtype=np.float64)
         count = len(columns["data_count"])
         if any(c.shape != (count,) for c in columns.values()):
             raise ParameterError("population columns must be 1-D arrays of equal length")
+        counts = columns["data_count"]
+        whole = np.floor(counts) == counts
+        whole &= (counts >= 1) & (counts <= MAX_DATA_COUNT)
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise ModelError(
+                f"client {i + 1} needs an integer data count in [1, {MAX_DATA_COUNT}], "
+                f"got {float(counts[i])!r}"
+            )
+        columns["data_count"] = counts.astype(np.int64)
         capability, throughput = columns["capability"], columns["throughput"]
         valid = np.isfinite(capability) & (capability > 0.0)
         valid &= np.isfinite(throughput) & (throughput > 0.0)

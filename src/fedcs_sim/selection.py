@@ -7,7 +7,10 @@ the i-th client is therefore
     theta_i = max(theta_{i-1}, t_update_i) + t_upload_i,    theta_0 = 0,
 
 equivalently the sum of all upload times plus every update overhang
-max(0, t_update_j - theta_{j-1}).  A schedule is feasible when
+max(0, t_update_j - theta_{j-1}).  `finish_times` replays it over a fixed
+order; `elapsed_theta`, `exact_select` and the protocol engines time every
+served order with it, and only `greedy_select`, which decides per pick,
+extends theta itself.  A schedule is feasible when
 
     t_cs + dist_time(S) + theta_|S| + t_agg < t_round,
 
@@ -52,6 +55,7 @@ __all__ = [
     "CandidateSet",
     "Schedule",
     "extend_theta",
+    "finish_times",
     "elapsed_theta",
     "dist_time",
     "greedy_select",
@@ -237,17 +241,22 @@ def extend_theta(theta: float, t_update: float, t_upload: float) -> float:
     return theta + t_upload + max(0.0, t_update - theta)
 
 
+def finish_times(updates: Iterable[float], uploads: Iterable[float]) -> list[float]:
+    """theta_0 = 0.0 followed by the elapsed time after each client, served
+    in the given order: the `extend_theta` chain, one entry per client."""
+    finish = [0.0]
+    for update, upload in zip(updates, uploads, strict=True):
+        finish.append(extend_theta(finish[-1], update, upload))
+    return finish
+
+
 def elapsed_theta(order: Sequence[Candidate]) -> list[Seconds]:
     """Full elapsed-time trajectory theta_0..theta_n for an upload order."""
     ids = [c.id for c in order]
     if len(set(ids)) != len(ids):
         raise ParameterError("order must not repeat clients")
-    trajectory = [Seconds(0.0)]
-    theta = 0.0
-    for c in order:
-        theta = extend_theta(theta, c.t_update, c.t_upload)
-        trajectory.append(Seconds(theta))
-    return trajectory
+    finish = finish_times((c.t_update for c in order), (c.t_upload for c in order))
+    return [Seconds(theta) for theta in finish]
 
 
 def dist_time(selected: Iterable[Candidate], model_size: Megabits) -> Seconds:
@@ -406,9 +415,7 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
                 uploads += heapq.heappop(kept)[0]
         if len(kept) > len(best):
             release = sorted((k for _, k in kept), reverse=True)
-            theta_new = [0.0]
-            for k in release:
-                theta_new.append(extend_theta(theta_new[-1], t_update[k], t_upload[k]))
+            theta_new = finish_times([t_update[k] for k in release], [t_upload[k] for k in release])
             dist_new = max(t_upload[k] for k in release)
             if base + dist_new + theta_new[-1] < deadline:
                 best, trajectory, dist = release, theta_new, dist_new

@@ -129,6 +129,7 @@ CASES = [
     bad("budget.t_round_s", 0.0),
     bad("budget.t_round_s", -1.0),
     bad("budget.t_final_s", -1.0),
+    bad("budget.t_final_s", 0.0),
     bad("budget.t_cs_s", -1.0),
     bad("budget.t_agg_s", -1.0),
     bad("budget.model_size_megabytes", 0.0),

@@ -34,6 +34,7 @@ from fedcs_sim.protocol import (
 from fedcs_sim.resources import (
     MAX_CLIENTS,
     FluctuationConfig,
+    Population,
     ResourceRanges,
     TimeBudget,
     estimated_update_time,
@@ -119,6 +120,61 @@ class TestFedcsRound:
             assert len(set(record.requested)) == config.cohort_size
             seen.append(record.requested)
         assert len(set(seen)) > 1  # fresh draw each round
+
+
+class TestFedcsRealizedFinishes:
+    # Four clients that the plan always fits, realized (in schedule order) to
+    # finish at 10, 20, 30 and 62.5 s: with t_cs = 2 s the last one ends its
+    # upload at 2 + 32.5 + 62.5 = 97 s into the round, and its busy time
+    # (t_agg = 3 s) is 100 s.
+    UPLOADS = [10.0, 10.0, 10.0, 32.5]
+
+    @pytest.fixture
+    def fixed_realization(self, monkeypatch):
+        def realized(population, positions, budget, fluct, rng):
+            assert len(positions) == len(self.UPLOADS)
+            return np.zeros(len(positions)), np.array(self.UPLOADS)
+
+        monkeypatch.setattr(protocol, "realized_times", realized)
+
+    @pytest.mark.parametrize(
+        "t_round, on_time", [(100.0, 4), (math.nextafter(100.0, 0.0), 3)]
+    )
+    def test_discard_keeps_a_finish_at_the_cutoff_and_drops_one_an_ulp_past_it(
+        self, fixed_realization, t_round, on_time
+    ):
+        population = Population([1] * 4, [1000.0] * 4, [1000.0] * 4, [100.0] * 4, [0.0] * 4)
+        budget = TimeBudget(t_round=Seconds(t_round), t_cs=Seconds(2.0), t_agg=Seconds(3.0))
+        # The cutoff t_round - t_agg is 97 s, or the float just below it.
+        assert (float(budget.t_round) - 3.0 == 97.0) == (on_time == 4)
+        config = ProtocolConfig(
+            k_total=4, fraction=1.0, budget=budget, fluct=FluctuationConfig(0.1),
+            late_policy="discard",
+        )
+        trainer = SurrogateTrainer()
+        record = run_round(fresh_state(trainer), population, config, trainer, 0)
+        assert len(record.selected_or_completed) == 4
+        assert record.aggregated_count == on_time
+        assert record.busy_time == 100.0
+        assert record.realized_round_duration == t_round
+
+    @pytest.mark.parametrize("late_policy", ["extend", "discard"])
+    def test_an_empty_schedule_draws_nothing_and_is_busy_for_the_overheads(
+        self, population_small, late_policy
+    ):
+        budget = TimeBudget(t_round=Seconds(1.0), t_cs=Seconds(0.25), t_agg=Seconds(0.5))
+        config = small_config(
+            budget=budget, fluct=FluctuationConfig(0.1), late_policy=late_policy
+        )
+        trainer = SurrogateTrainer()
+        state = fresh_state(trainer)
+        before = state.rng_fluctuation.bit_generator.state
+        record = run_round(state, population_small, config, trainer, 0)
+        assert record.selected_or_completed == ()
+        assert record.aggregated_count == 0
+        assert state.rng_fluctuation.bit_generator.state == before
+        assert record.busy_time == 0.25 + 0.5
+        assert record.realized_round_duration == 1.0
 
 
 class TestFedcsSelectionWiring:

@@ -17,6 +17,7 @@ from fedcs_sim.core import (
 )
 from fedcs_sim.resources import (
     MAX_CLIENTS,
+    MAX_DATA_COUNT,
     RELATIVE_CLAMP_FLOOR,
     ClientProfile,
     FluctuationConfig,
@@ -253,6 +254,16 @@ class TestPopulation:
         rates[column][1] = rates[column][2] = bad
         with pytest.raises(ModelError, match="client 2 needs finite positive mean capability"):
             population_of([100, 200, 300], rates["capability"], rates["throughput"])
+
+    @pytest.mark.parametrize("bad", [2.5, -5, math.nan, 0, MAX_DATA_COUNT + 1, math.inf])
+    def test_rejects_a_data_count_that_is_not_a_whole_number_in_range(self, bad):
+        with pytest.raises(ModelError, match="client 2 needs an integer data count"):
+            population_of([100, bad, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0])
+
+    def test_whole_float_data_counts_are_stored_as_int64(self):
+        population = population_of([100.0, float(MAX_DATA_COUNT)], [10.0, 20.0], [1.0, 2.0])
+        assert population.data_count.dtype == np.int64
+        assert population.data_count.tolist() == [100, MAX_DATA_COUNT]
 
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ParameterError):

@@ -17,6 +17,7 @@ from fedcs_sim.selection import (
     elapsed_theta,
     exact_select,
     extend_theta,
+    finish_times,
     greedy_select,
 )
 
@@ -164,6 +165,52 @@ class TestElapsedTheta:
         assert thetas[-1] >= sum(uploads) - 1e-9
         for j, (ud, _) in enumerate(times):
             assert thetas[-1] >= ud + sum(uploads[j:]) - 1e-9
+
+
+class TestFinishTimes:
+    @staticmethod
+    def columns(order):
+        return [float(c.t_update) for c in order], [float(c.t_upload) for c in order]
+
+    def test_equals_direct_recursion_on_random_orders(self):
+        # Integer times keep every sum exact, so any association agrees;
+        # TestElapsedTheta compares non-grid times within a tolerance.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            order = [
+                cand(i + 1, float(rng.integers(0, 300)), float(rng.integers(1, 120)))
+                for i in range(n)
+            ]
+            assert finish_times(*self.columns(order)) == direct_theta(order)
+
+    def test_equals_each_greedy_trajectory_over_its_own_order(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            rows = random_candidates(rng, int(rng.integers(1, 40)), rounded=False)
+            schedule = greedy_select(CandidateSet.of(rows), budget_of(rng.uniform(30, 600)))
+            by_id = {int(c.id): c for c in rows}
+            order = [by_id[k] for k in schedule.order]
+            assert finish_times(*self.columns(order)) == list(schedule.theta)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 1e6, allow_nan=False), st.floats(0, 1e6, allow_nan=False)),
+            max_size=12,
+        )
+    )
+    def test_never_decreases(self, times):
+        finish = finish_times([ud for ud, _ in times], [ul for _, ul in times])
+        assert len(finish) == len(times) + 1
+        assert finish[0] == 0.0
+        assert all(b >= a for a, b in zip(finish, finish[1:]))
+
+    def test_empty_order_is_theta_zero(self):
+        assert finish_times([], []) == [0.0]
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            finish_times([1.0, 2.0], [1.0])
 
 
 class TestDistTime:
