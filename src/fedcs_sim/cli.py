@@ -146,12 +146,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config.resolved["output_dir"] = args.out
 
     out_dir = Path(config.resolved["output_dir"])
-    if out_dir.exists() and not args.force:
+    if out_dir.is_dir() and not args.force:
         print(f"error: output directory {out_dir} exists (use --force to overwrite)", file=sys.stderr)
         return 1
 
     descriptors = run_descriptors(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        # mkdir reports a file at the path itself as "File exists".
+        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror or exc
+        print(f"error: cannot use output directory {out_dir}: {reason}", file=sys.stderr)
+        return 1
     execute = partial(_execute_descriptor, out_dir=out_dir)
 
     # The default fork context starts every worker at once, so never more

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClientId, ModelError, ParameterError
+from .core import ModelError, ParameterError
 from .resources import MAX_DATA_COUNT, MAX_EPOCHS, TimeBudget
 
 __all__ = [
@@ -72,9 +72,12 @@ class GlobalModel:
 
 @dataclass(frozen=True)
 class Partition:
-    """Sample-index assignment per client."""
+    """Sample indices per client, keyed by the client's id as a plain int.
 
-    assignment: dict[ClientId, np.ndarray]
+    A `ClientId` hashes and compares as its int, so either finds a shard.
+    """
+
+    assignment: dict[int, np.ndarray]
     mode: str
     classes_per_client: int = 2
 
@@ -266,27 +269,40 @@ def partition_dataset(
     then samples with replacement from those classes' pool only.  Sampling
     with replacement is required because per-client counts may sum past the
     dataset size.  Clients draw one after another in id order.
+
+    Every shard is a read-only int64 array.  iid takes all shards from one
+    `integers` call, each client's the slice between the cumulative counts.
+    That gives the same numbers, and leaves `rng` in the same state, as one
+    call per client: `integers` takes each bounded value from the bit
+    generator's own 32- or 64-bit stream, and PCG64 keeps a spare 32-bit
+    half in its state, so a call boundary moves no draw.  non_iid cannot
+    draw at once, because each client's class `choice` sits between its
+    index draws.
     """
     Partition({}, mode, classes_per_client)  # checks the mode and classes per client
-    if mode == "non_iid" and dataset.n_classes < classes_per_client:
+    ids, counts = population.ids.tolist(), population.data_count
+    if mode == "iid":
+        flat = rng.integers(0, len(dataset), size=int(counts.sum()))
+        flat.setflags(write=False)
+        ends = np.cumsum(counts).tolist()
+        assignment = {cid: flat[start:end] for cid, start, end in zip(ids, [0, *ends], ends)}
+        return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
+
+    if dataset.n_classes < classes_per_client:
         raise ParameterError(
             f"dataset has {dataset.n_classes} classes, fewer than "
             f"classes_per_client={classes_per_client}"
         )
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
-    if mode == "non_iid" and any(len(pool) == 0 for pool in by_class):
+    if any(len(pool) == 0 for pool in by_class):
         raise ParameterError("non_iid partitioning requires every class to be represented")
-
-    assignment: dict[ClientId, np.ndarray] = {}
-    n = len(dataset)
-    for cid, count in zip(population.ids.tolist(), population.data_count.tolist()):
-        if mode == "iid":
-            idx = rng.integers(0, n, size=count)
-        else:
-            classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
-            pool = np.concatenate([by_class[c] for c in sorted(classes)])
-            idx = pool[rng.integers(0, len(pool), size=count)]
-        assignment[ClientId(cid)] = idx.astype(np.int64)
+    assignment = {}
+    for cid, count in zip(ids, counts.tolist()):
+        classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
+        pool = np.concatenate([by_class[c] for c in sorted(classes)])
+        idx = pool[rng.integers(0, len(pool), size=count)].astype(np.int64, copy=False)
+        idx.setflags(write=False)
+        assignment[cid] = idx
     return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
 
 

@@ -149,9 +149,34 @@ def write_records_jsonl(
 
 
 def read_records_jsonl(path: str | Path) -> tuple[dict, list[RoundRecord]]:
-    lines = Path(path).read_text().splitlines()
-    header = json.loads(lines[0])
-    return header, [RoundRecord.from_json_line(line) for line in lines[1:]]
+    """The header and the records of a file that `write_records_jsonl` wrote.
+
+    A file that is empty or not UTF-8 raises a `ParameterError` naming it; a
+    header that is not a JSON object, or a round line that is not JSON or
+    lacks a field, one that also names the 1-based line.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"records file {path} is not UTF-8: {exc}") from exc
+    if not lines:
+        raise ParameterError(f"records file {path} is empty")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ParameterError(f"records file {path}, line 1: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParameterError(f"records file {path}, line 1: the header is not a JSON object")
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            records.append(RoundRecord.from_json_line(line))
+        except KeyError as exc:
+            raise ParameterError(f"records file {path}, line {number}: no field {exc}") from exc
+        except (TypeError, ValueError, ParameterError) as exc:  # not JSON, or not a round
+            raise ParameterError(f"records file {path}, line {number}: {exc}") from exc
+    return header, records
 
 
 def write_curve_csv(records: list[RoundRecord], path: str | Path, header: dict) -> None:

@@ -159,6 +159,26 @@ class TestCommands:
         assert "exists" in capsys.readouterr().err
         assert directory_bytes(out) == {"keep.txt": b"earlier results\n"}
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_output_path_that_is_a_file_is_one_error_line(self, tmp_path, capsys, force):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out.txt"
+        out.write_text("not a directory\n")
+        assert main(["run", str(config), "--out", str(out), *force]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot use output directory {out}: Not a directory\n"
+        assert out.read_text() == "not a directory\n"
+
+    def test_output_path_under_a_file_is_one_error_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        parent = tmp_path / "file.txt"
+        parent.write_text("")
+        out = parent / "out"
+        assert main(["run", str(config), "--out", str(out), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot use output directory {out}: Not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file.txt"]
+
     def test_failing_descriptor_fails_every_run(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         config = write_config(

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -76,6 +77,61 @@ def balanced_dataset(per_class=100, n_classes=10, n_features=4, seed=0):
     return LabeledDataset(features=features, labels=labels.astype(np.int64), n_classes=n_classes)
 
 
+def reference_partition(dataset, population, mode, rng, classes_per_client=2):
+    """Each client's shard drawn in its own turn: the loop that the one-draw
+    iid partition replaced, kept verbatim for both modes."""
+    by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
+    assignment = {}
+    n = len(dataset)
+    for cid, count in zip(population.ids.tolist(), population.data_count.tolist()):
+        if mode == "iid":
+            idx = rng.integers(0, n, size=count)
+        else:
+            classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
+            pool = np.concatenate([by_class[c] for c in sorted(classes)])
+            idx = pool[rng.integers(0, len(pool), size=count)]
+        assignment[ClientId(cid)] = idx.astype(np.int64)
+    return assignment
+
+
+class CountingGenerator:
+    """Delegates to a `Generator` and counts the calls of each method."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class RowCount:
+    """Stands in for a dataset of `n` rows, of which iid reads only the length."""
+
+    labels = np.zeros(0, dtype=np.int64)
+    n_classes = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+PARTITION_COUNTS = {
+    "one client of one sample": [1],
+    "ones": [1] * 40,
+    "ones among large counts": [1, 1000, 1, 1, 7, 999, 1, 250],
+    "random counts": np.random.default_rng(8).integers(1, 1001, size=300).tolist(),
+}
+
+
 class TestPartition:
     def test_iid_class_histogram_is_uniform(self):
         # 10^4 clients x 100 samples over a balanced 10-class set: the mean
@@ -114,6 +170,43 @@ class TestPartition:
         b = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
         for cid in population.ids.tolist():
             assert np.array_equal(a.assignment[cid], b.assignment[cid])
+
+    @pytest.mark.parametrize("counts", PARTITION_COUNTS.values(), ids=PARTITION_COUNTS.keys())
+    @pytest.mark.parametrize(
+        "mode, rows",
+        [*(("iid", n) for n in (1, 2, 7, 1000, 2**31, 2**33)), ("non_iid", 2), ("non_iid", 1000)],
+    )
+    def test_partition_equals_the_per_client_loop(self, mode, rows, counts):
+        # One row leaves `integers(0, 1)` nothing to draw; 2**33 rows take
+        # the 64-bit path of `integers`.
+        if rows <= 1000:
+            labels = np.arange(rows, dtype=np.int64) % 2
+            dataset = LabeledDataset(np.zeros((rows, 3)), labels, 2)
+        else:
+            dataset = RowCount(rows)
+        population = tiny_population(counts)
+        rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+        part = partition_dataset(dataset, population, mode, rng)
+        want = reference_partition(dataset, population, mode, reference_rng)
+        assert list(part.assignment) == list(want)
+        for cid, shard in part.assignment.items():
+            assert np.array_equal(shard, want[cid])
+            assert shard.dtype == np.int64
+            assert not shard.flags.writeable
+            assert len(shard) == population.data_count[cid - 1]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("clients", [1, 500])
+    def test_iid_draws_once_per_run(self, clients):
+        rng = CountingGenerator(np.random.default_rng(0))
+        partition_dataset(balanced_dataset(), tiny_population([10] * clients), "iid", rng)
+        assert rng.calls == {"integers": 1}
+
+    @pytest.mark.parametrize("clients", [1, 500])
+    def test_non_iid_draws_once_per_client(self, clients):
+        rng = CountingGenerator(np.random.default_rng(0))
+        partition_dataset(balanced_dataset(), tiny_population([10] * clients), "non_iid", rng)
+        assert rng.calls == {"choice": clients, "integers": clients}
 
     def test_too_few_classes_rejected(self):
         dataset = balanced_dataset(n_classes=2, per_class=50)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +126,48 @@ class TestFileExports:
         loaded_header, loaded = read_records_jsonl(path)
         assert loaded_header == header
         assert loaded == records
+
+    @pytest.mark.parametrize("content, reason", [(b"", "is empty"), (b"\xff\n", "is not UTF-8")])
+    def test_empty_or_undecodable_records_file_is_rejected_naming_it(
+        self, tmp_path, content, reason
+    ):
+        path = tmp_path / "records-bad.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError, match=rf"records file {re.escape(str(path))} {reason}"):
+            read_records_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "lines, number, reason",
+        [
+            (["not json"], 1, "Expecting value"),
+            (["[1, 2]"], 1, "not a JSON object"),
+            (["{}", "{\"round\": 0", "{}"], 2, "Expecting"),
+            (["{}", "{}"], 2, "no field 'round'"),
+            (["{}", "7"], 2, "not subscriptable"),
+        ],
+    )
+    def test_bad_line_is_rejected_naming_the_file_and_line(self, tmp_path, lines, number, reason):
+        path = tmp_path / "records-bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=rf"{re.escape(str(path))}, line {number}: .*{reason}"):
+            read_records_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "busy_time, reason",
+        [(None, "no field 'busy_time'"), (-1.0, "Seconds must be finite and non-negative")],
+    )
+    def test_bad_round_field_is_rejected_naming_the_line(self, tmp_path, busy_time, reason):
+        path = tmp_path / "records-test.jsonl"
+        write_records_jsonl(run_of([0.3, 0.6]), path, {"seed": 7})
+        header, first, second = path.read_text().splitlines()
+        raw = json.loads(second)
+        if busy_time is None:
+            del raw["busy_time"]
+        else:
+            raw["busy_time"] = busy_time
+        path.write_text("\n".join([header, first, json.dumps(raw)]) + "\n")
+        with pytest.raises(ParameterError, match=rf"line 3: {reason}"):
+            read_records_jsonl(path)
 
     def test_curve_csv_layout(self, tmp_path):
         records = run_of([0.25, 0.75])
