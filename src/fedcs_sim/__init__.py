@@ -11,14 +11,11 @@ baselines, and post-processes record streams into the usual metrics.
 
 from .channel import CellConfig, mean_throughput, path_loss_db, place_clients
 from .core import (
-    ClientId,
     Megabits,
     MegabitsPerSecond,
     ModelError,
     ParameterError,
     RngStream,
-    Samples,
-    SamplesPerSecond,
     Seconds,
     SimulationError,
     UnitError,

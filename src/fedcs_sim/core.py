@@ -1,4 +1,4 @@
-"""Foundation types shared by every module: units, ids, seeded randomness, errors."""
+"""Foundation types shared by every module: units, seeded randomness, errors."""
 
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ __all__ = [
     "Seconds",
     "Megabits",
     "MegabitsPerSecond",
-    "Samples",
-    "SamplesPerSecond",
-    "ClientId",
     "RngStream",
 ]
 
@@ -82,34 +79,6 @@ class Megabits(_NonNegativeReal):
 
 class MegabitsPerSecond(_NonNegativeReal):
     """Link throughput in megabits per second."""
-
-
-class SamplesPerSecond(_NonNegativeReal):
-    """Compute capability: training samples processed per second."""
-
-
-class Samples(int):
-    """A count of data samples."""
-
-    __slots__ = ()
-
-    def __new__(cls, value) -> "Samples":
-        v = int(value)
-        if v != value or v < 0:
-            raise UnitError(f"Samples must be a non-negative integer, got {value!r}")
-        return super().__new__(cls, v)
-
-
-class ClientId(int):
-    """Dense 1-based client index, unique within one simulation."""
-
-    __slots__ = ()
-
-    def __new__(cls, value) -> "ClientId":
-        v = int(value)
-        if v != value or v < 1:
-            raise UnitError(f"ClientId must be a positive integer, got {value!r}")
-        return super().__new__(cls, v)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,7 @@ class GlobalModel:
 
 @dataclass(frozen=True)
 class Partition:
-    """Sample indices per client, keyed by the client's id as a plain int.
-
-    A `ClientId` hashes and compares as its int, so either finds a shard.
-    """
+    """Sample indices per client, keyed by the client's id as a plain int."""
 
     assignment: dict[int, np.ndarray]
     mode: str
@@ -408,12 +405,6 @@ class MlpNet:
         grad = self.gradients(flat[None], x[None], np.eye(self.dims[-1])[y][None])[0]
         return self.loss(flat, x, y), grad
 
-    def predict(self, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self._logits(flat, with_ones(x)), axis=1)
-
-    def accuracy(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(flat, x) == y))
-
 
 def with_ones(x: np.ndarray) -> np.ndarray:
     """`x` with a trailing column of ones: (..., d) -> (..., d + 1)."""
@@ -636,8 +627,14 @@ class NativeTrainer(Trainer):
         hyper: SgdHyper,
         init_rng: np.random.Generator,
     ):
-        if train_set.n_classes != test_set.n_classes:
-            raise ParameterError("train and test sets must agree on the class count")
+        for name, train, test in (
+            ("class", train_set.n_classes, test_set.n_classes),
+            ("feature", train_set.features.shape[1], test_set.features.shape[1]),
+        ):
+            if train != test:
+                raise ParameterError(
+                    f"train and test sets must agree on the {name} count, got {train} and {test}"
+                )
         if not len(test_set):
             raise ParameterError("test set is empty")
         self.train_set = train_set

@@ -35,6 +35,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,9 +118,16 @@ class ProtocolConfig:
         if self.late_policy not in LATE_POLICIES:
             raise ParameterError(f"late_policy must be one of {LATE_POLICIES}", field="late_policy")
 
-    @property
+    @cached_property
     def cohort_size(self) -> int:
-        return math.ceil(self.k_total * self.fraction)
+        """ceil(k_total * fraction), with fraction read as the decimal that its
+        repr names ("0.07", "1e-05"): the float product rounds 100 * 0.07 up
+        to 8.  Integer arithmetic gives Fraction's result without importing
+        `fractions` and `decimal` into every run."""
+        digits, _, exponent = repr(float(self.fraction)).partition("e")
+        whole, _, decimals = digits.partition(".")
+        scale = 10 ** (len(decimals) - int(exponent or 0))
+        return -(-self.k_total * int(whole + decimals) // scale)
 
 
 @dataclass(frozen=True)

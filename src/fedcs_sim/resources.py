@@ -1,10 +1,10 @@
 """The client population, its resources, and the update/upload time model.
 
-A `Population` holds every client's data count, mean compute capability,
-mean uplink throughput and position as numpy columns, fixed for the whole
-simulation.  Estimated times are deterministic column expressions over it;
-realized times re-sample capability and throughput around their means with a
-configurable relative std, one draw per round for the clients it needs.
+A `Population` holds every client's data count, mean compute capability and
+mean uplink throughput as numpy columns, fixed for the whole simulation.
+Estimated times are deterministic column expressions over it; realized times
+re-sample capability and throughput around their means with a configurable
+relative std, one draw per round for the clients it needs.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import CellConfig, mean_throughput, place_clients
-from .core import (
-    ClientId,
-    Megabits,
-    MegabitsPerSecond,
-    ModelError,
-    ParameterError,
-    RngStream,
-    Samples,
-    SamplesPerSecond,
-    Seconds,
-)
+from .core import Megabits, ModelError, ParameterError, RngStream, Seconds
 
 __all__ = [
     "MAX_CLIENTS",
@@ -59,10 +49,10 @@ RELATIVE_CLAMP_FLOOR = 0.01
 class ClientProfile:
     """One client's row of a `Population`, built only when it is iterated."""
 
-    id: ClientId
-    data_count: Samples
-    mean_capability: SamplesPerSecond
-    mean_throughput: MegabitsPerSecond
+    id: int
+    data_count: int
+    mean_capability: float
+    mean_throughput: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,21 +60,19 @@ class Population:
     """Every client's static resources, one read-only numpy column each.
 
     Row i holds client i + 1, so `ids` is 1..K and a client's row is its id
-    minus one.  `data_count` is int64; `capability` (samples/s), `throughput`
-    (Mbit/s), `distance` (m) and `shadow` (dB) are float64.
+    minus one.  `data_count` is int64; `capability` (samples/s) and
+    `throughput` (Mbit/s) are float64.
     """
 
     data_count: np.ndarray
     capability: np.ndarray
     throughput: np.ndarray
-    distance: np.ndarray
-    shadow: np.ndarray
     ids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         # Counts are checked as floats: an int64 cast would truncate 2.5 and wrap NaN.
         columns = {"data_count": np.array(self.data_count, dtype=np.float64)}
-        for name in ("capability", "throughput", "distance", "shadow"):
+        for name in ("capability", "throughput"):
             columns[name] = np.array(getattr(self, name), dtype=np.float64)
         count = len(columns["data_count"])
         if any(c.shape != (count,) for c in columns.values()):
@@ -117,11 +105,10 @@ class Population:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[ClientProfile]:
-        """One `ClientProfile` per client, in id order."""
+        """One `ClientProfile` per client, in id order; the columns are already checked."""
         columns = (self.ids, self.data_count, self.capability, self.throughput)
-        for cid, n, capability, throughput in zip(*(c.tolist() for c in columns)):
-            row = (Samples(n), SamplesPerSecond(capability), MegabitsPerSecond(throughput))
-            yield ClientProfile(ClientId(cid), *row)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield ClientProfile(*row)
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,9 @@ def generate_profiles(
     Positions (and shadow fading) come from the 'placement' child stream,
     data counts and capabilities from the 'resources' child stream, so the
     two can be ablated independently.  Data counts are uniform integers over
-    the closed range; capabilities are uniform reals.
+    the closed range; capabilities are uniform reals.  Positions only set
+    the throughputs and are not kept; `place_clients(count, cell,
+    rng.child("placement").generator())` draws them again.
     """
     if not 1 <= count <= MAX_CLIENTS:
         raise ParameterError(f"count must be in [1, {MAX_CLIENTS}], got {count!r}")
@@ -200,7 +189,7 @@ def generate_profiles(
     clo, chi = ranges.capability
     capability = res.uniform(clo, chi, size=count)
     throughput = mean_throughput(distance, shadow, cell)
-    return Population(data_count, capability, throughput, distance, shadow)
+    return Population(data_count, capability, throughput)
 
 
 def estimated_update_time(profile: ClientProfile, budget: TimeBudget) -> Seconds:

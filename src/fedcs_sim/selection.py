@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClientId, Megabits, MegabitsPerSecond, ParameterError, Seconds, UnitError
+from .core import Megabits, MegabitsPerSecond, ParameterError, Seconds, UnitError
 from .resources import Population, TimeBudget
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
 class Candidate:
     """Resource information one client reports for scheduling."""
 
-    id: ClientId
+    id: int
     t_update: Seconds
     t_upload: Seconds
     throughput: MegabitsPerSecond
@@ -83,8 +83,8 @@ class CandidateSet:
 
     `ids` is int64; `t_update` and `t_upload` (seconds) are float64.  Rows
     given out of id order are sorted once here, and every row is validated
-    once with the rules `ClientId` and `Seconds` apply: unique positive ids,
-    finite non-negative times.  The stored arrays are read-only copies.
+    once: unique positive integer ids, and times that `Seconds` would admit,
+    finite and non-negative.  The stored arrays are read-only copies.
 
     `estimated` builds the set of a whole population's estimates, and
     `take` gives a subset of its rows without checking them again: rows of
@@ -112,7 +112,7 @@ class CandidateSet:
             if not (ids[1:] > ids[:-1]).all():
                 raise ParameterError("candidate ids must be unique")
         if ids.size and ids[0] < 1:
-            raise UnitError(f"ClientId must be a positive integer, got {int(ids[0])!r}")
+            raise UnitError(f"candidate ids must be positive integers, got {int(ids[0])!r}")
         for name, times in zip(("t_update", "t_upload"), columns):
             bad = ~(np.isfinite(times) & (times >= 0.0))
             if bad.any():

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedcs_sim
 from fedcs_sim import cli
 from fedcs_sim.cli import _execute_descriptor, main
 from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
+from fedcs_sim.learning import make_blob_dataset, save_dataset
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
 
 SMALL = {
@@ -232,6 +234,51 @@ class TestCommands:
         assert "ParameterError: test set is empty" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["failed_runs"]) == ["fedcs_seed0"]
+
+    def test_a_test_set_with_another_feature_count_fails_the_run(self, tmp_path, capsys):
+        paths = {}
+        for name, n_features in (("dataset_path", 8), ("test_dataset_path", 5)):
+            rng = np.random.default_rng(n_features)
+            paths[name] = str(tmp_path / f"{name}.csv")
+            save_dataset(make_blob_dataset(40, n_features, 3, rng), paths[name])
+        config = write_config(
+            tmp_path,
+            {**SMALL, "sweep": {}, "seeds": [0], "trainer": {"kind": "native", "native": paths}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED" in line]
+        assert failed == [
+            "FAILED fedcs_seed0: ParameterError: train and test sets must agree on the "
+            "feature count, got 8 and 5"
+        ]
+
+
+class TestReadmeExamples:
+    """README's `small.json` example prints the lines that README quotes."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def small_json(self):
+        text = self.README.read_text()
+        block = text.split("For example, `small.json`:\n\n", 1)[1].split("\n\n", 1)[0]
+        return json.loads(block)
+
+    def test_validate_prints_the_quoted_ok_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.small_json())
+        assert main(["validate", str(config)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("OK: 2 run descriptor(s), config hash ")
+        assert f"`{line}`" in self.README.read_text()
+
+    def test_validate_prints_the_quoted_error_line(self, tmp_path, capsys):
+        small = self.small_json()
+        small["budget"]["t_final_s"] = 0
+        config = write_config(tmp_path, small)
+        assert main(["validate", str(config)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "configuration error: budget.t_final_s: must be positive"
+        assert f"`{line}`" in self.README.read_text()
 
 
 def test_closed_stdout_exits_quietly():

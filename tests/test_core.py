@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from fedcs_sim.core import (
-    ClientId,
     Megabits,
     MegabitsPerSecond,
     ParameterError,
     RngStream,
-    Samples,
-    SamplesPerSecond,
     Seconds,
     UnitError,
 )
@@ -22,28 +19,13 @@ class TestUnits:
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -0.001])
     def test_rejects_invalid_reals(self, bad):
-        for unit in (Seconds, Megabits, MegabitsPerSecond, SamplesPerSecond):
+        for unit in (Seconds, Megabits, MegabitsPerSecond):
             with pytest.raises(UnitError):
                 unit(bad)
 
     def test_megabytes_conversion_is_explicit(self):
         assert Megabits.from_megabytes(18.3) == pytest.approx(146.4)
         assert Megabits.from_megabytes(0) == 0.0
-
-    def test_samples_requires_integers(self):
-        assert Samples(100) == 100
-        assert Samples(3.0) == 3
-        with pytest.raises(UnitError):
-            Samples(3.5)
-        with pytest.raises(UnitError):
-            Samples(-1)
-
-    def test_client_id_is_positive(self):
-        assert ClientId(1) == 1
-        with pytest.raises(UnitError):
-            ClientId(0)
-        with pytest.raises(UnitError):
-            ClientId(-3)
 
     def test_arithmetic_degrades_to_float(self):
         total = Seconds(2.0) + Seconds(3.0)

@@ -4,6 +4,7 @@ leave a stale entry in an `__all__` or in `fedcs_sim/__init__.py`."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import fedcs_sim
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fedcs_sim.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_is_listed():
@@ -37,3 +39,15 @@ def test_every_name_the_package_imports_resolves():
     for module, attr in imported:
         source = importlib.import_module(f"fedcs_sim.{module}")
         assert getattr(fedcs_sim, attr) is getattr(source, attr), f"{module}.{attr}"
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    # A regex, not tomllib: tomllib is new in 3.11, above the floor itself.
+    declared = re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    floor = (int(declared[1]), int(declared[2]))
+    files = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedcs_sim import protocol
 from fedcs_sim.channel import CellConfig
-from fedcs_sim.core import ClientId, ParameterError, RngStream, Seconds
+from fedcs_sim.core import ParameterError, RngStream, Seconds
 from fedcs_sim.learning import (
     LabeledDataset,
     MlpNet,
@@ -143,7 +143,7 @@ class TestFedcsRealizedFinishes:
     def test_discard_keeps_a_finish_at_the_cutoff_and_drops_one_an_ulp_past_it(
         self, fixed_realization, t_round, on_time
     ):
-        population = Population([1] * 4, [1000.0] * 4, [1000.0] * 4, [100.0] * 4, [0.0] * 4)
+        population = Population([1] * 4, [1000.0] * 4, [1000.0] * 4)
         budget = TimeBudget(t_round=Seconds(t_round), t_cs=Seconds(2.0), t_agg=Seconds(3.0))
         # The cutoff t_round - t_agg is 97 s, or the float just below it.
         assert (float(budget.t_round) - 3.0 == 97.0) == (on_time == 4)
@@ -637,30 +637,6 @@ class TestRunExperiment:
         mean_fedlim = np.mean([r.aggregated_count for r in fedlim])
         assert mean_fedcs >= mean_fedlim
 
-    @pytest.mark.parametrize("mode", ["fedcs", "fedlim"])
-    def test_no_client_id_is_wrapped_per_round(self, population_small, monkeypatch, mode):
-        # Ids are validated once, by the population; a ClientId built per
-        # round or per client would make a longer run build more of them.
-        built = []
-        plain = ClientId.__new__
-
-        def counting(cls, value):
-            built.append(value)
-            return plain(cls, value)
-
-        monkeypatch.setattr(ClientId, "__new__", counting)
-        counts = []
-        for rounds in (2, 20):
-            built.clear()
-            stop = StopCondition(t_final=Seconds(rounds * 180.0))
-            records = run_experiment(
-                small_config(mode=mode), stop, SurrogateTrainer(), population_small, RngStream(1)
-            )
-            assert len(records) == rounds
-            assert sum(r.aggregated_count for r in records) > 0
-            counts.append(len(built))
-        assert counts[0] == counts[1]
-
     def test_population_size_checked(self, population_small):
         config = ProtocolConfig(mode="fedcs", k_total=999)
         with pytest.raises(ParameterError):
@@ -756,9 +732,26 @@ class TestConfigValidation:
                 ProtocolConfig(k_total=k_total)
 
     def test_cohort_size_is_ceiling(self):
-        assert ProtocolConfig(k_total=1000, fraction=0.1).cohort_size == 100
-        assert ProtocolConfig(k_total=999, fraction=0.1).cohort_size == 100
-        assert ProtocolConfig(k_total=10, fraction=0.05).cohort_size == 1
+        # The ceiling of K times the decimal fraction as written: the float
+        # products 100 * 0.07, 10 000 * 0.07 and 100 * 0.55 lie just above
+        # 7, 700 and 55.
+        table = [
+            (1000, 0.1, 100),
+            (999, 0.1, 100),
+            (10, 0.05, 1),
+            (100, 0.07, 7),
+            (10_000, 0.07, 700),
+            (100, 0.55, 55),
+            (7, 1.0, 7),
+            # repr writes these in exponent form, "1e-05" and "1.5e-05".
+            (100_000, 1e-05, 1),
+            (MAX_CLIENTS, 1.5e-05, 150),
+            (MAX_CLIENTS, 1e-05, 100),
+            (99_999, 1e-05, 1),
+        ]
+        for k_total, fraction, size in table:
+            config = ProtocolConfig(k_total=k_total, fraction=fraction)
+            assert config.cohort_size == size, (k_total, fraction)
 
     def test_stop_condition_target_validated(self):
         with pytest.raises(ParameterError):

@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fedcs_sim.channel import THERMAL_NOISE_DBM_PER_HZ, CellConfig
+from fedcs_sim.channel import THERMAL_NOISE_DBM_PER_HZ, CellConfig, place_clients
 from fedcs_sim.core import (
-    ClientId,
     Megabits,
     MegabitsPerSecond,
     ModelError,
     ParameterError,
     RngStream,
-    Samples,
-    SamplesPerSecond,
     Seconds,
 )
 from fedcs_sim.resources import (
@@ -34,17 +31,13 @@ from fedcs_sim.selection import CandidateSet
 
 def make_profile(data_count=500, capability=50.0, throughput=1.4, cid=1):
     return ClientProfile(
-        id=ClientId(cid),
-        data_count=Samples(data_count),
-        mean_capability=SamplesPerSecond(capability),
-        mean_throughput=MegabitsPerSecond(throughput),
+        id=cid, data_count=data_count, mean_capability=capability, mean_throughput=throughput
     )
 
 
-def population_of(data_count, capability, throughput):
-    """A population with the given columns, placed at 1 km without shadowing."""
-    n = len(data_count)
-    return Population(data_count, capability, throughput, np.full(n, 1000.0), np.zeros(n))
+def placed(count, cell, seed):
+    """The (distance, shadow) columns that `generate_profiles` draws for this seed."""
+    return place_clients(count, cell, RngStream(seed).child("placement").generator())
 
 
 @pytest.fixture
@@ -97,9 +90,9 @@ def reference_generate_profiles(count, cell, ranges, rng):
     capabilities = res.uniform(clo, chi, size=count)
     return [
         (
-            ClientId(i + 1),
-            Samples(int(data_counts[i])),
-            SamplesPerSecond(float(capabilities[i])),
+            i + 1,
+            int(data_counts[i]),
+            float(capabilities[i]),
             reference_mean_throughput(positions[i], cell),
             *positions[i],
         )
@@ -163,8 +156,12 @@ class TestGenerateProfiles:
         a = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
         b = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
         assert list(a) == list(b)
-        for name in ("ids", "data_count", "capability", "throughput", "distance", "shadow"):
+        for name in ("ids", "data_count", "capability", "throughput"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        cell = CellConfig()
+        rows = reference_generate_profiles(50, cell, ResourceRanges(), RngStream(3))
+        for got, expected in zip(placed(50, cell, 3), list(zip(*rows))[4:]):
+            assert got.tobytes() == np.array(expected).tobytes()
 
     def test_count_is_bounded(self):
         for count in (0, MAX_CLIENTS + 1):
@@ -212,16 +209,17 @@ class TestColumnsEqualTheScalarReference:
         population = generate_profiles(count, cell, ResourceRanges(), RngStream(11))
         rows = reference_generate_profiles(count, cell, ResourceRanges(), RngStream(11))
         columns = [np.array(column) for column in zip(*rows)]
+        distance, shadow = placed(count, cell, 11)
         names = ("ids", "data_count", "capability", "throughput", "distance", "shadow")
-        for name, expected in zip(names, columns):
-            got = getattr(population, name)
+        got = [getattr(population, name) for name in names[:4]] + [distance, shadow]
+        for name, actual, expected in zip(names, got, columns):
             if name == "throughput":
-                assert_throughput_matches(got, expected, cell)
+                assert_throughput_matches(actual, expected, cell)
                 continue
-            assert got.dtype == expected.dtype, name
-            assert got.tobytes() == expected.tobytes(), name
+            assert actual.dtype == expected.dtype, name
+            assert actual.tobytes() == expected.tobytes(), name
         if cell.min_distance_m > 10.0:
-            assert (population.distance < cell.min_distance_m).sum() > count // 20
+            assert (distance < cell.min_distance_m).sum() > count // 20
 
     def test_rows_carry_the_column_values(self):
         cell = CellConfig()
@@ -238,14 +236,14 @@ class TestColumnsEqualTheScalarReference:
 
 class TestPopulation:
     def test_columns_are_read_only(self):
-        population = population_of([100, 200], [10.0, 20.0], [1.0, 2.0])
+        population = Population([100, 200], [10.0, 20.0], [1.0, 2.0])
         assert population.ids.tolist() == [1, 2]
         with pytest.raises(ValueError):
             population.throughput[0] = 5.0
 
     def test_rejects_zero_throughput(self):
         with pytest.raises(ModelError, match="client 2"):
-            population_of([100, 200, 300], [10.0, 20.0, 30.0], [1.0, 0.0, 0.0])
+            Population([100, 200, 300], [10.0, 20.0, 30.0], [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
     @pytest.mark.parametrize("column", ["capability", "throughput"])
@@ -253,21 +251,21 @@ class TestPopulation:
         rates = {"capability": [10.0, 20.0, 30.0], "throughput": [1.0, 2.0, 3.0]}
         rates[column][1] = rates[column][2] = bad
         with pytest.raises(ModelError, match="client 2 needs finite positive mean capability"):
-            population_of([100, 200, 300], rates["capability"], rates["throughput"])
+            Population([100, 200, 300], rates["capability"], rates["throughput"])
 
     @pytest.mark.parametrize("bad", [2.5, -5, math.nan, 0, MAX_DATA_COUNT + 1, math.inf])
     def test_rejects_a_data_count_that_is_not_a_whole_number_in_range(self, bad):
         with pytest.raises(ModelError, match="client 2 needs an integer data count"):
-            population_of([100, bad, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0])
+            Population([100, bad, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0])
 
     def test_whole_float_data_counts_are_stored_as_int64(self):
-        population = population_of([100.0, float(MAX_DATA_COUNT)], [10.0, 20.0], [1.0, 2.0])
+        population = Population([100.0, float(MAX_DATA_COUNT)], [10.0, 20.0], [1.0, 2.0])
         assert population.data_count.dtype == np.int64
         assert population.data_count.tolist() == [100, MAX_DATA_COUNT]
 
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ParameterError):
-            population_of([100, 200], [10.0], [1.0, 2.0])
+            Population([100, 200], [10.0], [1.0, 2.0])
 
 
 class TestEstimatedTimes:
@@ -345,7 +343,7 @@ class TestRealizedTimes:
 
     def test_upload_std_tracks_first_order_prediction(self, budget):
         # Delta method: std(model_size / theta') is about r * estimate.
-        population = population_of([500], [50.0], [1.4])
+        population = Population([500], [50.0], [1.4])
         rng = RngStream(7, "fluct").generator()
         positions = np.zeros(10**4, dtype=np.int64)
         _, uploads = realized_times(population, positions, budget, FluctuationConfig(0.1), rng)
@@ -354,7 +352,7 @@ class TestRealizedTimes:
 
     def test_sampled_rate_std_matches_relative_spec(self, budget):
         # Monte-Carlo estimate of the sampled capability's std at mean 100, r = 0.1.
-        population = population_of([100], [100.0], [1.0])
+        population = Population([100], [100.0], [1.0])
         rng = RngStream(123, "mc").generator()
         positions = np.zeros(10**5, dtype=np.int64)
         update, _ = realized_times(population, positions, budget, FluctuationConfig(0.1), rng)
@@ -362,7 +360,7 @@ class TestRealizedTimes:
         assert 9.5 <= capability.std(ddof=1) <= 10.5
 
     def test_relative_clamp_keeps_rates_positive(self, budget):
-        population = population_of([500], [50.0], [1.4])
+        population = Population([500], [50.0], [1.4])
         rng = RngStream(10, "clamp").generator()
         positions = np.zeros(2000, dtype=np.int64)
         update, upload = realized_times(population, positions, budget, FluctuationConfig(5.0), rng)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcs_sim.core import ClientId, Megabits, MegabitsPerSecond, ParameterError, Seconds
+from fedcs_sim.core import Megabits, MegabitsPerSecond, ParameterError, Seconds
 from fedcs_sim.resources import TimeBudget
 from fedcs_sim.selection import (
     Candidate,
@@ -23,9 +23,7 @@ from fedcs_sim.selection import (
 
 
 def cand(cid, t_update, t_upload, throughput=10.0):
-    return Candidate(
-        ClientId(cid), Seconds(t_update), Seconds(t_upload), MegabitsPerSecond(throughput)
-    )
+    return Candidate(cid, Seconds(t_update), Seconds(t_upload), MegabitsPerSecond(throughput))
 
 
 def link(cid, t_update, throughput):
@@ -70,7 +68,7 @@ def reference_greedy(candidates, budget):
     deadline = float(budget.t_round)
 
     remaining = list(candidates)
-    order: list[ClientId] = []
+    order: list[int] = []
     trajectory = [0.0]
     theta = 0.0
     dist = 0.0
@@ -531,7 +529,7 @@ def reference_exact(candidates, budget):
             dist = dist_time(chosen, budget.model_size)
             total = base + float(dist) + float(trajectory[-1])
             return Schedule(
-                order=tuple(ClientId(k) for k in best_order),
+                order=best_order,
                 theta=tuple(float(t) for t in trajectory),
                 dist_time=dist,
                 total_time=Seconds(total),
@@ -805,24 +803,24 @@ class TestExact:
 class TestSchedule:
     def test_structural_invariants_enforced(self):
         with pytest.raises(ParameterError):
-            Schedule(order=(ClientId(1),), theta=(0.0,), dist_time=Seconds(0), total_time=Seconds(0))
+            Schedule(order=(1,), theta=(0.0,), dist_time=Seconds(0), total_time=Seconds(0))
         with pytest.raises(ParameterError):
             Schedule(
-                order=(ClientId(1),),
+                order=(1,),
                 theta=(1.0, 2.0),
                 dist_time=Seconds(0),
                 total_time=Seconds(0),
             )
         with pytest.raises(ParameterError):
             Schedule(
-                order=(ClientId(1), ClientId(1)),
+                order=(1, 1),
                 theta=(0.0, 1.0, 2.0),
                 dist_time=Seconds(0),
                 total_time=Seconds(0),
             )
         with pytest.raises(ParameterError):
             Schedule(
-                order=(ClientId(1), ClientId(2)),
+                order=(1, 2),
                 theta=(0.0, 3.0, 2.0),
                 dist_time=Seconds(0),
                 total_time=Seconds(0),
