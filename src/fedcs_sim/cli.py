@@ -33,7 +33,7 @@ from .config import (
     resolved_defaults,
     run_descriptors,
 )
-from .core import RngStream, SimulationError
+from .core import ParameterError, RngStream, SimulationError
 from .learning import (
     LabeledDataset,
     MlpNet,
@@ -58,6 +58,41 @@ from .resources import Population, generate_profiles
 __all__ = ["main", "execute_run", "build_trainer"]
 
 
+def _train_and_test(
+    train: LabeledDataset, test: LabeledDataset | None
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """The native sets from the dataset files: without a test file, a
+    deterministic 80/20 split of the train file by index."""
+    if test is not None:
+        return train, test
+    cut = max(1, int(0.8 * len(train)))
+    return (
+        LabeledDataset(train.features[:cut], train.labels[:cut], train.n_classes),
+        LabeledDataset(train.features[cut:], train.labels[cut:], train.n_classes),
+    )
+
+
+def _check_dataset_files(native: dict) -> None:
+    """Load each dataset file once, as a run does, and apply
+    `NativeTrainer.check_sets`; a failure is a ConfigError at its key."""
+    loaded: dict[str, LabeledDataset] = {}
+    for key in ("dataset_path", "test_dataset_path"):
+        path = native[key]
+        try:
+            if path is not None and path not in loaded:
+                loaded[path] = load_dataset(path)
+        except (OSError, ParameterError) as exc:
+            raise ConfigError(f"trainer.native.{key}: {exc}") from exc
+    test_path = native["test_dataset_path"]
+    try:
+        NativeTrainer.check_sets(
+            *_train_and_test(loaded[native["dataset_path"]], loaded.get(test_path))
+        )
+    except ParameterError as exc:
+        key = "dataset_path" if test_path is None else "test_dataset_path"
+        raise ConfigError(f"trainer.native.{key}: {exc}") from exc
+
+
 def build_trainer(config: ExperimentConfig, population: Population, rng: RngStream) -> Trainer:
     """Instantiate the configured trainer for one run."""
     spec = config.resolved["trainer"]
@@ -67,14 +102,9 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
 
     native = spec["native"]
     if native["dataset_path"] is not None:
-        train = load_dataset(native["dataset_path"])
-        if native["test_dataset_path"] is not None:
-            test = load_dataset(native["test_dataset_path"])
-        else:
-            # Deterministic 80/20 split by index.
-            cut = max(1, int(0.8 * len(train)))
-            test = LabeledDataset(train.features[cut:], train.labels[cut:], train.n_classes)
-            train = LabeledDataset(train.features[:cut], train.labels[:cut], train.n_classes)
+        test_path = native["test_dataset_path"]
+        test = None if test_path is None else load_dataset(test_path)
+        train, test = _train_and_test(load_dataset(native["dataset_path"]), test)
     else:
         # One draw for train plus test keeps the class centroids shared.
         total = native["train_samples"] + native["test_samples"]
@@ -145,12 +175,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         config.resolved["output_dir"] = args.out
 
+    # Checks the overrides by the config's rules before the directory is touched.
+    descriptors = run_descriptors(config)
     out_dir = Path(config.resolved["output_dir"])
     if out_dir.is_dir() and not args.force:
         print(f"error: output directory {out_dir} exists (use --force to overwrite)", file=sys.stderr)
         return 1
-
-    descriptors = run_descriptors(config)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path or above it, or no permission
@@ -202,6 +232,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     descriptors = run_descriptors(config)
+    # No sweep axis changes the trainer, so every run reads the same files.
+    trainer = config.resolved["trainer"]
+    if trainer["kind"] == "native" and trainer["native"]["dataset_path"] is not None:
+        _check_dataset_files(trainer["native"])
     print(f"OK: {len(descriptors)} run descriptor(s), config hash {config.hash}")
     return 0
 

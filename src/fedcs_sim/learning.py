@@ -627,6 +627,18 @@ class NativeTrainer(Trainer):
         hyper: SgdHyper,
         init_rng: np.random.Generator,
     ):
+        self.check_sets(train_set, test_set)
+        self.train_set = train_set
+        self.test_set = test_set
+        self.partition = partition
+        self.net = net
+        self.hyper = hyper
+        self._init_params = net.init_params(init_rng)
+
+    @staticmethod
+    def check_sets(train_set: LabeledDataset, test_set: LabeledDataset) -> None:
+        """The sets a native run can use: the same class and feature counts,
+        and a test set that is not empty."""
         for name, train, test in (
             ("class", train_set.n_classes, test_set.n_classes),
             ("feature", train_set.features.shape[1], test_set.features.shape[1]),
@@ -637,12 +649,6 @@ class NativeTrainer(Trainer):
                 )
         if not len(test_set):
             raise ParameterError("test set is empty")
-        self.train_set = train_set
-        self.test_set = test_set
-        self.partition = partition
-        self.net = net
-        self.hyper = hyper
-        self._init_params = net.init_params(init_rng)
 
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=self._init_params, round=0)

@@ -1,11 +1,12 @@
 """The round loop of the three protocols.
 
-Every protocol runs one round shape: request a cohort, pick and time the
-clients that take part, train and aggregate them, evaluate, advance the
-clock.  Only the picking and timing differ, so each mode is one engine
-`(state, population, config) -> (requested, selected, aggregated, busy,
-advance)`, where the first three are arrays of population rows and the last
-two are realized seconds:
+Every protocol runs one round shape: request a cohort, realize its times,
+pick and time the clients that take part, train and aggregate them,
+evaluate, advance the clock.  Only the picking and timing differ, so each
+mode is one engine `(state, population, config, requested, update, upload)
+-> (selected, aggregated, busy, advance)`, where `update` and `upload` are
+the cohort's realized times, `selected` and `aggregated` are positions in
+the cohort and the last two are realized seconds:
 
 fedcs:   greedy client selection on the estimated times, then multicast
          distribution and scheduled sequential update/upload, all planned to
@@ -24,9 +25,13 @@ Each engine times the order it serves with one `selection.finish_times`
 chain and reads its deadline cuts from that chain by bisection, since
 finishes never decrease.
 
-`run_round` does the rest once for every mode: it trains and aggregates the
-`aggregated` rows, evaluates, advances the clock and builds the RoundRecord.
-`run_experiment` calls it until the final deadline or a target accuracy.
+`run_round` does the rest once for every mode.  It requests the cohort from
+the cohort stream and realizes the whole cohort's times, in cohort order,
+from the fluctuation stream, so every mode sees the same cohort and the same
+realized times at each round index; an upload order draws only from its own
+stream.  It then trains and aggregates the `aggregated` clients, evaluates,
+advances the clock and builds the RoundRecord.  `run_experiment` calls it
+until the final deadline or a target accuracy.
 """
 
 from __future__ import annotations
@@ -197,8 +202,9 @@ class ExperimentState:
     clock: float
     model: GlobalModel
     accuracy: float
-    rng_selection: np.random.Generator
+    rng_cohort: np.random.Generator
     rng_fluctuation: np.random.Generator
+    rng_order: np.random.Generator
     rng_training: np.random.Generator
     estimates: CandidateSet | None = None
     schedulable: np.ndarray | None = None
@@ -210,8 +216,10 @@ class ExperimentState:
             clock=0.0,
             model=model,
             accuracy=trainer.evaluate(model),
-            rng_selection=rng.child("selection").generator(),
+            # Labelled "selection" so that records keep their cohorts byte for byte.
+            rng_cohort=rng.child("selection").generator(),
             rng_fluctuation=rng.child("fluctuation").generator(),
+            rng_order=rng.child("order").generator(),
             rng_training=rng.child("training").generator(),
         )
 
@@ -224,46 +232,41 @@ def _request_positions(
     size = config.cohort_size
     if size > len(population):
         raise ParameterError("cohort size exceeds the client population")
-    return np.sort(state.rng_selection.choice(len(population), size=size, replace=False))
+    return np.sort(state.rng_cohort.choice(len(population), size=size, replace=False))
 
 
-def _fedcs_round(state: ExperimentState, population: Population, config: ProtocolConfig):
-    """Request, greedy selection, realization in schedule order.
+def _fedcs_round(state, population, config, requested, update, upload):
+    """Greedy selection on the estimates, then the schedule's realized times.
 
-    Realized times are sampled per selected client in schedule order.  The
-    realized distribution phase runs at the slowest sampled link, which makes
-    it equal to the largest sampled upload time.  Under the `extend` policy
-    every selected client aggregates and the clock advances by
+    The realized distribution phase runs at the slowest sampled link, which
+    makes it equal to the largest realized upload time.  Under the `extend`
+    policy every selected client aggregates and the clock advances by
     max(t_round, realized total); under `discard` only the prefix of the
     schedule finishing within the deadline aggregates and the clock advances
-    by exactly t_round.  An empty schedule draws no random numbers and is
-    busy for t_cs + t_agg.
+    by exactly t_round.  An empty schedule is busy for t_cs + t_agg.
     """
     budget = config.budget
     if state.estimates is None:
         state.estimates = CandidateSet.estimated(population, budget)
         state.schedulable = state.estimates.schedulable(budget)
-    requested = _request_positions(state, population, config)
     # Greedy rejects every other cohort member from any state, and dropping
     # a client it would reject changes neither its picks nor its acceptances.
     # The sorted draw, masked, is strictly increasing: no need for take's checks.
     planned = requested[state.schedulable[requested]]
     schedule = greedy_select(state.estimates._rows(planned), budget)
-    selected = np.array(schedule.order, dtype=np.int64) - 1  # row i holds client i + 1
-    updates, uploads = realized_times(
-        population, selected, budget, config.fluct, state.rng_fluctuation
-    )
-    uploads = uploads.tolist()
+    # Row i holds client i + 1, and the cohort's rows ascend.
+    selected = np.searchsorted(requested, np.array(schedule.order, dtype=np.int64) - 1)
+    uploads = upload[selected].tolist()
     realized_dist = max(uploads, default=0.0)
-    finish = finish_times(updates.tolist(), uploads)
+    finish = finish_times(update[selected].tolist(), uploads)
     busy = float(budget.t_cs) + float(budget.t_agg) + realized_dist + finish[-1]
     if config.late_policy == "extend":
-        return requested, selected, selected, busy, max(float(budget.t_round), busy)
+        return selected, selected, busy, max(float(budget.t_round), busy)
     cutoff = float(budget.t_round) - float(budget.t_agg)
     head = float(budget.t_cs) + realized_dist
     # Finishes never decrease, so the on-time clients are a prefix.
     on_time = bisect_right(finish, cutoff, 1, key=lambda f: head + f) - 1
-    return requested, selected, selected[:on_time], busy, float(budget.t_round)
+    return selected, selected[:on_time], busy, float(budget.t_round)
 
 
 def _fedlim_release_times(
@@ -327,7 +330,7 @@ def _fedlim_uploads(
     return sequence[:done], finish[min(done + 1, len(sequence))]
 
 
-def _fedlim_round(state: ExperimentState, population: Population, config: ProtocolConfig):
+def _fedlim_round(state, population, config, requested, update, upload):
     """The deadline-limited baseline.
 
     The whole cohort participates: clients receive the model, update in
@@ -339,21 +342,16 @@ def _fedlim_round(state: ExperimentState, population: Population, config: Protoc
     t_round.
     """
     budget = config.budget
-    requested = _request_positions(state, population, config)
-    update, upload = realized_times(
-        population, requested, budget, config.fluct, state.rng_fluctuation
-    )
     release = _fedlim_release_times(update, upload, config.fedlim, float(budget.t_cs))
     deadline = float(budget.t_round) - float(budget.t_agg)
     served, clock = _fedlim_uploads(
-        release, upload, config.fedlim.upload_order, deadline, state.rng_selection
+        release, upload, config.fedlim.upload_order, deadline, state.rng_order
     )
-    completed = requested[served]
     advance = float(budget.t_round)
-    return requested, completed, completed, min(clock, advance), advance
+    return served, served, min(clock, advance), advance
 
 
-def _vanilla_round(state: ExperimentState, population: Population, config: ProtocolConfig):
+def _vanilla_round(state, population, config, requested, update, upload):
     """The deadline-free baseline: everyone in the cohort completes.
 
     The model is multicast at the slowest sampled link, updates overlap
@@ -361,16 +359,11 @@ def _vanilla_round(state: ExperimentState, population: Population, config: Proto
     clock advances by however long that realized total takes.
     """
     budget = config.budget
-    requested = _request_positions(state, population, config)
-    update, upload = realized_times(
-        population, requested, budget, config.fluct, state.rng_fluctuation
-    )
     dist = float(upload.max())
-    sequence = state.rng_selection.permutation(len(requested))
+    sequence = state.rng_order.permutation(len(upload))
     theta = finish_times(update[sequence].tolist(), upload[sequence].tolist())[-1]
     total = float(budget.t_cs) + dist + theta + float(budget.t_agg)
-    ordered = requested[sequence]
-    return requested, ordered, ordered, total, total
+    return sequence, sequence, total, total
 
 
 _ROUND_ENGINES = {
@@ -387,22 +380,27 @@ def run_round(
     trainer: Trainer,
     round_index: int,
 ) -> RoundRecord:
-    """One round of `config.mode`: its engine picks and times the clients;
-    this trains and aggregates them, advances the clock and writes the record."""
-    requested, selected, aggregated, busy, advance = _ROUND_ENGINES[config.mode](
-        state, population, config
+    """One round of `config.mode`: this requests the cohort and realizes its
+    times, the mode's engine picks and times the clients, and this trains and
+    aggregates them, advances the clock and writes the record."""
+    requested = _request_positions(state, population, config)
+    update, upload = realized_times(
+        population, requested, config.budget, config.fluct, state.rng_fluctuation
     )
+    selected, aggregated, busy, advance = _ROUND_ENGINES[config.mode](
+        state, population, config, requested, update, upload
+    )
+    ids = population.ids[requested]
     if len(aggregated):
-        ids = population.ids[aggregated].tolist()
-        updated = trainer.client_updates(state.model, ids, state.rng_training)
-        counts = population.data_count[aggregated].tolist()
+        updated = trainer.client_updates(state.model, ids[aggregated].tolist(), state.rng_training)
+        counts = population.data_count[requested[aggregated]].tolist()
         state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)
         state.accuracy = trainer.evaluate(state.model)
     state.clock += advance
     return RoundRecord(
         round=round_index,
-        requested=tuple(population.ids[requested].tolist()),
-        selected_or_completed=tuple(population.ids[selected].tolist()),
+        requested=tuple(ids.tolist()),
+        selected_or_completed=tuple(ids[selected].tolist()),
         realized_round_duration=Seconds(advance),
         busy_time=Seconds(busy),
         clock_after=Seconds(state.clock),

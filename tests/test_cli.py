@@ -253,6 +253,92 @@ class TestCommands:
             "feature count, got 8 and 5"
         ]
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_an_empty_output_path_is_a_configuration_error(
+        self, tmp_path, capsys, monkeypatch, force
+    ):
+        # "" names the working directory to Path, which exists.
+        config = write_config(tmp_path, SMALL)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config), "--out", "", *force]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: output_dir: must be a non-empty path\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_a_bad_seed_is_reported_before_an_existing_output_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", str(config), "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: seeds: ")
+        assert "-1" in err
+        assert list(out.iterdir()) == []
+
+
+class TestValidateDatasetFiles:
+    """`validate` loads a native config's dataset files as a run does and
+    rejects the sets that every run of it would reject."""
+
+    @staticmethod
+    def validate(tmp_path, native):
+        config = write_config(tmp_path, {"trainer": {"kind": "native", "native": native}})
+        return main(["validate", str(config)])
+
+    @staticmethod
+    def dataset(tmp_path, name, n_features, n_classes=3):
+        path = tmp_path / f"{name}.csv"
+        save_dataset(make_blob_dataset(40, n_features, n_classes, np.random.default_rng(0)), path)
+        return str(path)
+
+    def test_matching_files_pass(self, tmp_path, capsys):
+        train = self.dataset(tmp_path, "train", 8)
+        assert self.validate(tmp_path, {"dataset_path": train}) == 0
+        test = self.dataset(tmp_path, "test", 8)
+        assert self.validate(tmp_path, {"dataset_path": train, "test_dataset_path": test}) == 0
+        assert capsys.readouterr().out.count("OK: ") == 2
+
+    def test_a_feature_count_mismatch(self, tmp_path, capsys):
+        native = {
+            "dataset_path": self.dataset(tmp_path, "train", 8),
+            "test_dataset_path": self.dataset(tmp_path, "test", 5),
+        }
+        assert self.validate(tmp_path, native) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.test_dataset_path: train and test sets "
+            "must agree on the feature count, got 8 and 5\n"
+        )
+
+    def test_a_class_count_mismatch_from_the_sidecar(self, tmp_path, capsys):
+        native = {
+            "dataset_path": self.dataset(tmp_path, "train", 8),
+            "test_dataset_path": self.dataset(tmp_path, "test", 8),
+        }
+        sidecar = Path(native["test_dataset_path"] + ".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_classes": 4}))
+        assert self.validate(tmp_path, native) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.test_dataset_path: train and test sets "
+            "must agree on the class count, got 3 and 4\n"
+        )
+
+    @pytest.mark.parametrize("key", ["dataset_path", "test_dataset_path"])
+    def test_a_missing_file(self, tmp_path, capsys, key):
+        native = {"dataset_path": self.dataset(tmp_path, "train", 8)}
+        native[key] = str(tmp_path / "missing.csv")
+        assert self.validate(tmp_path, native) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: trainer.native.{key}: ")
+        assert "missing.csv" in line
+
+    def test_a_train_file_too_small_to_leave_a_test_split(self, tmp_path, capsys):
+        dataset = tmp_path / "one.csv"
+        dataset.write_text("1,1.0,2.0\n")
+        assert self.validate(tmp_path, {"dataset_path": str(dataset)}) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.dataset_path: test set is empty\n"
+        )
+
 
 class TestReadmeExamples:
     """README's `small.json` example prints the lines that README quotes."""

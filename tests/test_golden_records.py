@@ -43,16 +43,16 @@ def with_small(**sections):
 MODES_BY_R = {
     "fedcs_r0_seed0": "dea6bc9f8b43e95fc62f9c553d35389892962e1bb77fffce112a0e14235e6b8b",
     "fedcs_r0_seed1": "3142f5411f60c7f1f04cd17601b1e1e4dcb1ffe8f852df30ec5b1a366a70f3b7",
-    "fedcs_r0.1_seed0": "0063ac15ad04234b98be69e30eb60175e5eb6616075ac5384071de72819eade5",
-    "fedcs_r0.1_seed1": "b9fabbf064945307e21cf02808fcd2c66b446e15f50a22a9c040893e5f88977a",
+    "fedcs_r0.1_seed0": "d2935ee280a6544c125be6e4a0f7d8612177aba42df2e657a3883f08d2946170",
+    "fedcs_r0.1_seed1": "feef7c430f45f30ef5eb44f5c627d0259a0bc92471e06c4a5aee4197c9ffa186",
     "fedlim_r0_seed0": "3e935e156584fa5e013450d2000d1cbaf784fbb0afe11c038f5f76847bec945a",
     "fedlim_r0_seed1": "701dad4c7e336083757f7bf4ba7191fb080fd342d040e24db80f88162731b2a5",
     "fedlim_r0.1_seed0": "a184ea5ba1dde340bcf92a9655859be6d7a074f16936664f1849bbfc98cf891c",
     "fedlim_r0.1_seed1": "377f5e54bc132c81bd6bdce284ac93153bd75b5797b9d6de121f821003b4e097",
-    "vanilla_r0_seed0": "76d6b86165555f1c52956e66a6907e030963e8c014d05a9d90950b523edc8c95",
-    "vanilla_r0_seed1": "bf4b5bbe95f51985d441b6cf024b65b08657c128bade80fa19e3e8266597b591",
-    "vanilla_r0.1_seed0": "84f624ee8320b1b6b9ec3b85eed34c8626e2af49ce515516cdacfb0acfb17e27",
-    "vanilla_r0.1_seed1": "8097927cb46710f80d7d2aa1e439769e008605eff3723b006a68857114fc4c8c",
+    "vanilla_r0_seed0": "5db7107c7ffa7a70d7376e3080bd765905ecf847d0cd3d6fa73b0d64e568bf3a",
+    "vanilla_r0_seed1": "e076dca556dc952697a741ce49038a59b83636e34fd12636463f37cc73d4d90b",
+    "vanilla_r0.1_seed0": "62de0d2a7fe223bce6078ff26db9237be7cc80dfeb18a4673ffc50b862e4c5af",
+    "vanilla_r0.1_seed1": "b8fa98b630c8b60fb393ad926d5642b21d8e44aa1743c862551658ef5353f603",
 }
 
 
@@ -66,13 +66,13 @@ def test_every_mode_at_zero_and_some_fluctuation(tmp_path, capsys):
 FEDLIM_OPTIONS = {
     ("unicast", "channel"): "b95f263443b370043071ac194a53630c8f120253bee64b3a3393f66c9ebcf3d1",
     ("unicast", "ready"): "99c22c32c5bf39c21e8d0b47b7e1faea22fc82b32c06af46ea09f73ec9fbfb0f",
-    ("unicast", "random"): "52396d05cd4332aa5ef456f88dfb7feb46493710d7aee97c9b4be7b088c0f1fe",
+    ("unicast", "random"): "839b643bbecdcece027e4a53b913787f8169dc8615704b61f7711e0023304b4a",
     ("multicast", "channel"): "214a67f82b7b4be992276ac66fc549478992c1982326d20869c7ab0e54148b88",
     ("multicast", "ready"): "9647e635f3c28f165e10457947090ac7811ff3cc0d69b374d98e44888b0abd00",
-    ("multicast", "random"): "ea4efe199e519874b0a658f87d210bd06cd33a43f8b28bde67a783bbc0eb3dd6",
+    ("multicast", "random"): "4ccbb3e554ae9d5f1959a8c5c2c12f6eac4bda42f7e3cbd64ab27ca56277d66b",
     ("none", "channel"): "af51e7daa1a8d13ffc1852f5da75d0b92cab60c8da668a25654a9f711d2d21be",
     ("none", "ready"): "aecf84c2b9a0896be3ed3f5fd4f34b559a79dc5a9ed057f2f4141b5e746e9b2b",
-    ("none", "random"): "8f620aabcbd491339043c56032bbd754669f0418bb9ed5baf4934aa4232f3701",
+    ("none", "random"): "312c84718b8962f223fc3d6332009032740df648720876485e5c1a06293cd609",
 }
 
 
@@ -101,7 +101,7 @@ def test_fedlim_for_every_distribution_and_upload_order(
 FEDLIM_OVERHEADS = {
     "channel": "d8b4a7c13330cf0e447ecf4fe7dfba36f9389411928f0b24ccb52abbf366a6f7",
     "ready": "4ce8cc72fc7eafc501d240340e981e7d1548c521be4c6f519165d2cbcd856092",
-    "random": "2163314b02c736aad1ff28bf38b08a7945ece2b1359d9e3573a3f99ae9c49614",
+    "random": "fceca794100830bbf09eb28b508b4370e67e450f9da5a6c0879db5ffe3a73674",
 }
 
 
@@ -119,7 +119,7 @@ def test_fedlim_with_selection_and_aggregation_overheads(tmp_path, capsys, uploa
 def test_fedcs_discarding_late_clients(tmp_path, capsys):
     overlay = with_small(protocol={"late_policy": "discard"}, fluctuation={"r": 0.1}, seeds=[4])
     assert record_digests(tmp_path, overlay) == {
-        "fedcs_seed4": "d912b34dc335f08e1064c1911539cd49a614dcf7fcf5fce4c0fa8de63f68063e"
+        "fedcs_seed4": "cf3430674931e099a7f61e71c5208842d50e5260880e0046a4825e4f405c853c"
     }
 
 
@@ -163,5 +163,5 @@ def test_summary_of_a_sweep_with_unreached_thresholds(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == (
-        "f95675949c3e4e4b448313d7e5d759873a68fb3abe781fefcbf0b7e4bb73e3df"
+        "26d2c8cb6557c66b400bebfcd8f21edab5200c18e83947d9dc7a0f9815569074"
     )

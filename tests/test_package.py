@@ -51,3 +51,21 @@ def test_every_source_file_parses_at_the_declared_python_floor():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_readme_lists_every_random_stream_label():
+    labels = {
+        node.args[0].value
+        for path in (ROOT / "src" / "fedcs_sim").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "child"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert "fluctuation" in labels
+    section = (ROOT / "README.md").read_text().split("## Random streams\n", 1)[1]
+    table = section.split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `([^`]+)` \|", table, re.M))
+    assert listed == labels

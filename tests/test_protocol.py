@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestFedcsRealizedFinishes:
         assert record.realized_round_duration == t_round
 
     @pytest.mark.parametrize("late_policy", ["extend", "discard"])
-    def test_an_empty_schedule_draws_nothing_and_is_busy_for_the_overheads(
+    def test_an_empty_schedule_draws_the_cohort_once_and_is_busy_for_the_overheads(
         self, population_small, late_policy
     ):
         budget = TimeBudget(t_round=Seconds(1.0), t_cs=Seconds(0.25), t_agg=Seconds(0.5))
@@ -168,11 +169,12 @@ class TestFedcsRealizedFinishes:
         )
         trainer = SurrogateTrainer()
         state = fresh_state(trainer)
-        before = state.rng_fluctuation.bit_generator.state
+        reference = fresh_state(trainer).rng_fluctuation
+        reference.standard_normal((config.cohort_size, 2))
         record = run_round(state, population_small, config, trainer, 0)
         assert record.selected_or_completed == ()
         assert record.aggregated_count == 0
-        assert state.rng_fluctuation.bit_generator.state == before
+        assert state.rng_fluctuation.bit_generator.state == reference.bit_generator.state
         assert record.busy_time == 0.25 + 0.5
         assert record.realized_round_duration == 1.0
 
@@ -488,7 +490,7 @@ class TestFedlimUploadQueue:
             )
             release = _fedlim_release_times(update, upload, config.fedlim, 0.0)  # t_cs = 0
             served, clock = reference_fedlim_uploads(
-                requested, release, upload, upload_order, deadline, reference.rng_selection
+                requested, release, upload, upload_order, deadline, reference.rng_order
             )
             assert record.requested == tuple(population.ids[requested].tolist())
             completed_ids = population.ids[requested[served]].tolist()
@@ -533,6 +535,45 @@ class TestVanillaRound:
         assert records_v[-1].accuracy_after > 0.88
         assert records_c[-1].accuracy_after > 0.88
         assert abs(records_v[-1].accuracy_after - records_c[-1].accuracy_after) < 0.02
+
+
+class TestPairedModes:
+    """One seed feeds every mode the same random inputs at each round index:
+    the cohort, its realized times and, for the random upload orders, the
+    permutation."""
+
+    def test_modes_share_cohorts_realized_times_and_upload_orders(
+        self, population_small, monkeypatch
+    ):
+        draws = []
+
+        def recording(population, positions, budget, fluct, rng):
+            update, upload = realized_times(population, positions, budget, fluct, rng)
+            draws.append((positions.tolist(), update.tolist(), upload.tolist()))
+            return update, upload
+
+        monkeypatch.setattr(protocol, "realized_times", recording)
+        fluct, stop = FluctuationConfig(0.1), StopCondition(t_final=Seconds(20_000.0))
+        configs = {mode: small_config(mode=mode, fluct=fluct) for mode in ("fedcs", "vanilla")}
+        for order in FEDLIM_UPLOAD_ORDERS:
+            options = FedLimOptions(upload_order=order)
+            configs[f"fedlim-{order}"] = small_config(mode="fedlim", fluct=fluct, fedlim=options)
+        runs = {}
+        for name, config in configs.items():
+            draws.clear()
+            trainer = SurrogateTrainer()
+            records = run_experiment(config, stop, trainer, population_small, RngStream(0))
+            assert len(draws) == len(records)
+            runs[name] = records, list(draws)
+        assert len(runs["vanilla"][0]) > 1
+        for (mine, my_draws), (theirs, their_draws) in itertools.combinations(runs.values(), 2):
+            common = min(len(mine), len(theirs))
+            assert [r.requested for r in mine[:common]] == [r.requested for r in theirs[:common]]
+            assert my_draws[:common] == their_draws[:common]
+        vanilla, fedlim = runs["vanilla"][0], runs["fedlim-random"][0]
+        for served, completed in zip(vanilla, fedlim):
+            prefix = served.selected_or_completed[: len(completed.selected_or_completed)]
+            assert completed.selected_or_completed == prefix
 
 
 class TestRunRound:
