@@ -28,6 +28,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     RunDescriptor,
+    check_parameter_table,
     config_hash,
     parse_config,
     resolved_defaults,
@@ -40,6 +41,7 @@ from .learning import (
     NativeTrainer,
     SurrogateTrainer,
     Trainer,
+    check_partition,
     load_dataset,
     make_blob_dataset,
     partition_dataset,
@@ -72,9 +74,13 @@ def _train_and_test(
     )
 
 
-def _check_dataset_files(native: dict) -> None:
-    """Load each dataset file once, as a run does, and apply
-    `NativeTrainer.check_sets`; a failure is a ConfigError at its key."""
+def _check_dataset_files(config: ExperimentConfig, descriptors: list[RunDescriptor]) -> None:
+    """Load each dataset file once, as a run does, and apply what a run
+    checks of the loaded sets: `NativeTrainer.check_sets`, the `MlpNet` of
+    their feature and class counts and its parameter table, and
+    `check_partition` for each descriptor's partition.  A failure is a
+    ConfigError at its key."""
+    native = config.resolved["trainer"]["native"]
     loaded: dict[str, LabeledDataset] = {}
     for key in ("dataset_path", "test_dataset_path"):
         path = native[key]
@@ -84,13 +90,24 @@ def _check_dataset_files(native: dict) -> None:
         except (OSError, ParameterError) as exc:
             raise ConfigError(f"trainer.native.{key}: {exc}") from exc
     test_path = native["test_dataset_path"]
+    train, test = _train_and_test(loaded[native["dataset_path"]], loaded.get(test_path))
     try:
-        NativeTrainer.check_sets(
-            *_train_and_test(loaded[native["dataset_path"]], loaded.get(test_path))
-        )
+        NativeTrainer.check_sets(train, test)
     except ParameterError as exc:
         key = "dataset_path" if test_path is None else "test_dataset_path"
         raise ConfigError(f"trainer.native.{key}: {exc}") from exc
+    try:
+        net = MlpNet(train.features.shape[1], train.n_classes, tuple(native["hidden"]))
+    except ParameterError as exc:  # hidden is valid, so the loaded counts are at fault
+        raise ConfigError(f"trainer.native.dataset_path: the loaded dataset's {exc}") from exc
+    check_parameter_table(config, net)
+    partitions = [d.resolved["partition"] for d in descriptors]
+    for mode, per_client in sorted({(p["mode"], p["classes_per_client"]) for p in partitions}):
+        try:
+            check_partition(train, mode, per_client)
+        except ParameterError as exc:
+            key = "partition.classes_per_client" if exc.field else "trainer.native.dataset_path"
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
 def build_trainer(config: ExperimentConfig, population: Population, rng: RngStream) -> Trainer:
@@ -235,7 +252,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # No sweep axis changes the trainer, so every run reads the same files.
     trainer = config.resolved["trainer"]
     if trainer["kind"] == "native" and trainer["native"]["dataset_path"] is not None:
-        _check_dataset_files(trainer["native"])
+        _check_dataset_files(config, descriptors)
     print(f"OK: {len(descriptors)} run descriptor(s), config hash {config.hash}")
     return 0
 

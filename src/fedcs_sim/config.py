@@ -12,9 +12,9 @@ the same ExperimentConfig accessors a run uses, reporting the object's
 ParameterError at the offending key's path.  This module owns only the JSON
 type and shape of each value, and the rules of keys that no object checks:
 the trainer kind, a positive final deadline, the native dataset sizes and
-paths, the memory a native run's sample index tables may take, classes per
-client against the class count, the metric thresholds, the seed and sweep
-lists, and the output directory.
+paths, the memory a native run's index, feature and parameter tables may
+take, classes per client against the class count, the metric thresholds,
+the seed and sweep lists, and the output directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
@@ -50,6 +50,7 @@ __all__ = [
     "RunDescriptor",
     "run_descriptors",
     "ExperimentConfig",
+    "check_parameter_table",
 ]
 
 
@@ -134,9 +135,11 @@ DEFAULT_CONFIG: dict[str, Any] = _default_config()
 # The most samples the generated train or test set may hold.
 _MAX_GENERATED_SAMPLES = 10**6
 
-# The most bytes of int64 sample indices a native run may need in one table:
-# the partition, or one round's `local_update` batch index table.
-_MAX_NATIVE_INDEX_BYTES = 2 * 2**30
+# The most bytes a native run may need in one table: the partition's or one
+# round's `local_update` int64 sample indices, the generated float64
+# features, or `local_update`'s stacked float64 parameters.
+_MAX_NATIVE_TABLE_BYTES = 2 * 2**30
+_OVER_THE_LIMIT = f"over the {_MAX_NATIVE_TABLE_BYTES / 2**30:g} GiB limit"
 
 # Keys whose value None is meaningful rather than a type error.
 _NULLABLE = {
@@ -275,9 +278,9 @@ def _validate(cfg: dict[str, Any]) -> None:
              "trainer.native.test_samples", f"must be in [1, {_MAX_GENERATED_SAMPLES}]")
     _require(native["blob_spread"] > 0, "trainer.native.blob_spread", "must be positive")
     if cfg["trainer"]["kind"] == "native":
-        _check_native_index_bytes(config)
+        _check_native_tables(config)
     partition = cfg["partition"]
-    # Only the generated blobs have a class count known before a run.
+    # A loaded dataset's class count is known once `validate` loads its files.
     _require(
         partition["mode"] != "non_iid"
         or cfg["trainer"]["kind"] != "native"
@@ -307,30 +310,59 @@ def _validate(cfg: dict[str, Any]) -> None:
         _require(len(set(values)) == len(values), f"sweep.{axis}", "must not repeat values")
 
 
-def _check_native_index_bytes(config: "ExperimentConfig") -> None:
+def _check_native_tables(config: "ExperimentConfig") -> None:
     """Reject a native run whose worst case needs more than
-    `_MAX_NATIVE_INDEX_BYTES` in one table of int64 sample indices.
+    `_MAX_NATIVE_TABLE_BYTES` in one table.
 
     With n the largest data count: the partition holds up to k_total x n
-    indices, and one round's `local_update` index table up to epochs x
+    int64 indices, and one round's `local_update` index table up to epochs x
     (n // batch_size) x cohort size x batch_size, when every client of the
-    cohort is aggregated.  Only the sizes are computed; nothing is allocated.
+    cohort is aggregated.  The generated dataset holds (train_samples +
+    test_samples) x n_features float64s, and its network's parameters go
+    through `check_parameter_table`; a dataset file's network is known only
+    once `validate` loads the file.  Only the sizes are computed; nothing is
+    allocated.
     """
     protocol, hyper = config.protocol(), config.sgd_hyper()
     most = config.ranges().data_count[1]
-    limit = f"over the {_MAX_NATIVE_INDEX_BYTES / 2**30:g} GiB limit"
     table = 8 * hyper.epochs * (most // hyper.batch_size) * protocol.cohort_size * hyper.batch_size
     _require(
-        table <= _MAX_NATIVE_INDEX_BYTES,
+        table <= _MAX_NATIVE_TABLE_BYTES,
         "trainer.kind",
         f"native local_update index table of {table} bytes (epochs_per_round x "
-        f"(data_count_range[1] // batch_size) x cohort size x batch_size int64s) is {limit}",
+        f"(data_count_range[1] // batch_size) x cohort size x batch_size int64s) "
+        f"is {_OVER_THE_LIMIT}",
     )
     shards = 8 * protocol.k_total * most
     _require(
-        shards <= _MAX_NATIVE_INDEX_BYTES,
+        shards <= _MAX_NATIVE_TABLE_BYTES,
         "trainer.kind",
-        f"native partition of {shards} bytes (k_total x data_count_range[1] int64s) is {limit}",
+        f"native partition of {shards} bytes (k_total x data_count_range[1] int64s) "
+        f"is {_OVER_THE_LIMIT}",
+    )
+    native = config.resolved["trainer"]["native"]
+    if native["dataset_path"] is None:
+        features = 8 * (native["train_samples"] + native["test_samples"]) * native["n_features"]
+        _require(
+            features <= _MAX_NATIVE_TABLE_BYTES,
+            "trainer.native.n_features",
+            f"generated dataset of {features} bytes ((train_samples + test_samples) x "
+            f"n_features float64s) is {_OVER_THE_LIMIT}",
+        )
+        net = MlpNet(native["n_features"], native["n_classes"], tuple(native["hidden"]))
+        check_parameter_table(config, net)
+
+
+def check_parameter_table(config: "ExperimentConfig", net: MlpNet) -> None:
+    """Reject a native run whose `local_update` stacks more than
+    `_MAX_NATIVE_TABLE_BYTES` of `net`'s float64 parameters: one row per
+    aggregated client, up to the cohort size."""
+    table = 8 * net.param_count * config.protocol().cohort_size
+    _require(
+        table <= _MAX_NATIVE_TABLE_BYTES,
+        "trainer.native.hidden",
+        f"native local_update parameter table of {table} bytes (parameter count "
+        f"{net.param_count} x cohort size float64s) is {_OVER_THE_LIMIT}",
     )
 
 

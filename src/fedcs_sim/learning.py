@@ -31,6 +31,7 @@ __all__ = [
     "make_blob_dataset",
     "save_dataset",
     "load_dataset",
+    "check_partition",
     "partition_dataset",
     "local_update",
     "aggregate",
@@ -252,6 +253,26 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
+def check_partition(dataset: LabeledDataset, mode: str, classes_per_client: int) -> None:
+    """Raise the `ParameterError` that `partition_dataset` would for `dataset`.
+
+    Besides the mode and classes per client themselves, non_iid needs at
+    least `classes_per_client` classes (field "classes_per_client" when
+    short) and a row of every class, or some client's pool could be empty.
+    """
+    Partition({}, mode, classes_per_client)
+    if mode == "iid":
+        return
+    if dataset.n_classes < classes_per_client:
+        raise ParameterError(
+            f"dataset has {dataset.n_classes} classes, fewer than "
+            f"classes_per_client={classes_per_client}",
+            field="classes_per_client",
+        )
+    if len(np.unique(dataset.labels)) < dataset.n_classes:
+        raise ParameterError("non_iid partitioning requires every class to be represented")
+
+
 def partition_dataset(
     dataset: LabeledDataset,
     population,
@@ -276,7 +297,7 @@ def partition_dataset(
     draw at once, because each client's class `choice` sits between its
     index draws.
     """
-    Partition({}, mode, classes_per_client)  # checks the mode and classes per client
+    check_partition(dataset, mode, classes_per_client)
     ids, counts = population.ids.tolist(), population.data_count
     if mode == "iid":
         flat = rng.integers(0, len(dataset), size=int(counts.sum()))
@@ -285,14 +306,7 @@ def partition_dataset(
         assignment = {cid: flat[start:end] for cid, start, end in zip(ids, [0, *ends], ends)}
         return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
 
-    if dataset.n_classes < classes_per_client:
-        raise ParameterError(
-            f"dataset has {dataset.n_classes} classes, fewer than "
-            f"classes_per_client={classes_per_client}"
-        )
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
-    if any(len(pool) == 0 for pool in by_class):
-        raise ParameterError("non_iid partitioning requires every class to be represented")
     assignment = {}
     for cid, count in zip(ids, counts.tolist()):
         classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,9 +125,14 @@ def summarize(stats: list[RunStats], thresholds: list[float]) -> dict:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The temp file is created, exclusively, with the mode that `open(path,
+    "w")` would give a new file: 0o666 less the process umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -152,8 +156,9 @@ def read_records_jsonl(path: str | Path) -> tuple[dict, list[RoundRecord]]:
     """The header and the records of a file that `write_records_jsonl` wrote.
 
     A file that is empty or not UTF-8 raises a `ParameterError` naming it; a
-    header that is not a JSON object, or a round line that is not JSON or
-    lacks a field, one that also names the 1-based line.
+    header that is not a JSON object, or a round line that is not JSON,
+    lacks a field or has one of the wrong type, one that also names the
+    1-based line.
     """
     path = Path(path)
     try:

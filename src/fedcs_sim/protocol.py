@@ -174,7 +174,21 @@ class RoundRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "RoundRecord":
+        """The record of a `to_json_line` line, each field checked for its
+        JSON type: counts are non-negative integers, id lists hold positive
+        integers, and the accuracy is a number in [0, 1].  true and false are
+        not integers here."""
         raw = json.loads(line)
+        for key in ("round", "aggregated_count"):
+            if type(raw[key]) is not int or raw[key] < 0:
+                raise ParameterError(f"{key} must be a non-negative integer, got {raw[key]!r}")
+        for key in ("requested", "selected_or_completed"):
+            ids = raw[key]
+            if type(ids) is not list or not all(type(i) is int and i > 0 for i in ids):
+                raise ParameterError(f"{key} must be a list of positive integers")
+        accuracy = raw["accuracy_after"]
+        if type(accuracy) not in (int, float) or not 0 <= accuracy <= 1:
+            raise ParameterError(f"accuracy_after must be a number in [0, 1], got {accuracy!r}")
         return cls(
             round=raw["round"],
             requested=tuple(raw["requested"]),
@@ -251,7 +265,7 @@ def _fedcs_round(state, population, config, requested, update, upload):
         state.schedulable = state.estimates.schedulable(budget)
     # Greedy rejects every other cohort member from any state, and dropping
     # a client it would reject changes neither its picks nor its acceptances.
-    # The sorted draw, masked, is strictly increasing: no need for take's checks.
+    # The sorted draw, masked, is strictly increasing, as `_rows` requires.
     planned = requested[state.schedulable[requested]]
     schedule = greedy_select(state.estimates._rows(planned), budget)
     # Row i holds client i + 1, and the cohort's rows ascend.

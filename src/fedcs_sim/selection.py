@@ -25,13 +25,13 @@ A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
 once on construction.  The fedcs engine builds one set of the whole
 population's estimates per run, with its `schedulable` mask of the clients
 whose solo total fits the deadline, and plans each round on the schedulable
-members of the requested cohort: greedy rejects every other client from any
-state, so it picks and accepts the same clients either way.  Both
-schedulers work on the columns directly, so no per-client objects or
-unit-tagged scalars enter their loops.  Greedy scans its pool in upload
-order and stops each pick at the first upload above the cheapest cost, and
-after a rejection at the first remaining upload that cannot fit; both
-bounds are exact in floats.  `Candidate` is the row view that the
+members of the requested cohort, taken unchecked by `_rows`: greedy rejects
+every other client from any state, so it picks and accepts the same clients
+either way.  Both schedulers work on the columns directly, so no per-client
+objects or unit-tagged scalars enter their loops.  Greedy scans its pool in
+upload order and stops each pick at the first upload above the cheapest
+cost, and after a rejection at the first remaining upload that cannot fit;
+both bounds are exact in floats.  `Candidate` is the row view that the
 scalar helpers (`elapsed_theta`, `dist_time`) take.  `dist_time` divides the
 model size by the slowest throughput; with every upload model_size /
 throughput, that is the longest upload to the last bit, because correctly
@@ -87,7 +87,7 @@ class CandidateSet:
     finite and non-negative.  The stored arrays are read-only copies.
 
     `estimated` builds the set of a whole population's estimates, and
-    `take` gives a subset of its rows without checking them again: rows of
+    `_rows` gives a subset of its rows without checking them again: rows of
     a validated set are valid, and strictly increasing positions keep them
     sorted and unique.  So a run validates each client once, not once per
     round that requests it.
@@ -126,16 +126,6 @@ class CandidateSet:
             object.__setattr__(self, name, column)
 
     @classmethod
-    def of(cls, candidates: Iterable[Candidate]) -> "CandidateSet":
-        """Columns built from `Candidate` objects, in any order."""
-        rows = list(candidates)
-        return cls(
-            ids=np.array([int(c.id) for c in rows], dtype=np.int64),
-            t_update=np.array([float(c.t_update) for c in rows], dtype=np.float64),
-            t_upload=np.array([float(c.t_upload) for c in rows], dtype=np.float64),
-        )
-
-    @classmethod
     def estimated(cls, population: Population, budget: TimeBudget) -> "CandidateSet":
         """Every client's estimated times, in id order.
 
@@ -150,21 +140,9 @@ class CandidateSet:
             t_upload=float(budget.model_size) / population.throughput,
         )
 
-    def take(self, positions: np.ndarray) -> "CandidateSet":
-        """The rows at `positions`, which must be strictly increasing and
-        non-negative; the rows are not validated again."""
-        positions = np.asarray(positions)
-        if positions.size == 0:
-            positions = positions.astype(np.intp)
-        if positions.ndim != 1 or positions.dtype.kind not in "iu":
-            raise ParameterError("positions must be a 1-D integer array")
-        if positions.size and (positions[0] < 0 or not (positions[1:] > positions[:-1]).all()):
-            raise ParameterError("positions must be non-negative and strictly increasing")
-        return self._rows(positions)
-
     def _rows(self, positions: np.ndarray) -> "CandidateSet":
-        """`take` without its checks: `positions` must already be a 1-D
-        integer array, non-negative and strictly increasing."""
+        """The rows at `positions`, unchecked: a 1-D integer array that must
+        be non-negative (a negative one wraps) and strictly increasing."""
         subset = object.__new__(CandidateSet)
         columns = vars(subset)
         for name in ("ids", "t_update", "t_upload"):
@@ -204,32 +182,16 @@ class CandidateSet:
 class Schedule:
     """Ordered selection with its elapsed-time trajectory and totals.
 
-    `order` holds client ids as plain ints.  theta[0] is always 0 and
-    theta[i] is the elapsed time after the i-th selected client; total_time
-    = t_cs + dist_time + theta[-1] + t_agg.
+    `order` holds distinct client ids as plain ints.  theta[0] is 0 and
+    theta[i] >= theta[i - 1] is the elapsed time after the i-th selected
+    client; total_time = t_cs + dist_time + theta[-1] + t_agg.  The planners
+    build these invariants, so nothing checks them at run time.
     """
 
     order: tuple[int, ...]
     theta: tuple[float, ...]
     dist_time: Seconds
     total_time: Seconds
-
-    def __post_init__(self) -> None:
-        if len(self.theta) != len(self.order) + 1:
-            raise ParameterError("theta must have one entry per selected client plus theta_0")
-        if self.theta[0] != 0.0:
-            raise ParameterError("theta_0 must be 0")
-        if any(b < a for a, b in zip(self.theta, self.theta[1:])):
-            raise ParameterError("theta must be non-decreasing")
-        if len(set(self.order)) != len(self.order):
-            raise ParameterError("schedule order must not repeat clients")
-
-    @classmethod
-    def _unchecked(cls, **fields) -> "Schedule":
-        """A schedule whose invariants hold by construction: `__post_init__` is skipped."""
-        schedule = object.__new__(cls)
-        vars(schedule).update(fields)
-        return schedule
 
     def __len__(self) -> int:
         return len(self.order)
@@ -348,10 +310,9 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
             # See the docstring for why this bound loses no feasible candidate.
             break
 
-    # Each pick is popped from the pool, so no id repeats, and extend_theta
-    # never lowers theta: the schedule's checks hold without running them.
+    # Picks leave the pool, so no id repeats; extend_theta never lowers theta.
     total = base + dist + theta
-    return Schedule._unchecked(
+    return Schedule(
         order=tuple(order),
         theta=tuple(trajectory),
         dist_time=Seconds(dist),

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,37 @@ class TestCommands:
         config = write_config(tmp_path, {**SMALL, "seeds": [0], "sweep": {}})
         assert main(["run", str(config), "--out", str(tmp_path / "out"), "--parallelism", "8"]) == 0
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_output_files_get_the_mode_the_umask_gives(self, tmp_path, capsys, umask, mode):
+        config = write_config(tmp_path, {**SMALL, "seeds": [0], "sweep": {}})
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert main(["run", str(config), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        names = ("records-fedcs_seed0.jsonl", "curve-fedcs_seed0.csv", "summary.json")
+        assert modes == dict.fromkeys(names, mode)
+
+    @pytest.mark.parametrize(
+        "native, key",
+        [
+            ({"train_samples": 10**6, "test_samples": 10**6, "n_features": 4096}, "n_features"),
+            ({"hidden": [4096] * 20}, "hidden"),
+        ],
+        ids=["generated-features", "parameters"],
+    )
+    def test_validate_rejects_a_table_over_the_memory_limit(self, tmp_path, capsys, native, key):
+        # Never run: either config would need tens of GB.
+        config = write_config(tmp_path, {"trainer": {"kind": "native", "native": native}})
+        assert main(["validate", str(config)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: trainer.native.{key}: ")
+        assert line.endswith(" is over the 2 GiB limit")
+
     def test_validate_reports_descriptors_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, SMALL)
         monkeypatch.chdir(tmp_path)
@@ -281,9 +313,9 @@ class TestValidateDatasetFiles:
     rejects the sets that every run of it would reject."""
 
     @staticmethod
-    def validate(tmp_path, native):
-        config = write_config(tmp_path, {"trainer": {"kind": "native", "native": native}})
-        return main(["validate", str(config)])
+    def validate(tmp_path, native, **sections):
+        config = {"trainer": {"kind": "native", "native": native}, **sections}
+        return main(["validate", str(write_config(tmp_path, config))])
 
     @staticmethod
     def dataset(tmp_path, name, n_features, n_classes=3):
@@ -338,6 +370,60 @@ class TestValidateDatasetFiles:
         assert capsys.readouterr().err == (
             "configuration error: trainer.native.dataset_path: test set is empty\n"
         )
+
+
+    @staticmethod
+    def labelled(tmp_path, labels):
+        """A CSV of one row per label, with no sidecar: its class count is the
+        largest label plus one."""
+        path = tmp_path / "labels.csv"
+        path.write_text("".join(f"{label},{i}.0,1.0\n" for i, label in enumerate(labels)))
+        return str(path)
+
+    def test_fewer_classes_than_each_non_iid_client_draws(self, tmp_path, capsys):
+        native = {"dataset_path": self.dataset(tmp_path, "train", 8)}
+        partition = {"mode": "non_iid", "classes_per_client": 4}
+        assert self.validate(tmp_path, native, protocol={"k_total": 60}, partition=partition) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: partition.classes_per_client: dataset has 3 classes, "
+            "fewer than classes_per_client=4\n"
+        )
+
+    def test_a_swept_non_iid_partition_is_checked_too(self, tmp_path, capsys):
+        native = {"dataset_path": self.labelled(tmp_path, [0, 2] * 10)}
+        sweep = {"partition_mode": ["iid", "non_iid"]}
+        assert self.validate(tmp_path, native, protocol={"k_total": 60}, sweep=sweep) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.dataset_path: non_iid partitioning requires "
+            "every class to be represented\n"
+        )
+
+    def test_more_classes_than_the_network_allows(self, tmp_path, capsys):
+        native = {"dataset_path": self.labelled(tmp_path, [0, 1, 5000] * 4)}
+        assert self.validate(tmp_path, native, protocol={"k_total": 60}) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.dataset_path: the loaded dataset's "
+            "n_classes must be in [2, 4096]\n"
+        )
+
+    def test_a_class_with_no_rows_under_non_iid(self, tmp_path, capsys):
+        native = {"dataset_path": self.labelled(tmp_path, [0, 2] * 10)}
+        partition = {"mode": "non_iid"}
+        assert self.validate(tmp_path, native, protocol={"k_total": 60}, partition=partition) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trainer.native.dataset_path: non_iid partitioning requires "
+            "every class to be represented\n"
+        )
+
+    def test_a_parameter_table_over_the_memory_limit(self, tmp_path, capsys):
+        # The generated dataset's network is checked by `resolve_config`; a
+        # loaded one's only once its feature and class counts are known.
+        native = {"dataset_path": self.dataset(tmp_path, "train", 8), "hidden": [4096, 4096]}
+        resolve_config({"trainer": {"kind": "native", "native": native}})
+        assert self.validate(tmp_path, native) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: trainer.native.hidden: native local_update ")
+        assert line.endswith(" is over the 2 GiB limit")
 
 
 class TestReadmeExamples:

@@ -153,20 +153,36 @@ class TestFileExports:
             read_records_jsonl(path)
 
     @pytest.mark.parametrize(
-        "busy_time, reason",
-        [(None, "no field 'busy_time'"), (-1.0, "Seconds must be finite and non-negative")],
+        "field, value, reason",
+        [
+            ("busy_time", None, "no field 'busy_time'"),
+            ("busy_time", -1.0, "Seconds must be finite and non-negative"),
+            ("round", -1.5, "round must be a non-negative integer, got -1.5"),
+            ("round", True, "round must be a non-negative integer, got True"),
+            ("aggregated_count", "x", "aggregated_count must be a non-negative integer, got 'x'"),
+            ("requested", "abc", "requested must be a list of positive integers"),
+            ("requested", [0, 2], "requested must be a list of positive integers"),
+            (
+                "selected_or_completed",
+                [1.5, None],
+                "selected_or_completed must be a list of positive integers",
+            ),
+            ("accuracy_after", "high", "accuracy_after must be a number in [0, 1], got 'high'"),
+            ("accuracy_after", 1.5, "accuracy_after must be a number in [0, 1], got 1.5"),
+        ],
     )
-    def test_bad_round_field_is_rejected_naming_the_line(self, tmp_path, busy_time, reason):
+    def test_bad_round_field_is_rejected_naming_the_line(self, tmp_path, field, value, reason):
+        # A value of None deletes the field.
         path = tmp_path / "records-test.jsonl"
         write_records_jsonl(run_of([0.3, 0.6]), path, {"seed": 7})
         header, first, second = path.read_text().splitlines()
         raw = json.loads(second)
-        if busy_time is None:
-            del raw["busy_time"]
+        if value is None:
+            del raw[field]
         else:
-            raw["busy_time"] = busy_time
+            raw[field] = value
         path.write_text("\n".join([header, first, json.dumps(raw)]) + "\n")
-        with pytest.raises(ParameterError, match=rf"line 3: {reason}"):
+        with pytest.raises(ParameterError, match=rf"line 3: {re.escape(reason)}"):
             read_records_jsonl(path)
 
     def test_curve_csv_layout(self, tmp_path):

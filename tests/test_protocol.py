@@ -282,7 +282,7 @@ class TestDistributionTimeIdentity:
             estimates = CandidateSet.estimated(population, budget)
             for _ in range(40):
                 positions = np.sort(rng.choice(k_total, size=cohort, replace=False))
-                schedule = greedy_select(estimates.take(positions), budget)
+                schedule = greedy_select(estimates._rows(positions), budget)
                 rows = [
                     Candidate(
                         id=p.id,
