@@ -75,12 +75,16 @@ def _train_and_test(
 
 
 def _check_dataset_files(config: ExperimentConfig, descriptors: list[RunDescriptor]) -> None:
-    """Load each dataset file once, as a run does, and apply what a run
-    checks of the loaded sets: `NativeTrainer.check_sets`, the `MlpNet` of
-    their feature and class counts and its parameter table, and
+    """Check a native config's dataset files, for `run` and `validate` alike,
+    before anything runs.  Load each file once, as a run does, and apply what
+    a run checks of the loaded sets: `NativeTrainer.check_sets`, the `MlpNet`
+    of their feature and class counts and its parameter table, and
     `check_partition` for each descriptor's partition.  A failure is a
-    ConfigError at its key."""
+    ConfigError at its key.  No sweep axis changes the trainer, so every run
+    reads the same files; a config without files passes."""
     native = config.resolved["trainer"]["native"]
+    if config.resolved["trainer"]["kind"] != "native" or native["dataset_path"] is None:
+        return
     loaded: dict[str, LabeledDataset] = {}
     for key in ("dataset_path", "test_dataset_path"):
         path = native[key]
@@ -192,8 +196,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         config.resolved["output_dir"] = args.out
 
-    # Checks the overrides by the config's rules before the directory is touched.
+    # Checks the overrides by the config's rules, and the dataset files,
+    # before the directory is touched.
     descriptors = run_descriptors(config)
+    _check_dataset_files(config, descriptors)
     out_dir = Path(config.resolved["output_dir"])
     if out_dir.is_dir() and not args.force:
         print(f"error: output directory {out_dir} exists (use --force to overwrite)", file=sys.stderr)
@@ -249,10 +255,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     descriptors = run_descriptors(config)
-    # No sweep axis changes the trainer, so every run reads the same files.
-    trainer = config.resolved["trainer"]
-    if trainer["kind"] == "native" and trainer["native"]["dataset_path"] is not None:
-        _check_dataset_files(config, descriptors)
+    _check_dataset_files(config, descriptors)
     print(f"OK: {len(descriptors)} run descriptor(s), config hash {config.hash}")
     return 0
 

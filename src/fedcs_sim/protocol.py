@@ -206,8 +206,8 @@ class ExperimentState:
     """Mutable per-experiment state threaded through the round engines.
 
     `estimates` holds the whole population's estimated times as one
-    validated `CandidateSet`, and `schedulable` its
-    `CandidateSet.schedulable` mask.  Only the fedcs engine uses them; it
+    validated `CandidateSet`, row k for population row k, and `schedulable`
+    its `CandidateSet.schedulable` mask.  Only the fedcs engine uses them; it
     builds both on its first round, from the population and budget, which
     stay fixed for the run, and plans each round on the schedulable members
     of the requested cohort.
@@ -264,12 +264,11 @@ def _fedcs_round(state, population, config, requested, update, upload):
         state.estimates = CandidateSet.estimated(population, budget)
         state.schedulable = state.estimates.schedulable(budget)
     # Greedy rejects every other cohort member from any state, and dropping
-    # a client it would reject changes neither its picks nor its acceptances.
-    # The sorted draw, masked, is strictly increasing, as `_rows` requires.
-    planned = requested[state.schedulable[requested]]
-    schedule = greedy_select(state.estimates._rows(planned), budget)
-    # Row i holds client i + 1, and the cohort's rows ascend.
-    selected = np.searchsorted(requested, np.array(schedule.order, dtype=np.int64) - 1)
+    # a client it would reject changes neither its picks, its acceptances
+    # nor, with the rest kept in cohort order, its tie-breaks.
+    planned = np.flatnonzero(state.schedulable[requested])
+    schedule = greedy_select(state.estimates._rows(requested[planned]), budget)
+    selected = planned[list(schedule.order)]
     uploads = upload[selected].tolist()
     realized_dist = max(uploads, default=0.0)
     finish = finish_times(update[selected].tolist(), uploads)

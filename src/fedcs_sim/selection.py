@@ -21,8 +21,9 @@ S.  The greedy scheduler is the paper's heuristic for the largest feasible
 set; `exact_select` finds that largest set in polynomial time, against the
 same strict deadline.
 
-A cohort is a `CandidateSet`: numpy columns sorted by client id, validated
-once on construction.  The fedcs engine builds one set of the whole
+A cohort is a `CandidateSet`: numpy columns of times, one row per client,
+validated once on construction; the planners return rows, which the caller
+maps back to clients.  The fedcs engine builds one set of the whole
 population's estimates per run, with its `schedulable` mask of the clients
 whose solo total fits the deadline, and plans each round on the schedulable
 members of the requested cohort, taken unchecked by `_rows`: greedy rejects
@@ -79,55 +80,40 @@ class Candidate:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Clients that can be scheduled, as columns sorted by id.
+    """Clients that can be scheduled, one per row of two columns.
 
-    `ids` is int64; `t_update` and `t_upload` (seconds) are float64.  Rows
-    given out of id order are sorted once here, and every row is validated
-    once: unique positive integer ids, and times that `Seconds` would admit,
-    finite and non-negative.  The stored arrays are read-only copies.
+    `t_update` and `t_upload` (seconds) are float64 columns of equal length,
+    validated once here: times that `Seconds` would admit, finite and
+    non-negative.  The stored arrays are read-only copies.  A planner
+    returns rows of its set; the caller knows which client each row holds.
 
     `estimated` builds the set of a whole population's estimates, and
     `_rows` gives a subset of its rows without checking them again: rows of
-    a validated set are valid, and strictly increasing positions keep them
-    sorted and unique.  So a run validates each client once, not once per
-    round that requests it.
+    a validated set are valid.  So a run validates each client once, not
+    once per round that requests it.
     """
 
-    ids: np.ndarray
     t_update: np.ndarray
     t_upload: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise UnitError(f"candidate ids must be integers, got dtype {ids.dtype}")
-        ids = ids.astype(np.int64)
         columns = [np.array(c, dtype=np.float64) for c in (self.t_update, self.t_upload)]
-        if ids.ndim != 1 or any(c.shape != ids.shape for c in columns):
+        if columns[0].ndim != 1 or columns[1].shape != columns[0].shape:
             raise ParameterError("candidate columns must be 1-D arrays of equal length")
-        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
-            by_id = np.argsort(ids, kind="stable")
-            ids = ids[by_id]
-            columns = [c[by_id] for c in columns]
-            if not (ids[1:] > ids[:-1]).all():
-                raise ParameterError("candidate ids must be unique")
-        if ids.size and ids[0] < 1:
-            raise UnitError(f"candidate ids must be positive integers, got {int(ids[0])!r}")
         for name, times in zip(("t_update", "t_upload"), columns):
             bad = ~(np.isfinite(times) & (times >= 0.0))
             if bad.any():
-                i = int(np.argmax(bad))
+                k = int(np.argmax(bad))
                 raise UnitError(
-                    f"candidate {int(ids[i])} {name} must be finite and non-negative, "
-                    f"got {float(times[i])!r}"
+                    f"candidate row {k} {name} must be finite and non-negative, "
+                    f"got {float(times[k])!r}"
                 )
-        for name, column in zip(("ids", "t_update", "t_upload"), (ids, *columns)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            times.flags.writeable = False
+            object.__setattr__(self, name, times)
 
     @classmethod
     def estimated(cls, population: Population, budget: TimeBudget) -> "CandidateSet":
-        """Every client's estimated times, in id order.
+        """Every client's estimated times, row k for population row k.
 
         The same float operations as `estimated_update_time` and
         `estimated_upload_time` on the same values, so bit-equal to them.
@@ -135,17 +121,16 @@ class CandidateSet:
         cannot plan a 0 s time; a time that overflows is rejected here.
         """
         return cls(
-            ids=population.ids,
             t_update=budget.epochs_per_round * population.data_count / population.capability,
             t_upload=float(budget.model_size) / population.throughput,
         )
 
     def _rows(self, positions: np.ndarray) -> "CandidateSet":
-        """The rows at `positions`, unchecked: a 1-D integer array that must
-        be non-negative (a negative one wraps) and strictly increasing."""
+        """The rows at `positions`, in that order, unchecked: a 1-D integer
+        array that must be non-negative (a negative one wraps)."""
         subset = object.__new__(CandidateSet)
         columns = vars(subset)
-        for name in ("ids", "t_update", "t_upload"):
+        for name in ("t_update", "t_upload"):
             column = columns[name] = getattr(self, name)[positions]
             column.flags.writeable = False
         return subset
@@ -175,17 +160,18 @@ class CandidateSet:
             return (base + self.t_upload) + (self.t_upload + self.t_update) < limit
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.t_upload)
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Ordered selection with its elapsed-time trajectory and totals.
 
-    `order` holds distinct client ids as plain ints.  theta[0] is 0 and
-    theta[i] >= theta[i - 1] is the elapsed time after the i-th selected
-    client; total_time = t_cs + dist_time + theta[-1] + t_agg.  The planners
-    build these invariants, so nothing checks them at run time.
+    `order` holds distinct rows of the planned `CandidateSet` as plain ints,
+    in upload order.  theta[0] is 0 and theta[i] >= theta[i - 1] is the
+    elapsed time after the i-th selected client; total_time = t_cs +
+    dist_time + theta[-1] + t_agg.  The planners build these invariants, so
+    nothing checks them at run time.
     """
 
     order: tuple[int, ...]
@@ -240,19 +226,19 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
         cost_k = ((max(t_upload_k, dist) - dist) + t_upload_k)
                      + max(0, t_update_k - theta)
 
-    (ties broken by lower client id), removes it from the pool, and accepts
+    (ties broken by the lower row), removes it from the pool, and accepts
     it only if the tentative total stays strictly below the deadline.  A
     rejected candidate is never reconsidered.  dist is the longest upload
     accepted so far, so max(dist, t_upload_k) is the distribution time with
     k added.
 
-    Scan order.  The pool is kept once per call in ascending (t_upload, id)
+    Scan order.  The pool is kept once per call in ascending (t_upload, row)
     order, and each pick scans it from the front.  Every rounded step of
     cost_k adds a non-negative amount to t_upload_k, so cost_k >= t_upload_k
     in floats as well, and the scan stops at the first t_upload_k above the
     cheapest cost seen: that candidate and every later one cost more.  Costs
     that overflow to infinity (times near the float maximum) tie like any
-    others, so the lowest id among them is picked and tested.
+    others, so the lowest row among them is picked and tested.
 
     Early exit.  In exact arithmetic tentative_k = base + dist + theta +
     cost_k, with base = t_cs + t_agg, so once the cheapest candidate is
@@ -272,20 +258,20 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
-    # Positions in ascending (t_upload, id) order: the id-sorted rows, stably
-    # sorted by upload.  `pool` holds the positions not yet picked.
+    # Rows in ascending (t_upload, row) order; `pool` holds the indices into
+    # that order not yet picked.
     scan = np.argsort(candidates.t_upload, kind="stable")
     uploads = candidates.t_upload[scan].tolist()
     updates = candidates.t_update[scan].tolist()
-    ids = candidates.ids[scan].tolist()
-    pool = list(range(len(ids)))
+    rows = scan.tolist()
+    pool = list(range(len(rows)))
     order: list[int] = []
     trajectory = [0.0]
     theta = 0.0
     dist = 0.0
 
     while pool:
-        best, best_id, at = math.inf, math.inf, 0
+        best, best_row, at = math.inf, math.inf, 0
         for j, k in enumerate(pool):
             upload = uploads[k]
             if upload > best:
@@ -295,8 +281,8 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
             cost = ((upload - dist if upload > dist else 0.0) + upload) + (
                 update - theta if update > theta else 0.0
             )
-            if cost < best or (cost == best and ids[k] < best_id):
-                best, best_id, at = cost, ids[k], j
+            if cost < best or (cost == best and rows[k] < best_row):
+                best, best_row, at = cost, rows[k], j
         k = pool.pop(at)
 
         theta_new = extend_theta(theta, updates[k], uploads[k])
@@ -304,13 +290,13 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
         if base + dist_new + theta_new < deadline:
             theta = theta_new
             dist = dist_new
-            order.append(ids[k])
+            order.append(rows[k])
             trajectory.append(theta)
         elif pool and base + dist + (theta + uploads[pool[0]]) >= deadline:
             # See the docstring for why this bound loses no feasible candidate.
             break
 
-    # Picks leave the pool, so no id repeats; extend_theta never lowers theta.
+    # Picks leave the pool, so no row repeats; extend_theta never lowers theta.
     total = base + dist + theta
     return Schedule(
         order=tuple(order),
@@ -323,13 +309,13 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
 def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     """Largest feasible schedule, found exactly in O(n^2 log n).
 
-    For a fixed set, uploading in release order, ascending (t_update, id),
+    For a fixed set, uploading in release order, ascending (t_update, row),
     gives the smallest final elapsed time (one machine with release dates,
     1|r_j|C_max): the largest t_update_j plus the uploads from j on.  Read
     backwards in time, keeping the most clients with every such term inside
     the slack is 1||sum U_j, with processing times t_upload and due dates
     slack - t_update, which Moore-Hodgson solves exactly (Moore, Management
-    Science 15(1), 1968): walk the clients by descending (t_update, id),
+    Science 15(1), 1968): walk the clients by descending (t_update, row),
     keep their uploads on a max-heap with a running sum, and whenever a term
     reaches the slack drop the largest upload kept.
 
@@ -352,7 +338,7 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
-    # Walk order: descending (t_update, id); its reverse is release order.
+    # Walk order: descending (t_update, row); its reverse is release order.
     walk = np.argsort(candidates.t_update, kind="stable")[::-1]
     t_update = candidates.t_update[walk].tolist()
     upload_times = candidates.t_upload[walk]
@@ -381,9 +367,9 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
             if base + dist_new + theta_new[-1] < deadline:
                 best, trajectory, dist = release, theta_new, dist_new
 
-    ids = candidates.ids[walk].tolist()
+    rows = walk.tolist()
     return Schedule(
-        order=tuple(ids[k] for k in best),
+        order=tuple(rows[k] for k in best),
         theta=tuple(trajectory),
         dist_time=Seconds(dist),
         total_time=Seconds(base + dist + trajectory[-1]),

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import stat
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 import fedcs_sim
 from fedcs_sim import cli
-from fedcs_sim.cli import _execute_descriptor, main
+from fedcs_sim.cli import _execute_descriptor, execute_run, main
 from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
+from fedcs_sim.core import ParameterError
 from fedcs_sim.learning import make_blob_dataset, save_dataset
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
 
@@ -29,6 +31,15 @@ FEDLIM_R = {
     "fluctuation": {"r": 0.1},
     "budget": {"t_final_s": 1800.0},
     "seeds": [0, 1],
+}
+
+
+# `validate` accepts it, and every run fails: 12 generated rows over the
+# default 10 classes leave some class without a row, which non_iid needs.
+FAILING_NATIVE = {
+    **SMALL,
+    "trainer": {"kind": "native", "native": {"train_samples": 12}},
+    "partition": {"mode": "non_iid"},
 }
 
 
@@ -214,11 +225,8 @@ class TestCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file.txt"]
 
     def test_failing_descriptor_fails_every_run(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        config = write_config(
-            tmp_path,
-            {**SMALL, "trainer": {"kind": "native", "native": {"dataset_path": str(missing)}}},
-        )
+        config = write_config(tmp_path, FAILING_NATIVE)
+        assert main(["validate", str(config)]) == 0
         out = tmp_path / "out"
         assert main(["run", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -233,14 +241,10 @@ class TestCommands:
         assert len(reports) == len(run_ids)
         for report in reports:
             assert "\nTraceback (most recent call last)" in report
-            assert "FileNotFoundError" in report.split("Traceback", 1)[1]
+            assert "ParameterError" in report.split("Traceback", 1)[1]
 
     def test_serial_and_parallel_failing_sweeps_report_alike(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        config = write_config(
-            tmp_path,
-            {**SMALL, "trainer": {"kind": "native", "native": {"dataset_path": str(missing)}}},
-        )
+        config = write_config(tmp_path, FAILING_NATIVE)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert main(["run", str(config), "--out", str(serial)]) == 1
         serial_err = capsys.readouterr().err
@@ -249,23 +253,24 @@ class TestCommands:
         assert serial_err.count("FAILED ") == serial_err.count("\nTraceback ") == 4
         assert directory_bytes(parallel) == directory_bytes(serial)
 
+    @staticmethod
+    def assert_run_rejects(tmp_path, capsys, native, key, message):
+        """`run` reports `message` at `key` and exits 2 before it creates the
+        output directory, and a run that starts anyway fails with `message`
+        in `NativeTrainer`'s own checks."""
+        user = {**SMALL, "sweep": {}, "seeds": [0], "trainer": {"kind": "native", "native": native}}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, user)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: trainer.native.{key}: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            execute_run(ExperimentConfig(resolve_config(user)), 0)
+
     def test_a_dataset_too_small_to_leave_a_test_split_fails_the_run(self, tmp_path, capsys):
         dataset = tmp_path / "one.csv"
         dataset.write_text("1,1.0,2.0\n")
-        config = write_config(
-            tmp_path,
-            {
-                **SMALL,
-                "sweep": {},
-                "seeds": [0],
-                "trainer": {"kind": "native", "native": {"dataset_path": str(dataset)}},
-            },
-        )
-        out = tmp_path / "out"
-        assert main(["run", str(config), "--out", str(out)]) == 1
-        assert "ParameterError: test set is empty" in capsys.readouterr().err
-        summary = json.loads((out / "summary.json").read_text())
-        assert list(summary["failed_runs"]) == ["fedcs_seed0"]
+        native = {"dataset_path": str(dataset)}
+        self.assert_run_rejects(tmp_path, capsys, native, "dataset_path", "test set is empty")
 
     def test_a_test_set_with_another_feature_count_fails_the_run(self, tmp_path, capsys):
         paths = {}
@@ -273,17 +278,13 @@ class TestCommands:
             rng = np.random.default_rng(n_features)
             paths[name] = str(tmp_path / f"{name}.csv")
             save_dataset(make_blob_dataset(40, n_features, 3, rng), paths[name])
-        config = write_config(
+        self.assert_run_rejects(
             tmp_path,
-            {**SMALL, "sweep": {}, "seeds": [0], "trainer": {"kind": "native", "native": paths}},
+            capsys,
+            paths,
+            "test_dataset_path",
+            "train and test sets must agree on the feature count, got 8 and 5",
         )
-        out = tmp_path / "out"
-        assert main(["run", str(config), "--out", str(out)]) == 1
-        failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED" in line]
-        assert failed == [
-            "FAILED fedcs_seed0: ParameterError: train and test sets must agree on the "
-            "feature count, got 8 and 5"
-        ]
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     def test_an_empty_output_path_is_a_configuration_error(
@@ -310,12 +311,27 @@ class TestCommands:
 
 class TestValidateDatasetFiles:
     """`validate` loads a native config's dataset files as a run does and
-    rejects the sets that every run of it would reject."""
+    rejects the sets that every run of it would reject; `run` rejects them
+    the same way before it creates its output directory."""
 
     @staticmethod
     def validate(tmp_path, native, **sections):
         config = {"trainer": {"kind": "native", "native": native}, **sections}
         return main(["validate", str(write_config(tmp_path, config))])
+
+    @staticmethod
+    def rejection(tmp_path, capsys, native, **sections):
+        """What `validate` prints for a config it rejects, once `run` has
+        exited 2 with the same output and no output directory."""
+        config = {"trainer": {"kind": "native", "native": native}, **sections}
+        path = str(write_config(tmp_path, config))
+        assert main(["validate", path]) == 2
+        printed = capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert capsys.readouterr() == printed
+        assert not out.exists()
+        return printed.err
 
     @staticmethod
     def dataset(tmp_path, name, n_features, n_classes=3):
@@ -335,8 +351,7 @@ class TestValidateDatasetFiles:
             "dataset_path": self.dataset(tmp_path, "train", 8),
             "test_dataset_path": self.dataset(tmp_path, "test", 5),
         }
-        assert self.validate(tmp_path, native) == 2
-        assert capsys.readouterr().err == (
+        assert self.rejection(tmp_path, capsys, native) == (
             "configuration error: trainer.native.test_dataset_path: train and test sets "
             "must agree on the feature count, got 8 and 5\n"
         )
@@ -348,8 +363,7 @@ class TestValidateDatasetFiles:
         }
         sidecar = Path(native["test_dataset_path"] + ".json")
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_classes": 4}))
-        assert self.validate(tmp_path, native) == 2
-        assert capsys.readouterr().err == (
+        assert self.rejection(tmp_path, capsys, native) == (
             "configuration error: trainer.native.test_dataset_path: train and test sets "
             "must agree on the class count, got 3 and 4\n"
         )
@@ -358,16 +372,14 @@ class TestValidateDatasetFiles:
     def test_a_missing_file(self, tmp_path, capsys, key):
         native = {"dataset_path": self.dataset(tmp_path, "train", 8)}
         native[key] = str(tmp_path / "missing.csv")
-        assert self.validate(tmp_path, native) == 2
-        (line,) = capsys.readouterr().err.splitlines()
+        (line,) = self.rejection(tmp_path, capsys, native).splitlines()
         assert line.startswith(f"configuration error: trainer.native.{key}: ")
         assert "missing.csv" in line
 
     def test_a_train_file_too_small_to_leave_a_test_split(self, tmp_path, capsys):
         dataset = tmp_path / "one.csv"
         dataset.write_text("1,1.0,2.0\n")
-        assert self.validate(tmp_path, {"dataset_path": str(dataset)}) == 2
-        assert capsys.readouterr().err == (
+        assert self.rejection(tmp_path, capsys, {"dataset_path": str(dataset)}) == (
             "configuration error: trainer.native.dataset_path: test set is empty\n"
         )
 
@@ -383,8 +395,8 @@ class TestValidateDatasetFiles:
     def test_fewer_classes_than_each_non_iid_client_draws(self, tmp_path, capsys):
         native = {"dataset_path": self.dataset(tmp_path, "train", 8)}
         partition = {"mode": "non_iid", "classes_per_client": 4}
-        assert self.validate(tmp_path, native, protocol={"k_total": 60}, partition=partition) == 2
-        assert capsys.readouterr().err == (
+        sections = {"protocol": {"k_total": 60}, "partition": partition}
+        assert self.rejection(tmp_path, capsys, native, **sections) == (
             "configuration error: partition.classes_per_client: dataset has 3 classes, "
             "fewer than classes_per_client=4\n"
         )
@@ -392,16 +404,14 @@ class TestValidateDatasetFiles:
     def test_a_swept_non_iid_partition_is_checked_too(self, tmp_path, capsys):
         native = {"dataset_path": self.labelled(tmp_path, [0, 2] * 10)}
         sweep = {"partition_mode": ["iid", "non_iid"]}
-        assert self.validate(tmp_path, native, protocol={"k_total": 60}, sweep=sweep) == 2
-        assert capsys.readouterr().err == (
+        assert self.rejection(tmp_path, capsys, native, protocol={"k_total": 60}, sweep=sweep) == (
             "configuration error: trainer.native.dataset_path: non_iid partitioning requires "
             "every class to be represented\n"
         )
 
     def test_more_classes_than_the_network_allows(self, tmp_path, capsys):
         native = {"dataset_path": self.labelled(tmp_path, [0, 1, 5000] * 4)}
-        assert self.validate(tmp_path, native, protocol={"k_total": 60}) == 2
-        assert capsys.readouterr().err == (
+        assert self.rejection(tmp_path, capsys, native, protocol={"k_total": 60}) == (
             "configuration error: trainer.native.dataset_path: the loaded dataset's "
             "n_classes must be in [2, 4096]\n"
         )
@@ -409,8 +419,8 @@ class TestValidateDatasetFiles:
     def test_a_class_with_no_rows_under_non_iid(self, tmp_path, capsys):
         native = {"dataset_path": self.labelled(tmp_path, [0, 2] * 10)}
         partition = {"mode": "non_iid"}
-        assert self.validate(tmp_path, native, protocol={"k_total": 60}, partition=partition) == 2
-        assert capsys.readouterr().err == (
+        sections = {"protocol": {"k_total": 60}, "partition": partition}
+        assert self.rejection(tmp_path, capsys, native, **sections) == (
             "configuration error: trainer.native.dataset_path: non_iid partitioning requires "
             "every class to be represented\n"
         )
@@ -420,8 +430,7 @@ class TestValidateDatasetFiles:
         # loaded one's only once its feature and class counts are known.
         native = {"dataset_path": self.dataset(tmp_path, "train", 8), "hidden": [4096, 4096]}
         resolve_config({"trainer": {"kind": "native", "native": native}})
-        assert self.validate(tmp_path, native) == 2
-        (line,) = capsys.readouterr().err.splitlines()
+        (line,) = self.rejection(tmp_path, capsys, native).splitlines()
         assert line.startswith("configuration error: trainer.native.hidden: native local_update ")
         assert line.endswith(" is over the 2 GiB limit")
 

@@ -207,8 +207,8 @@ class TestFedcsSelectionWiring:
             trainer = SurrogateTrainer()
             state = ExperimentState.fresh(trainer, rng)
             run_round(state, population, config, trainer, 0)
+            # Row k of the estimates is population row k.
             columns = state.estimates
-            assert columns.ids.tolist() == [int(p.id) for p in profiles]
             for column, scalar in (
                 (columns.t_update, estimated_update_time),
                 (columns.t_upload, estimated_upload_time),
@@ -274,7 +274,7 @@ class TestDistributionTimeIdentity:
     @pytest.mark.parametrize("k_total, cohort", [(1000, 100), (100_000, 1000)])
     def test_longest_upload_is_model_size_over_slowest_link(self, k_total, cohort):
         population = generate_profiles(k_total, CellConfig(), ResourceRanges(), RngStream(k_total))
-        by_id = {int(p.id): p for p in population}
+        profiles = list(population)
         rng = np.random.default_rng(k_total)
         scheduled = 0
         for t_round in (60.0, 180.0, 600.0):
@@ -283,6 +283,7 @@ class TestDistributionTimeIdentity:
             for _ in range(40):
                 positions = np.sort(rng.choice(k_total, size=cohort, replace=False))
                 schedule = greedy_select(estimates._rows(positions), budget)
+                chosen = positions[list(schedule.order)]
                 rows = [
                     Candidate(
                         id=p.id,
@@ -290,9 +291,9 @@ class TestDistributionTimeIdentity:
                         t_upload=estimated_upload_time(p, budget),
                         throughput=p.mean_throughput,
                     )
-                    for p in (by_id[int(cid)] for cid in schedule.order)
+                    for p in (profiles[k] for k in chosen.tolist())
                 ]
-                uploads = estimates.t_upload[np.array(schedule.order, dtype=np.int64) - 1]
+                uploads = estimates.t_upload[chosen]
                 dist = float(schedule.dist_time)
                 assert dist == float(dist_time(rows, budget.model_size))
                 assert dist == float(uploads.max(initial=0.0))
@@ -619,14 +620,39 @@ class TestRunRound:
             )
             assert len(planned) == len(records) == 15
             for subset, record in zip(planned, records):
-                assert (subset.ids[1:] > subset.ids[:-1]).all()
-                assert set(subset.ids.tolist()) <= set(record.requested)
-                checked = CandidateSet(subset.ids, subset.t_update, subset.t_upload)
-                for name in ("ids", "t_update", "t_upload"):
+                assert len(subset) <= len(record.requested)
+                checked = CandidateSet(subset.t_update, subset.t_upload)
+                for name in ("t_update", "t_upload"):
                     column = getattr(subset, name)
                     assert not column.flags.writeable
                     assert column.tobytes() == getattr(checked, name).tobytes()
             assert sum(len(subset) for subset in planned) > 0
+
+    def test_each_fedcs_round_selects_greedys_picks_on_the_whole_cohort(self, monkeypatch):
+        # The engine plans only the schedulable members of each cohort and
+        # maps greedy's rows back to cohort positions.  Greedy on the whole,
+        # unmasked cohort must give the same positions in the same order.
+        rounds = []
+        fedcs_round = protocol._ROUND_ENGINES["fedcs"]
+
+        def recording_round(state, population, config, requested, update, upload):
+            result = fedcs_round(state, population, config, requested, update, upload)
+            whole = greedy_select(state.estimates._rows(requested), config.budget)
+            dropped = int((~state.schedulable[requested]).sum())
+            rounds.append((result[0].tolist(), list(whole.order), dropped))
+            return result
+
+        monkeypatch.setitem(protocol._ROUND_ENGINES, "fedcs", recording_round)
+        config = ProtocolConfig()  # the paper's cell: K=1000, C=0.1, fedcs
+        rng = RngStream(3)
+        population = generate_profiles(config.k_total, CellConfig(), ResourceRanges(), rng)
+        stop = StopCondition(t_final=Seconds(30 * float(config.budget.t_round)))
+        records = run_experiment(config, stop, SurrogateTrainer(), population, rng)
+        assert len(rounds) == len(records) == 30
+        for selected, whole, _ in rounds:
+            assert selected == whole
+        assert all(dropped > 0 for _, _, dropped in rounds)
+        assert all(selected for selected, _, _ in rounds)
 
 
 class TestRunExperiment:

@@ -27,13 +27,21 @@ def cand(cid, t_update, t_upload, throughput=10.0):
 
 
 def candidate_set(rows):
-    """The `CandidateSet` of `Candidate` rows, given in any order."""
-    rows = list(rows)
-    return CandidateSet(
-        np.array([c.id for c in rows], dtype=np.int64),
-        [float(c.t_update) for c in rows],
-        [float(c.t_upload) for c in rows],
-    )
+    """The `CandidateSet` of `Candidate` rows sorted by id: set row k holds
+    the k-th lowest id, so the planners' lower-row tie-break is the
+    reference's lower-id one."""
+    rows = sorted(rows, key=lambda c: int(c.id))
+    return CandidateSet([float(c.t_update) for c in rows], [float(c.t_upload) for c in rows])
+
+
+def relabel(schedule, labels):
+    """`schedule` with each row k of its order replaced by labels[k]."""
+    return dataclasses.replace(schedule, order=tuple(labels[k] for k in schedule.order))
+
+
+def plan(select, rows, budget):
+    """`select` on `candidate_set(rows)`, its order mapped from rows to ids."""
+    return relabel(select(candidate_set(rows), budget), sorted(int(c.id) for c in rows))
 
 
 def link(cid, t_update, throughput):
@@ -196,7 +204,7 @@ class TestFinishTimes:
         rng = np.random.default_rng(9)
         for _ in range(200):
             rows = random_candidates(rng, int(rng.integers(1, 40)), rounded=False)
-            schedule = greedy_select(candidate_set(rows), budget_of(rng.uniform(30, 600)))
+            schedule = plan(greedy_select, rows, budget_of(rng.uniform(30, 600)))
             by_id = {int(c.id): c for c in rows}
             order = [by_id[k] for k in schedule.order]
             assert finish_times(*self.columns(order)) == list(schedule.theta)
@@ -237,26 +245,24 @@ class TestDistTime:
 
 
 class TestCandidateSet:
-    def test_rows_are_sorted_by_id_and_read_only(self):
-        rows = [cand(5, 1, 2, 3.0), cand(2, 4, 5, 6.0), cand(9, 7, 8, 9.0)]
-        cands = candidate_set(rows)
-        assert [f.name for f in dataclasses.fields(cands)] == ["ids", "t_update", "t_upload"]
-        assert cands.ids.tolist() == [2, 5, 9]
+    def test_rows_keep_their_order_and_are_read_only_copies(self):
+        t_upload = np.array([5.0, 2.0, 8.0])
+        cands = CandidateSet([4.0, 1.0, 7.0], t_upload)
+        assert [f.name for f in dataclasses.fields(cands)] == ["t_update", "t_upload"]
         assert cands.t_update.tolist() == [4.0, 1.0, 7.0]
         assert cands.t_upload.tolist() == [5.0, 2.0, 8.0]
         assert len(cands) == 3
+        t_upload[0] = 0.0
+        assert cands.t_upload[0] == 5.0
         with pytest.raises(ValueError):
             cands.t_upload[0] = 0.0
 
     @pytest.mark.parametrize(
         "columns",
         [
-            ([1, 2], [1.0], [1.0, 1.0]),  # unequal lengths
-            ([3, 3], [1.0, 1.0], [1.0, 1.0]),  # repeated id
-            ([0], [1.0], [1.0]),  # id below 1
-            ([1.5], [1.0], [1.0]),  # non-integral id
-            ([1], [-1.0], [1.0]),  # negative time
-            ([1], [1.0], [np.inf]),  # non-finite time
+            ([1.0], [1.0, 1.0]),  # unequal lengths
+            ([-1.0], [1.0]),  # negative time
+            ([1.0], [np.inf]),  # non-finite time
         ],
     )
     def test_invalid_columns_rejected(self, columns):
@@ -267,19 +273,18 @@ class TestCandidateSet:
         rng = np.random.default_rng(11)
         full = candidate_set(random_candidates(rng, 200, rounded=False))
         for size in (0, 1, 37, 200):
-            positions = np.sort(rng.choice(200, size=size, replace=False))
+            # In any order: `_rows` keeps the order it is given.
+            positions = rng.choice(200, size=size, replace=False)
             taken = full._rows(positions)
-            built = CandidateSet(
-                full.ids[positions], full.t_update[positions], full.t_upload[positions]
-            )
+            built = CandidateSet(full.t_update[positions], full.t_upload[positions])
             assert len(taken) == size
-            for name in ("ids", "t_update", "t_upload"):
+            for name in ("t_update", "t_upload"):
                 column = getattr(taken, name)
                 assert column.dtype == getattr(built, name).dtype
                 assert column.tobytes() == getattr(built, name).tobytes()
                 assert not column.flags.writeable
         empty = full._rows(np.array([], dtype=np.intp))
-        assert empty.ids.tolist() == []
+        assert empty.t_upload.tolist() == []
         assert len(greedy_select(empty, budget_of(100.0))) == 0
 
 
@@ -299,12 +304,12 @@ class TestGreedy:
         # The third client lands exactly on the deadline; the acceptance
         # test in the while-loop is strict, so it is rejected at 100.
         schedule = greedy_select(cands, budget_of(100.0))
-        assert [int(k) for k in schedule.order] == [1, 2]
+        assert schedule.order == (0, 1)
         assert [float(t) for t in schedule.theta] == [0.0, 30.0, 40.0]
         assert float(schedule.total_time) == 50.0
         # Any margin past the boundary admits it, reproducing the full trace.
         schedule = greedy_select(cands, budget_of(100.001))
-        assert [int(k) for k in schedule.order] == [1, 2, 3]
+        assert schedule.order == (0, 1, 2)
         assert [float(t) for t in schedule.theta] == [0.0, 30.0, 40.0, 90.0]
         assert float(schedule.dist_time) == 10.0
         assert float(schedule.total_time) == 100.0
@@ -326,7 +331,7 @@ class TestGreedy:
             n = int(rng.integers(1, 10))
             rows = tuple(link(i + 1, rng.uniform(0, 200), rng.uniform(1, 12)) for i in range(n))
             budget = budget_of(rng.uniform(30, 300))
-            schedule = greedy_select(candidate_set(rows), budget)
+            schedule = plan(greedy_select, rows, budget)
             by_id = {int(c.id): c for c in rows}
             for cid in schedule.order:
                 c = by_id[int(cid)]
@@ -346,7 +351,7 @@ class TestGreedy:
                 for i in range(n)
             )
             budget = budget_of(rng.uniform(30, 400))
-            schedule = greedy_select(candidate_set(rows), budget)
+            schedule = plan(greedy_select, rows, budget)
             assert float(schedule.total_time) < float(budget.t_round)
             by_id = {int(c.id): c for c in rows}
             replayed = elapsed_theta([by_id[int(k)] for k in schedule.order])
@@ -354,10 +359,14 @@ class TestGreedy:
                 [float(t) for t in replayed]
             )
 
-    def test_tie_break_prefers_lower_id(self):
-        cands = candidate_set((cand(2, 10, 10, 10.0), cand(1, 10, 10, 10.0)))
+    def test_tie_break_prefers_the_lower_row(self):
+        # Both first costs are 18 s (2 x upload + update), and the scan meets
+        # row 1, the shorter upload, first; row 0 still wins the tie.
+        cands = CandidateSet([0.0, 10.0], [9.0, 4.0])
         schedule = greedy_select(cands, budget_of(1000.0))
-        assert [int(k) for k in schedule.order] == [1, 2]
+        assert schedule.order == (0, 1)
+        identical = CandidateSet([10.0] * 3, [10.0] * 3)
+        assert greedy_select(identical, budget_of(1000.0)).order == (0, 1, 2)
 
     def test_empty_base_includes_setup_and_aggregation_time(self):
         cands = candidate_set(tuple(cand(i, 300, 300, 1.0) for i in range(1, 3)))
@@ -392,7 +401,7 @@ class TestGreedyMatchesReference:
             overhead = (rng.uniform(0, 10), rng.uniform(0, 10)) if k % 4 < 2 else (0.0, 0.0)
             budget = budget_of(10 ** rng.uniform(1.5, 3.5), t_cs=overhead[0], t_agg=overhead[1])
             assert_same_schedule(
-                greedy_select(candidate_set(rows), budget), reference_greedy(rows, budget)
+                plan(greedy_select, rows, budget), reference_greedy(rows, budget)
             )
 
     def test_tentative_total_equal_to_deadline(self):
@@ -400,7 +409,7 @@ class TestGreedyMatchesReference:
         rows = [cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0)]
         budget = budget_of(100.0)
         ref = reference_greedy(rows, budget)
-        assert_same_schedule(greedy_select(candidate_set(rows), budget), ref)
+        assert_same_schedule(plan(greedy_select, rows, budget), ref)
 
         rng = np.random.default_rng(7)
         for rounded in (True, False):
@@ -416,7 +425,7 @@ class TestGreedyMatchesReference:
                 ref = reference_greedy(rows, budget)
                 # The k-th pick's tentative total equals the deadline, so it is rejected.
                 assert unbounded.order[k - 1] not in ref.order
-                assert_same_schedule(greedy_select(candidate_set(rows), budget), ref)
+                assert_same_schedule(plan(greedy_select, rows, budget), ref)
 
     def test_costs_that_overflow_are_not_picked_twice(self):
         # Client 2's cost, twice its 1e308 s upload, overflows, so once client
@@ -427,7 +436,7 @@ class TestGreedyMatchesReference:
         ref = reference_greedy(rows, budget)
         assert [int(k) for k in ref.order] == [1]
         with np.errstate(over="ignore"):
-            assert_same_schedule(greedy_select(candidate_set(rows), budget), ref)
+            assert_same_schedule(plan(greedy_select, rows, budget), ref)
 
     def test_acceptance_after_a_rejection_through_rounding(self):
         # Clients 1 and 2 tie on cost, 2 * t_upload + t_update, so client 1 is
@@ -454,7 +463,7 @@ class TestGreedyMatchesReference:
         budget = budget_of(total(first))
         ref = reference_greedy(rows, budget)
         assert [int(k) for k in ref.order] == [2]
-        assert_same_schedule(greedy_select(candidate_set(rows), budget), ref)
+        assert_same_schedule(plan(greedy_select, rows, budget), ref)
 
 
 def lex_smallest_feasible_order(subset, head, deadline):
@@ -582,7 +591,7 @@ class TestGreedyOnAdversarialInstances:
         for _ in range(2500):
             rows, budget = adversarial_instance(rng)
             assert_same_schedule(
-                greedy_select(candidate_set(rows), budget), reference_greedy(rows, budget)
+                plan(greedy_select, rows, budget), reference_greedy(rows, budget)
             )
 
 
@@ -616,17 +625,26 @@ def boundary_instances(rng, scale, t_cs, t_agg):
 class TestSchedulable:
     """`CandidateSet.schedulable` drops only clients greedy never accepts."""
 
+    @staticmethod
+    def assert_full_and_masked_greedy_give(ref, rows, budget):
+        """Greedy on `candidate_set(rows)`, and on its schedulable rows alone,
+        gives `ref` once its rows are mapped to ids."""
+        full = candidate_set(rows)
+        ids = sorted(int(c.id) for c in rows)
+        kept = np.flatnonzero(full.schedulable(budget))
+        assert_same_schedule(relabel(greedy_select(full, budget), ids), ref)
+        masked = greedy_select(full._rows(kept), budget)
+        assert_same_schedule(relabel(masked, [ids[k] for k in kept]), ref)
+
     @pytest.mark.parametrize("scale", [1.0, 1.7e306], ids=["seconds", "near-overflow"])
     @pytest.mark.parametrize("t_cs, t_agg", [(0.0, 0.0), (2.5, 1.5)])
     def test_masked_greedy_equals_full_greedy_and_reference(self, scale, t_cs, t_agg):
         rng = np.random.default_rng([round(math.log10(scale)), int(t_cs)])
         late = dropped = 0
         for rows, budget in boundary_instances(rng, scale, t_cs, t_agg):
-            full = candidate_set(rows)
-            mask = full.schedulable(budget)
+            mask = candidate_set(rows).schedulable(budget)
             ref = reference_greedy(rows, budget)
-            assert_same_schedule(greedy_select(full, budget), ref)
-            assert_same_schedule(greedy_select(full._rows(np.flatnonzero(mask)), budget), ref)
+            self.assert_full_and_masked_greedy_give(ref, rows, budget)
             by_id = {int(c.id): c for c in rows}
             solo = [solo_total(by_id[int(cid)], t_cs + t_agg) for cid in ref.order]
             late += any(total >= float(budget.t_round) for total in solo)
@@ -648,12 +666,8 @@ class TestSchedulable:
             # At the float maximum the margin's product overflows, so the
             # mask keeps every row rather than compare against infinity.
             budget = budget_of(t_round)
-            full = candidate_set(rows)
-            mask = full.schedulable(budget)
-            assert mask.tolist() == kept
-            ref = reference_greedy(rows, budget)
-            assert_same_schedule(greedy_select(full, budget), ref)
-            assert_same_schedule(greedy_select(full._rows(np.flatnonzero(mask)), budget), ref)
+            assert candidate_set(rows).schedulable(budget).tolist() == kept
+            self.assert_full_and_masked_greedy_give(reference_greedy(rows, budget), rows, budget)
 
     def test_mask_of_a_taken_cohort_is_the_mask_taken(self):
         rng = np.random.default_rng(5)
@@ -692,9 +706,9 @@ class TestExact:
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0))
         )
         # All three land exactly on 100, so only two fit; any margin admits the third.
-        assert [int(k) for k in exact_select(cands, budget_of(100.0)).order] == [1, 2]
+        assert exact_select(cands, budget_of(100.0)).order == (0, 1)
         schedule = exact_select(cands, budget_of(100.001))
-        assert [int(k) for k in schedule.order] == [1, 2, 3]
+        assert schedule.order == (0, 1, 2)
         assert schedule.theta == (0.0, 30.0, 40.0, 90.0)
         assert float(schedule.dist_time) == 10.0
         assert float(schedule.total_time) == 100.0
@@ -711,11 +725,11 @@ class TestExact:
         assert schedule.theta == (0.0,)
         assert float(schedule.total_time) == 5.0
 
-    def test_full_ties_keep_the_lowest_ids(self):
-        cands = candidate_set(tuple(cand(i, 0, 10, 10.0) for i in range(6, 0, -1)))
+    def test_full_ties_keep_the_lowest_rows(self):
+        cands = CandidateSet([0.0] * 6, [10.0] * 6)
         schedule = exact_select(cands, budget_of(60.0))
-        # Four uploads fit and every client ties; the lowest ids come back in order.
-        assert [int(k) for k in schedule.order] == [1, 2, 3, 4]
+        # Four uploads fit and every client ties; the lowest rows come back in order.
+        assert schedule.order == (0, 1, 2, 3)
 
     def test_best_set_found_at_a_slower_link(self):
         # One fast-link client fits (5 + 25 + 5 s) but two do not (5 + 25 +
@@ -723,7 +737,7 @@ class TestExact:
         # no set with a fast client does at the slower link (10 + 25 + 5 s).
         rows = (link(1, 25, 20.0), link(2, 25, 20.0), link(3, 0, 10.0), link(4, 0, 10.0))
         budget = budget_of(38.0)
-        schedule = exact_select(candidate_set(rows), budget)
+        schedule = plan(exact_select, rows, budget)
         assert [int(k) for k in schedule.order] == [3, 4]
         assert_exact_schedule(schedule, rows, budget)
 
@@ -741,7 +755,7 @@ class TestExact:
             else:
                 deadline = 10 ** rng.uniform(2.0, 3.0)
             budget = budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
-            schedule = exact_select(candidate_set(rows), budget)
+            schedule = plan(exact_select, rows, budget)
             assert len(schedule) == len(reference_exact(rows, budget))
             assert_exact_schedule(schedule, rows, budget)
 
@@ -751,10 +765,9 @@ class TestExact:
         for _ in range(400):
             n = int(rng.integers(1, 9))
             rows = tuple(link(j + 1, rng.uniform(0, 120), rng.uniform(1, 12)) for j in range(n))
-            cands = candidate_set(rows)
             budget = budget_of(rng.uniform(40, 400))
-            g = greedy_select(cands, budget)
-            e = exact_select(cands, budget)
+            g = greedy_select(candidate_set(rows), budget)
+            e = plan(exact_select, rows, budget)
             assert float(g.total_time) < float(budget.t_round)
             assert_exact_schedule(e, rows, budget)
             assert len(g) <= len(e)
@@ -771,9 +784,8 @@ class TestExact:
             budget = budget_of(
                 10 ** rng.uniform(1.5, 3.0), t_cs=rng.uniform(0, 10), t_agg=rng.uniform(0, 10)
             )
-            cands = candidate_set(rows)
-            g = greedy_select(cands, budget)
-            e = exact_select(cands, budget)
+            g = greedy_select(candidate_set(rows), budget)
+            e = plan(exact_select, rows, budget)
             assert_exact_schedule(e, rows, budget)
             assert len(g) <= len(e)
             strict += len(g) < len(e)
@@ -807,23 +819,18 @@ class TestSchedule:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.integers(1, 10**6),
-                st.floats(0, 300, allow_nan=False),
-                st.floats(0, 80, allow_nan=False),
-            ),
+            st.tuples(st.floats(0, 300, allow_nan=False), st.floats(0, 80, allow_nan=False)),
             max_size=12,
-            unique_by=lambda row: row[0],
         ),
         st.floats(1, 600, allow_nan=False),
         st.sampled_from([(0.0, 0.0), (2.5, 1.5)]),
     )
     def test_selections_pass_the_public_checks(self, rows, t_round, overheads):
         # Nothing checks a Schedule when it is built; every schedule either
-        # planner returns must hold its invariants, with the set's own ids as
+        # planner returns must hold its invariants, with rows of the set as
         # plain ints.
-        ids, t_update, t_upload = zip(*rows) if rows else ((), (), ())
-        cands = CandidateSet(np.array(ids, dtype=np.int64), t_update, t_upload)
+        t_update, t_upload = zip(*rows) if rows else ((), ())
+        cands = CandidateSet(t_update, t_upload)
         budget = budget_of(t_round + sum(overheads), t_cs=overheads[0], t_agg=overheads[1])
         for select in (greedy_select, exact_select):
             s = select(cands, budget)
@@ -831,6 +838,25 @@ class TestSchedule:
             assert s.theta[0] == 0.0
             assert all(b >= a for a, b in zip(s.theta, s.theta[1:]))
             assert len(set(s.order)) == len(s.order)
-            assert all(type(cid) is int for cid in s.order)
-            assert set(s.order) <= set(cands.ids.tolist())
+            assert all(type(row) is int for row in s.order)
+            assert set(s.order) <= set(range(len(cands)))
             assert type(s.dist_time) is type(s.total_time) is Seconds
+
+    @pytest.mark.parametrize("select", [greedy_select, exact_select])
+    def test_rows_follow_their_clients_through_a_reordered_set(self, select):
+        # Times drawn from a continuum leave no ties to break, so a planner
+        # picks the same clients from any ordering of a set, and its rows
+        # name them in the ordering it was given.
+        rng = np.random.default_rng(24)
+        selected = 0
+        for _ in range(60):
+            cands = candidate_set(random_candidates(rng, 60, rounded=False))
+            budget = budget_of(rng.uniform(60, 400), t_cs=rng.uniform(0, 5), t_agg=1.5)
+            shuffle = rng.permutation(len(cands))
+            schedule = select(cands, budget)
+            shuffled = select(cands._rows(shuffle), budget)
+            assert shuffle[list(shuffled.order)].tolist() == list(schedule.order)
+            assert shuffled.theta == schedule.theta
+            assert float(shuffled.total_time) == float(schedule.total_time)
+            selected += len(schedule)
+        assert selected > 0
