@@ -58,7 +58,6 @@ from .resources import (
 from .selection import (
     Candidate,
     CandidateSet,
-    Schedule,
     dist_time,
     elapsed_theta,
     exact_select,

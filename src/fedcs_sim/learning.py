@@ -73,9 +73,9 @@ class GlobalModel:
 
 @dataclass(frozen=True)
 class Partition:
-    """Sample indices per client, keyed by the client's id as a plain int."""
+    """Sample indices per client: `shards[k]` is population row k's."""
 
-    assignment: dict[int, np.ndarray]
+    shards: tuple[np.ndarray, ...]
     mode: str
     classes_per_client: int = 2
 
@@ -260,7 +260,7 @@ def check_partition(dataset: LabeledDataset, mode: str, classes_per_client: int)
     least `classes_per_client` classes (field "classes_per_client" when
     short) and a row of every class, or some client's pool could be empty.
     """
-    Partition({}, mode, classes_per_client)
+    Partition((), mode, classes_per_client)
     if mode == "iid":
         return
     if dataset.n_classes < classes_per_client:
@@ -286,7 +286,7 @@ def partition_dataset(
     non_iid: each client first draws `classes_per_client` distinct classes,
     then samples with replacement from those classes' pool only.  Sampling
     with replacement is required because per-client counts may sum past the
-    dataset size.  Clients draw one after another in id order.
+    dataset size.  Clients draw one after another in row order.
 
     Every shard is a read-only int64 array.  iid takes all shards from one
     `integers` call, each client's the slice between the cumulative counts.
@@ -298,23 +298,23 @@ def partition_dataset(
     index draws.
     """
     check_partition(dataset, mode, classes_per_client)
-    ids, counts = population.ids.tolist(), population.data_count
+    counts = population.data_count
     if mode == "iid":
         flat = rng.integers(0, len(dataset), size=int(counts.sum()))
         flat.setflags(write=False)
         ends = np.cumsum(counts).tolist()
-        assignment = {cid: flat[start:end] for cid, start, end in zip(ids, [0, *ends], ends)}
-        return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
+        shards = tuple(flat[start:end] for start, end in zip([0, *ends], ends))
+        return Partition(shards=shards, mode=mode, classes_per_client=classes_per_client)
 
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
-    assignment = {}
-    for cid, count in zip(ids, counts.tolist()):
+    shards = []
+    for count in counts.tolist():
         classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
         pool = np.concatenate([by_class[c] for c in sorted(classes)])
         idx = pool[rng.integers(0, len(pool), size=count)].astype(np.int64, copy=False)
         idx.setflags(write=False)
-        assignment[cid] = idx
-    return Partition(assignment=assignment, mode=mode, classes_per_client=classes_per_client)
+        shards.append(idx)
+    return Partition(shards=tuple(shards), mode=mode, classes_per_client=classes_per_client)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +581,9 @@ class Trainer(abc.ABC):
     the accuracy recorded for the round.  No other call tells a trainer
     which clients were aggregated.
 
-    client_updates(model, client_ids, rng) returns one model per id, in the
-    order given, each trained from `model` on that client's data alone.  The
-    ids are plain ints, already validated by the `Population` they index.
+    client_updates(model, rows, rng) returns one model per client, in the
+    order given, each trained from `model` on that client's data alone.  A
+    client is its `Population` row, a plain int.
     Every training draw comes from `rng`, in the order that training the
     clients one after another would take them, so a trainer may batch the
     work across clients without changing a result.
@@ -594,7 +594,7 @@ class Trainer(abc.ABC):
 
     @abc.abstractmethod
     def client_updates(
-        self, model: GlobalModel, client_ids: list[int], rng: np.random.Generator
+        self, model: GlobalModel, rows: list[int], rng: np.random.Generator
     ) -> list[GlobalModel]: ...
 
     @abc.abstractmethod
@@ -621,9 +621,9 @@ class SurrogateTrainer(Trainer):
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=np.zeros(0), round=0)
 
-    def client_updates(self, model, client_ids, rng):
-        self.update_count += len(client_ids)
-        return [model] * len(client_ids)
+    def client_updates(self, model, rows, rng):
+        self.update_count += len(rows)
+        return [model] * len(rows)
 
     def evaluate(self, model) -> float:
         return surrogate_accuracy(self.update_count, self.a_max, self.tau)
@@ -667,14 +667,14 @@ class NativeTrainer(Trainer):
     def init_model(self) -> GlobalModel:
         return GlobalModel(params=self._init_params, round=0)
 
-    def client_updates(self, model, client_ids, rng):
-        rows = []
-        for cid in client_ids:
-            idx = self.partition.assignment.get(cid)
-            if idx is None:
-                raise ParameterError(f"client {int(cid)} has no shard in the partition")
-            rows.append(idx)
-        return local_update(model, self.train_set, rows, self.net, self.hyper, rng)
+    def client_updates(self, model, rows, rng):
+        shards = self.partition.shards
+        for row in rows:
+            if not 0 <= row < len(shards):  # a bare index would take -1 as the last
+                raise ParameterError(f"row {int(row)} has no shard in the partition")
+        return local_update(
+            model, self.train_set, [shards[row] for row in rows], self.net, self.hyper, rng
+        )
 
     def evaluate(self, model) -> float:
         logits = self.net._logits(model.params, self.test_set.inputs)

@@ -151,6 +151,7 @@ class StopCondition:
 class RoundRecord:
     """Realized outcome of one round.
 
+    requested and selected_or_completed hold client ids, population row + 1.
     realized_round_duration is the wall-clock advance of the round;
     busy_time is the realized span of the round's work, which can be shorter
     (a schedule finishing early) or longer (an overrun under the extend
@@ -176,8 +177,8 @@ class RoundRecord:
     def from_json_line(cls, line: str) -> "RoundRecord":
         """The record of a `to_json_line` line, each field checked for its
         JSON type: counts are non-negative integers, id lists hold positive
-        integers, and the accuracy is a number in [0, 1].  true and false are
-        not integers here."""
+        integers, times are numbers and the accuracy is a number in [0, 1].
+        true and false are not numbers here."""
         raw = json.loads(line)
         for key in ("round", "aggregated_count"):
             if type(raw[key]) is not int or raw[key] < 0:
@@ -186,6 +187,9 @@ class RoundRecord:
             ids = raw[key]
             if type(ids) is not list or not all(type(i) is int and i > 0 for i in ids):
                 raise ParameterError(f"{key} must be a list of positive integers")
+        for key in ("realized_round_duration", "busy_time", "clock_after"):
+            if type(raw[key]) not in (int, float):
+                raise ParameterError(f"{key} must be a number, got {raw[key]!r}")
         accuracy = raw["accuracy_after"]
         if type(accuracy) not in (int, float) or not 0 <= accuracy <= 1:
             raise ParameterError(f"accuracy_after must be a number in [0, 1], got {accuracy!r}")
@@ -205,12 +209,14 @@ class RoundRecord:
 class ExperimentState:
     """Mutable per-experiment state threaded through the round engines.
 
-    `estimates` holds the whole population's estimated times as one
-    validated `CandidateSet`, row k for population row k, and `schedulable`
-    its `CandidateSet.schedulable` mask.  Only the fedcs engine uses them; it
-    builds both on its first round, from the population and budget, which
-    stay fixed for the run, and plans each round on the schedulable members
-    of the requested cohort.
+    Inside a run a client is its population row: the cohort, the plan and
+    the clients handed to the trainer are rows, and only the `RoundRecord`
+    names row k as client k + 1.  `estimates` holds the whole population's
+    estimated times as one validated `CandidateSet`, row k for population
+    row k, and `schedulable` its `CandidateSet.schedulable` mask.  Only the
+    fedcs engine uses them; it builds both on its first round, from the
+    population and budget, which stay fixed for the run, and plans each
+    round on the schedulable members of the requested cohort.
     """
 
     clock: float
@@ -267,8 +273,7 @@ def _fedcs_round(state, population, config, requested, update, upload):
     # a client it would reject changes neither its picks, its acceptances
     # nor, with the rest kept in cohort order, its tie-breaks.
     planned = np.flatnonzero(state.schedulable[requested])
-    schedule = greedy_select(state.estimates._rows(requested[planned]), budget)
-    selected = planned[list(schedule.order)]
+    selected = planned[greedy_select(state.estimates._rows(requested[planned]), budget)]
     uploads = upload[selected].tolist()
     realized_dist = max(uploads, default=0.0)
     finish = finish_times(update[selected].tolist(), uploads)
@@ -403,17 +408,17 @@ def run_round(
     selected, aggregated, busy, advance = _ROUND_ENGINES[config.mode](
         state, population, config, requested, update, upload
     )
-    ids = population.ids[requested]
     if len(aggregated):
-        updated = trainer.client_updates(state.model, ids[aggregated].tolist(), state.rng_training)
-        counts = population.data_count[requested[aggregated]].tolist()
+        rows = requested[aggregated]
+        updated = trainer.client_updates(state.model, rows.tolist(), state.rng_training)
+        counts = population.data_count[rows].tolist()
         state.model = aggregate(list(zip(updated, counts)), weighted=config.aggregate_weighted)
         state.accuracy = trainer.evaluate(state.model)
     state.clock += advance
     return RoundRecord(
         round=round_index,
-        requested=tuple(ids.tolist()),
-        selected_or_completed=tuple(ids[selected].tolist()),
+        requested=tuple((requested + 1).tolist()),
+        selected_or_completed=tuple((requested[selected] + 1).tolist()),
         realized_round_duration=Seconds(advance),
         busy_time=Seconds(busy),
         clock_after=Seconds(state.clock),

@@ -10,7 +10,7 @@ relative std, one draw per round for the clients it needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -59,15 +59,14 @@ class ClientProfile:
 class Population:
     """Every client's static resources, one read-only numpy column each.
 
-    Row i holds client i + 1, so `ids` is 1..K and a client's row is its id
-    minus one.  `data_count` is int64; `capability` (samples/s) and
-    `throughput` (Mbit/s) are float64.
+    A run names a client by its row; only a written record, and the
+    `ClientProfile`s of `__iter__`, give row i its id i + 1.  `data_count`
+    is int64; `capability` (samples/s) and `throughput` (Mbit/s) are float64.
     """
 
     data_count: np.ndarray
     capability: np.ndarray
     throughput: np.ndarray
-    ids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         # Counts are checked as floats: an int64 cast would truncate 2.5 and wrap NaN.
@@ -96,19 +95,19 @@ class Population:
                 f"client {i + 1} needs finite positive mean capability and throughput, "
                 f"got {float(capability[i])!r} and {float(throughput[i])!r}"
             )
-        columns["ids"] = np.arange(1, count + 1, dtype=np.int64)
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.data_count)
 
     def __iter__(self) -> Iterator[ClientProfile]:
-        """One `ClientProfile` per client, in id order; the columns are already checked."""
-        columns = (self.ids, self.data_count, self.capability, self.throughput)
-        for row in zip(*(c.tolist() for c in columns)):
-            yield ClientProfile(*row)
+        """One `ClientProfile` per row, in row order, with id row + 1; the
+        columns are already checked."""
+        columns = (self.data_count, self.capability, self.throughput)
+        for cid, values in enumerate(zip(*(c.tolist() for c in columns)), 1):
+            yield ClientProfile(cid, *values)
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,24 @@ set; `exact_select` finds that largest set in polynomial time, against the
 same strict deadline.
 
 A cohort is a `CandidateSet`: numpy columns of times, one row per client,
-validated once on construction; the planners return rows, which the caller
-maps back to clients.  The fedcs engine builds one set of the whole
-population's estimates per run, with its `schedulable` mask of the clients
-whose solo total fits the deadline, and plans each round on the schedulable
-members of the requested cohort, taken unchecked by `_rows`: greedy rejects
-every other client from any state, so it picks and accepts the same clients
-either way.  Both schedulers work on the columns directly, so no per-client
-objects or unit-tagged scalars enter their loops.  Greedy scans its pool in
-upload order and stops each pick at the first upload above the cheapest
-cost, and after a rejection at the first remaining upload that cannot fit;
-both bounds are exact in floats.  `Candidate` is the row view that the
-scalar helpers (`elapsed_theta`, `dist_time`) take.  `dist_time` divides the
-model size by the slowest throughput; with every upload model_size /
-throughput, that is the longest upload to the last bit, because correctly
-rounded division is monotone.
+validated once on construction.  A plan is its upload order: each planner
+returns a list of distinct rows of the set it was given, which the caller
+maps back to clients.  The order alone fixes the plan's times, so nothing
+else is returned: its elapsed times are the `finish_times` chain over the
+rows' columns and its distribution time their longest upload.  The fedcs
+engine builds one set of the whole population's estimates per run, with its
+`schedulable` mask of the clients whose solo total fits the deadline, and
+plans each round on the schedulable members of the requested cohort, taken
+unchecked by `_rows`: greedy rejects every other client from any state, so
+it picks and accepts the same clients either way.  Both schedulers work on
+the columns directly, so no per-client objects or unit-tagged scalars enter
+their loops.  Greedy scans its pool in upload order and stops each pick at
+the first upload above the cheapest cost, and after a rejection at the first
+remaining upload that cannot fit; both bounds are exact in floats.
+`Candidate` is the row view that the scalar helpers (`elapsed_theta`,
+`dist_time`) take.  `dist_time` divides the model size by the slowest
+throughput; with every upload model_size / throughput, that is the longest
+upload to the last bit, because correctly rounded division is monotone.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .resources import Population, TimeBudget
 __all__ = [
     "Candidate",
     "CandidateSet",
-    "Schedule",
     "extend_theta",
     "finish_times",
     "elapsed_theta",
@@ -163,26 +165,6 @@ class CandidateSet:
         return len(self.t_upload)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered selection with its elapsed-time trajectory and totals.
-
-    `order` holds distinct rows of the planned `CandidateSet` as plain ints,
-    in upload order.  theta[0] is 0 and theta[i] >= theta[i - 1] is the
-    elapsed time after the i-th selected client; total_time = t_cs +
-    dist_time + theta[-1] + t_agg.  The planners build these invariants, so
-    nothing checks them at run time.
-    """
-
-    order: tuple[int, ...]
-    theta: tuple[float, ...]
-    dist_time: Seconds
-    total_time: Seconds
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
 def extend_theta(theta: float, t_update: float, t_upload: float) -> float:
     """Elapsed time after appending one client: uploads accumulate, updates
     only cost their overhang past the current elapsed time."""
@@ -218,8 +200,9 @@ def dist_time(selected: Iterable[Candidate], model_size: Megabits) -> Seconds:
     return Seconds(model_size / slowest)
 
 
-def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
-    """Greedy knapsack-style selection maximizing the number of clients.
+def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> list[int]:
+    """Greedy knapsack-style selection maximizing the number of clients: the
+    accepted rows of `candidates`, in upload order.
 
     Repeatedly picks the candidate with the smallest marginal cost
 
@@ -266,7 +249,6 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     rows = scan.tolist()
     pool = list(range(len(rows)))
     order: list[int] = []
-    trajectory = [0.0]
     theta = 0.0
     dist = 0.0
 
@@ -291,23 +273,17 @@ def greedy_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
             theta = theta_new
             dist = dist_new
             order.append(rows[k])
-            trajectory.append(theta)
         elif pool and base + dist + (theta + uploads[pool[0]]) >= deadline:
             # See the docstring for why this bound loses no feasible candidate.
             break
 
-    # Picks leave the pool, so no row repeats; extend_theta never lowers theta.
-    total = base + dist + theta
-    return Schedule(
-        order=tuple(order),
-        theta=tuple(trajectory),
-        dist_time=Seconds(dist),
-        total_time=Seconds(total),
-    )
+    # Picks leave the pool, so no row repeats.
+    return order
 
 
-def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
-    """Largest feasible schedule, found exactly in O(n^2 log n).
+def exact_select(candidates: CandidateSet, budget: TimeBudget) -> list[int]:
+    """Rows of the largest feasible schedule, in upload order, found exactly
+    in O(n^2 log n).
 
     For a fixed set, uploading in release order, ascending (t_update, row),
     gives the smallest final elapsed time (one machine with release dates,
@@ -345,7 +321,6 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
     t_upload = upload_times.tolist()
 
     best: list[int] = []
-    trajectory, dist = [0.0], 0.0
     for level in np.unique(upload_times).tolist():
         head = base + level
         if head >= deadline:
@@ -362,15 +337,9 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> Schedule:
                 uploads += heapq.heappop(kept)[0]
         if len(kept) > len(best):
             release = sorted((k for _, k in kept), reverse=True)
-            theta_new = finish_times([t_update[k] for k in release], [t_upload[k] for k in release])
-            dist_new = max(t_upload[k] for k in release)
-            if base + dist_new + theta_new[-1] < deadline:
-                best, trajectory, dist = release, theta_new, dist_new
+            theta = finish_times([t_update[k] for k in release], [t_upload[k] for k in release])
+            if base + max(t_upload[k] for k in release) + theta[-1] < deadline:
+                best = release
 
     rows = walk.tolist()
-    return Schedule(
-        order=tuple(rows[k] for k in best),
-        theta=tuple(trajectory),
-        dist_time=Seconds(dist),
-        total_time=Seconds(base + dist + trajectory[-1]),
-    )
+    return [rows[k] for k in best]

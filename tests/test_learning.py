@@ -81,17 +81,17 @@ def reference_partition(dataset, population, mode, rng, classes_per_client=2):
     """Each client's shard drawn in its own turn: the loop that the one-draw
     iid partition replaced, kept verbatim for both modes."""
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
-    assignment = {}
+    shards = []
     n = len(dataset)
-    for cid, count in zip(population.ids.tolist(), population.data_count.tolist()):
+    for count in population.data_count.tolist():
         if mode == "iid":
             idx = rng.integers(0, n, size=count)
         else:
             classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
             pool = np.concatenate([by_class[c] for c in sorted(classes)])
             idx = pool[rng.integers(0, len(pool), size=count)]
-        assignment[cid] = idx.astype(np.int64)
-    return assignment
+        shards.append(idx.astype(np.int64))
+    return shards
 
 
 class CountingGenerator:
@@ -140,8 +140,8 @@ class TestPartition:
         population = tiny_population([100] * 10**4)
         part = partition_dataset(dataset, population, "iid", RngStream(0, "partition").generator())
         counts = np.zeros(10)
-        for cid in population.ids.tolist():
-            counts += np.bincount(dataset.labels[part.assignment[cid]], minlength=10)
+        for shard in part.shards:
+            counts += np.bincount(dataset.labels[shard], minlength=10)
         per_client_means = counts / len(population)
         assert np.all(np.abs(per_client_means - 10.0) <= 3 * 0.03)
 
@@ -151,25 +151,26 @@ class TestPartition:
         part = partition_dataset(
             dataset, population, "non_iid", RngStream(1, "partition").generator()
         )
-        for cid in population.ids.tolist():
-            labels = set(dataset.labels[part.assignment[cid]].tolist())
+        assert len(part.shards) == len(population)
+        for shard in part.shards:
+            labels = set(dataset.labels[shard].tolist())
             assert len(labels) <= 2
 
-    def test_assignment_sizes_match_data_counts(self):
+    def test_shard_sizes_match_data_counts(self):
         dataset = balanced_dataset()
         population = tiny_population([100 + 13 * i for i in range(20)])
         part = partition_dataset(dataset, population, "iid", RngStream(2, "partition").generator())
-        assert list(part.assignment) == list(range(1, 21))
-        for p in population:
-            assert len(part.assignment[p.id]) == int(p.data_count)
+        assert type(part.shards) is tuple
+        assert [len(shard) for shard in part.shards] == population.data_count.tolist()
 
     def test_same_seed_reproduces_assignment(self):
         dataset = balanced_dataset()
         population = tiny_population([120] * 50)
         a = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
         b = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
-        for cid in population.ids.tolist():
-            assert np.array_equal(a.assignment[cid], b.assignment[cid])
+        assert len(a.shards) == len(b.shards) == len(population)
+        for shard_a, shard_b in zip(a.shards, b.shards):
+            assert np.array_equal(shard_a, shard_b)
 
     @pytest.mark.parametrize("counts", PARTITION_COUNTS.values(), ids=PARTITION_COUNTS.keys())
     @pytest.mark.parametrize(
@@ -188,12 +189,12 @@ class TestPartition:
         rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
         part = partition_dataset(dataset, population, mode, rng)
         want = reference_partition(dataset, population, mode, reference_rng)
-        assert list(part.assignment) == list(want)
-        for cid, shard in part.assignment.items():
-            assert np.array_equal(shard, want[cid])
+        assert len(part.shards) == len(want)
+        for row, shard in enumerate(part.shards):
+            assert np.array_equal(shard, want[row])
             assert shard.dtype == np.int64
             assert not shard.flags.writeable
-            assert len(shard) == population.data_count[cid - 1]
+            assert len(shard) == population.data_count[row]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("clients", [1, 500])
@@ -612,30 +613,29 @@ class TestStackedLocalUpdate:
     def test_trainer_updates_clients_in_the_order_given(self):
         data = balanced_dataset(per_class=40, n_classes=3)
         rng = np.random.default_rng(1)
-        partition = Partition(
-            {c: rng.integers(0, len(data), size=n) for c, n in ((1, 120), (2, 33))},
-            "iid",
-        )
+        partition = Partition(tuple(rng.integers(0, len(data), size=n) for n in (120, 33)), "iid")
         net = MlpNet(4, 3)
         trainer = NativeTrainer(data, data, partition, net, SgdHyper(), np.random.default_rng(2))
         model = trainer.init_model()
-        updated = trainer.client_updates(model, [2, 1], np.random.default_rng(3))
+        updated = trainer.client_updates(model, [1, 0], np.random.default_rng(3))
         reference_rng = np.random.default_rng(3)
-        for got, cid in zip(updated, (2, 1)):
-            idx = partition.assignment[cid]
+        for got, row in zip(updated, (1, 0)):
+            idx = partition.shards[row]
             want = reference_local_update(
                 model, data.features[idx], data.labels[idx], net, SgdHyper(), reference_rng
             )
             assert got.params.tobytes() == want.params.tobytes()
 
-    def test_client_without_a_shard_is_rejected(self):
+    @pytest.mark.parametrize("row", [2, -1], ids=["len-shards", "negative"])
+    def test_a_row_outside_the_partition_is_rejected(self, row):
+        # -1 would index the last shard of a bare tuple.
         data = balanced_dataset(per_class=5, n_classes=3)
-        partition = Partition({1: np.arange(10)}, "iid")
+        partition = Partition((np.arange(10), np.arange(5)), "iid")
         trainer = NativeTrainer(
             data, data, partition, MlpNet(4, 3), SgdHyper(), np.random.default_rng(0)
         )
-        with pytest.raises(ParameterError):
-            trainer.client_updates(trainer.init_model(), [1, 2], np.random.default_rng(1))
+        with pytest.raises(ParameterError, match=f"row {row} has no shard"):
+            trainer.client_updates(trainer.init_model(), [0, row], np.random.default_rng(1))
 
     def test_surrogate_returns_the_model_once_per_client(self):
         trainer = SurrogateTrainer()
@@ -923,10 +923,10 @@ class TestNativeTrainer:
     def test_evaluate_is_the_accuracy_on_the_test_set(self):
         data = balanced_dataset(per_class=20, n_classes=3)
         test = balanced_dataset(per_class=10, n_classes=3, seed=1)
-        partition = Partition({1: np.arange(60)}, "iid")
+        partition = Partition((np.arange(60),), "iid")
         net = MlpNet(4, 3, hidden=(5,))
         trainer = NativeTrainer(data, test, partition, net, SgdHyper(), np.random.default_rng(0))
-        (model,) = trainer.client_updates(trainer.init_model(), [1], np.random.default_rng(1))
+        (model,) = trainer.client_updates(trainer.init_model(), [0], np.random.default_rng(1))
         expected = reference_accuracy(net, model.params, test.features, test.labels)
         assert 0.0 < expected < 1.0
         assert trainer.evaluate(model) == expected
@@ -943,7 +943,7 @@ class TestNativeTrainer:
         message = f"train and test sets must agree on the {name} count, got {counts}"
         with pytest.raises(ParameterError, match=message):
             NativeTrainer(
-                data, test, Partition({}, "iid"), MlpNet(8, 3), SgdHyper(),
+                data, test, Partition((), "iid"), MlpNet(8, 3), SgdHyper(),
                 np.random.default_rng(0),
             )
 
@@ -952,6 +952,6 @@ class TestNativeTrainer:
         empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
         with pytest.raises(ParameterError, match="test set is empty"):
             NativeTrainer(
-                data, empty, Partition({}, "iid"), MlpNet(4, 3), SgdHyper(),
+                data, empty, Partition((), "iid"), MlpNet(4, 3), SgdHyper(),
                 np.random.default_rng(0),
             )

@@ -157,6 +157,8 @@ class TestFileExports:
         [
             ("busy_time", None, "no field 'busy_time'"),
             ("busy_time", -1.0, "Seconds must be finite and non-negative"),
+            ("busy_time", "180", "busy_time must be a number, got '180'"),
+            ("clock_after", True, "clock_after must be a number, got True"),
             ("round", -1.5, "round must be a non-negative integer, got -1.5"),
             ("round", True, "round must be a non-negative integer, got True"),
             ("aggregated_count", "x", "aggregated_count must be a non-negative integer, got 'x'"),

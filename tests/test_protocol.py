@@ -65,12 +65,12 @@ def fresh_state(trainer=None, seed=0):
     return ExperimentState.fresh(trainer or SurrogateTrainer(), RngStream(seed))
 
 
-class IdRecordingTrainer(SurrogateTrainer):
-    """A surrogate trainer that keeps the ids of every client_updates call, as given."""
+class RowRecordingTrainer(SurrogateTrainer):
+    """A surrogate trainer that keeps the rows of every client_updates call, as given."""
 
-    def client_updates(self, model, client_ids, rng):
-        self.trained.append(list(client_ids))
-        return super().client_updates(model, client_ids, rng)
+    def client_updates(self, model, rows, rng):
+        self.trained.append(list(rows))
+        return super().client_updates(model, rows, rng)
 
 
 class TestFedcsRound:
@@ -202,7 +202,7 @@ class TestFedcsSelectionWiring:
                     for p in (by_id[cid] for cid in record.requested)
                 ]
                 expected = reference_greedy(rows, budget)
-                assert record.selected_or_completed == tuple(int(k) for k in expected.order)
+                assert record.selected_or_completed == tuple(expected)
 
             trainer = SurrogateTrainer()
             state = ExperimentState.fresh(trainer, rng)
@@ -243,7 +243,7 @@ class TestFedcsSelectionWiring:
                 for p in (by_id[cid] for cid in record.requested)
             }
             expected = reference_greedy(list(rows.values()), budget)
-            assert record.selected_or_completed == tuple(int(k) for k in expected.order)
+            assert record.selected_or_completed == tuple(expected)
             selected += [rows[cid] for cid in record.selected_or_completed]
         return selected
 
@@ -282,8 +282,7 @@ class TestDistributionTimeIdentity:
             estimates = CandidateSet.estimated(population, budget)
             for _ in range(40):
                 positions = np.sort(rng.choice(k_total, size=cohort, replace=False))
-                schedule = greedy_select(estimates._rows(positions), budget)
-                chosen = positions[list(schedule.order)]
+                chosen = positions[greedy_select(estimates._rows(positions), budget)]
                 rows = [
                     Candidate(
                         id=p.id,
@@ -293,10 +292,8 @@ class TestDistributionTimeIdentity:
                     )
                     for p in (profiles[k] for k in chosen.tolist())
                 ]
-                uploads = estimates.t_upload[chosen]
-                dist = float(schedule.dist_time)
+                dist = float(estimates.t_upload[chosen].max(initial=0.0))
                 assert dist == float(dist_time(rows, budget.model_size))
-                assert dist == float(uploads.max(initial=0.0))
                 scheduled += len(rows) > 0
         assert scheduled > 100
 
@@ -493,8 +490,8 @@ class TestFedlimUploadQueue:
             served, clock = reference_fedlim_uploads(
                 requested, release, upload, upload_order, deadline, reference.rng_order
             )
-            assert record.requested == tuple(population.ids[requested].tolist())
-            completed_ids = population.ids[requested[served]].tolist()
+            assert record.requested == tuple((requested + 1).tolist())
+            completed_ids = (requested[served] + 1).tolist()
             assert record.selected_or_completed == tuple(completed_ids)
             assert float(record.busy_time) == min(clock, deadline)
             completed += len(served)
@@ -582,21 +579,22 @@ class TestRunRound:
         "mode, late_policy",
         [("fedcs", "extend"), ("fedcs", "discard"), ("fedlim", "extend"), ("vanilla", "extend")],
     )
-    def test_the_trainer_gets_the_aggregated_ids_in_order_as_plain_ints(
+    def test_the_trainer_gets_the_aggregated_rows_in_order_as_plain_ints(
         self, population_small, mode, late_policy
     ):
         # The aggregated clients are the first aggregated_count of the
         # record's selected_or_completed: under discard, the on-time prefix.
+        # The trainer gets their population rows, each id minus one.
         config = small_config(mode=mode, fluct=FluctuationConfig(0.3), late_policy=late_policy)
-        trainer = IdRecordingTrainer()
+        trainer = RowRecordingTrainer()
         state = fresh_state(trainer)
         dropped = trained = 0
         for idx in range(20):
             trainer.trained = []
             record = run_round(state, population_small, config, trainer, idx)
             prefix = record.selected_or_completed[: record.aggregated_count]
-            assert trainer.trained == ([list(prefix)] if prefix else [])
-            assert all(type(cid) is int for ids in trainer.trained for cid in ids)
+            assert trainer.trained == ([[cid - 1 for cid in prefix]] if prefix else [])
+            assert all(type(row) is int for rows in trainer.trained for row in rows)
             dropped += len(record.selected_or_completed) - record.aggregated_count
             trained += record.aggregated_count
         assert trained > 0
@@ -639,7 +637,7 @@ class TestRunRound:
             result = fedcs_round(state, population, config, requested, update, upload)
             whole = greedy_select(state.estimates._rows(requested), config.budget)
             dropped = int((~state.schedulable[requested]).sum())
-            rounds.append((result[0].tolist(), list(whole.order), dropped))
+            rounds.append((result[0].tolist(), whole, dropped))
             return result
 
         monkeypatch.setitem(protocol._ROUND_ENGINES, "fedcs", recording_round)
@@ -731,10 +729,10 @@ class RecordingTrainer(NativeTrainer):
 class PerClientTrainer(RecordingTrainer):
     """Trains the aggregated clients one at a time with the reference loop."""
 
-    def client_updates(self, model, client_ids, rng):
+    def client_updates(self, model, rows, rng):
         updates = []
-        for cid in client_ids:
-            idx = self.partition.assignment[cid]
+        for row in rows:
+            idx = self.partition.shards[row]
             x, y = self.train_set.features[idx], self.train_set.labels[idx]
             updates.append(reference_local_update(model, x, y, self.net, self.hyper, rng))
         return updates

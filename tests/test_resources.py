@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestGenerateProfiles:
     def test_default_ranges_respected(self):
         population = generate_profiles(1000, CellConfig(), ResourceRanges(), RngStream(0))
         assert len(population) == 1000
-        assert population.ids.tolist() == list(range(1, 1001))
+        assert [p.id for p in population] == list(range(1, 1001))
         assert population.data_count.dtype == np.int64
         assert ((100 <= population.data_count) & (population.data_count <= 1000)).all()
         assert ((10.0 <= population.capability) & (population.capability <= 100.0)).all()
@@ -156,7 +157,7 @@ class TestGenerateProfiles:
         a = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
         b = generate_profiles(50, CellConfig(), ResourceRanges(), RngStream(3))
         assert list(a) == list(b)
-        for name in ("ids", "data_count", "capability", "throughput"):
+        for name in ("data_count", "capability", "throughput"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         cell = CellConfig()
         rows = reference_generate_profiles(50, cell, ResourceRanges(), RngStream(3))
@@ -208,10 +209,12 @@ class TestColumnsEqualTheScalarReference:
         count = 10**5
         population = generate_profiles(count, cell, ResourceRanges(), RngStream(11))
         rows = reference_generate_profiles(count, cell, ResourceRanges(), RngStream(11))
-        columns = [np.array(column) for column in zip(*rows)]
+        ids, *columns = [np.array(column) for column in zip(*rows)]
+        # Row i holds client i + 1.
+        assert ids.tolist() == list(range(1, count + 1))
         distance, shadow = placed(count, cell, 11)
-        names = ("ids", "data_count", "capability", "throughput", "distance", "shadow")
-        got = [getattr(population, name) for name in names[:4]] + [distance, shadow]
+        names = ("data_count", "capability", "throughput", "distance", "shadow")
+        got = [getattr(population, name) for name in names[:3]] + [distance, shadow]
         for name, actual, expected in zip(names, got, columns):
             if name == "throughput":
                 assert_throughput_matches(actual, expected, cell)
@@ -237,7 +240,10 @@ class TestColumnsEqualTheScalarReference:
 class TestPopulation:
     def test_columns_are_read_only(self):
         population = Population([100, 200], [10.0, 20.0], [1.0, 2.0])
-        assert population.ids.tolist() == [1, 2]
+        fields = [f.name for f in dataclasses.fields(population)]
+        assert fields == ["data_count", "capability", "throughput"]
+        assert len(population) == 2
+        assert [p.id for p in population] == [1, 2]
         with pytest.raises(ValueError):
             population.throughput[0] = 5.0
 

@@ -12,7 +12,6 @@ from fedcs_sim.resources import TimeBudget
 from fedcs_sim.selection import (
     Candidate,
     CandidateSet,
-    Schedule,
     dist_time,
     elapsed_theta,
     exact_select,
@@ -34,14 +33,31 @@ def candidate_set(rows):
     return CandidateSet([float(c.t_update) for c in rows], [float(c.t_upload) for c in rows])
 
 
-def relabel(schedule, labels):
-    """`schedule` with each row k of its order replaced by labels[k]."""
-    return dataclasses.replace(schedule, order=tuple(labels[k] for k in schedule.order))
+def relabel(order, labels):
+    """`order` with each row k replaced by labels[k]."""
+    return [labels[k] for k in order]
 
 
 def plan(select, rows, budget):
     """`select` on `candidate_set(rows)`, its order mapped from rows to ids."""
     return relabel(select(candidate_set(rows), budget), sorted(int(c.id) for c in rows))
+
+
+def replay(cands, order, budget):
+    """The elapsed times theta_0.. and the total of serving rows `order` of
+    `cands` in that order: one `finish_times` chain, with the longest upload
+    as the distribution time."""
+    theta = finish_times(cands.t_update[order].tolist(), cands.t_upload[order].tolist())
+    dist = max(cands.t_upload[order].tolist(), default=0.0)
+    return theta, float(budget.t_cs) + float(budget.t_agg) + dist + theta[-1]
+
+
+def replay_total(chosen, budget):
+    """The total of serving the `Candidate`s `chosen` in that order, its
+    distribution time from `dist_time`, in the planners' association."""
+    theta = finish_times([float(c.t_update) for c in chosen], [float(c.t_upload) for c in chosen])
+    head = float(budget.t_cs) + float(budget.t_agg) + float(dist_time(chosen, budget.model_size))
+    return head + theta[-1]
 
 
 def link(cid, t_update, throughput):
@@ -76,7 +92,8 @@ def direct_theta(order):
 
 
 def reference_greedy(candidates, budget):
-    """The scalar greedy loop that `greedy_select` replaced, kept as its reference.
+    """The scalar greedy loop that `greedy_select` replaced, kept as its
+    reference: the ids it accepts, in upload order.
 
     One Python cost evaluation per remaining candidate per pick, every pick
     taken to the end of the pool: O(|pool|^2), with no early exit.
@@ -87,7 +104,6 @@ def reference_greedy(candidates, budget):
 
     remaining = list(candidates)
     order: list[int] = []
-    trajectory = [0.0]
     theta = 0.0
     dist = 0.0
     min_thr = float("inf")
@@ -112,22 +128,8 @@ def reference_greedy(candidates, budget):
             dist = dist_new
             min_thr = min(min_thr, chosen.throughput)
             order.append(chosen.id)
-            trajectory.append(theta)
 
-    total = base + dist + theta
-    return Schedule(
-        order=tuple(order),
-        theta=tuple(trajectory),
-        dist_time=Seconds(dist),
-        total_time=Seconds(total),
-    )
-
-
-def assert_same_schedule(fast, ref):
-    assert [int(k) for k in fast.order] == [int(k) for k in ref.order]
-    assert fast.theta == ref.theta
-    assert float(fast.dist_time) == float(ref.dist_time)
-    assert float(fast.total_time) == float(ref.total_time)
+    return order
 
 
 class TestElapsedTheta:
@@ -199,15 +201,6 @@ class TestFinishTimes:
                 for i in range(n)
             ]
             assert finish_times(*self.columns(order)) == direct_theta(order)
-
-    def test_equals_each_greedy_trajectory_over_its_own_order(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            rows = random_candidates(rng, int(rng.integers(1, 40)), rounded=False)
-            schedule = plan(greedy_select, rows, budget_of(rng.uniform(30, 600)))
-            by_id = {int(c.id): c for c in rows}
-            order = [by_id[k] for k in schedule.order]
-            assert finish_times(*self.columns(order)) == list(schedule.theta)
 
     @given(
         st.lists(
@@ -285,16 +278,13 @@ class TestCandidateSet:
                 assert not column.flags.writeable
         empty = full._rows(np.array([], dtype=np.intp))
         assert empty.t_upload.tolist() == []
-        assert len(greedy_select(empty, budget_of(100.0))) == 0
+        assert greedy_select(empty, budget_of(100.0)) == []
 
 
 class TestGreedy:
     def test_all_individually_infeasible_gives_empty(self):
         cands = candidate_set(tuple(cand(i, 300, 200, 10.0) for i in range(1, 4)))
-        schedule = greedy_select(cands, budget_of(100.0))
-        assert len(schedule) == 0
-        assert schedule.theta == (0.0,)
-        assert float(schedule.total_time) == 0.0
+        assert greedy_select(cands, budget_of(100.0)) == []
 
     def test_three_client_hand_trace(self):
         # Equal links so the distribution term is 10 s for any selection.
@@ -303,16 +293,15 @@ class TestGreedy:
         )
         # The third client lands exactly on the deadline; the acceptance
         # test in the while-loop is strict, so it is rejected at 100.
-        schedule = greedy_select(cands, budget_of(100.0))
-        assert schedule.order == (0, 1)
-        assert [float(t) for t in schedule.theta] == [0.0, 30.0, 40.0]
-        assert float(schedule.total_time) == 50.0
+        budget = budget_of(100.0)
+        order = greedy_select(cands, budget)
+        assert order == [0, 1]
+        assert replay(cands, order, budget) == ([0.0, 30.0, 40.0], 50.0)
         # Any margin past the boundary admits it, reproducing the full trace.
-        schedule = greedy_select(cands, budget_of(100.001))
-        assert schedule.order == (0, 1, 2)
-        assert [float(t) for t in schedule.theta] == [0.0, 30.0, 40.0, 90.0]
-        assert float(schedule.dist_time) == 10.0
-        assert float(schedule.total_time) == 100.0
+        budget = budget_of(100.001)
+        order = greedy_select(cands, budget)
+        assert order == [0, 1, 2]
+        assert replay(cands, order, budget) == ([0.0, 30.0, 40.0, 90.0], 100.0)
 
     def test_unlimited_deadline_selects_everyone(self):
         rng = np.random.default_rng(1)
@@ -333,7 +322,7 @@ class TestGreedy:
             budget = budget_of(rng.uniform(30, 300))
             schedule = plan(greedy_select, rows, budget)
             by_id = {int(c.id): c for c in rows}
-            for cid in schedule.order:
+            for cid in schedule:
                 c = by_id[int(cid)]
                 solo = (
                     float(dist_time([c], budget.model_size))
@@ -351,28 +340,27 @@ class TestGreedy:
                 for i in range(n)
             )
             budget = budget_of(rng.uniform(30, 400))
-            schedule = plan(greedy_select, rows, budget)
-            assert float(schedule.total_time) < float(budget.t_round)
-            by_id = {int(c.id): c for c in rows}
-            replayed = elapsed_theta([by_id[int(k)] for k in schedule.order])
-            assert [float(t) for t in schedule.theta] == pytest.approx(
-                [float(t) for t in replayed]
-            )
+            cands = candidate_set(rows)  # row k holds rows[k]
+            order = greedy_select(cands, budget)
+            theta, total = replay(cands, order, budget)
+            assert total < float(budget.t_round)
+            assert theta == pytest.approx(direct_theta([rows[k] for k in order]))
 
     def test_tie_break_prefers_the_lower_row(self):
         # Both first costs are 18 s (2 x upload + update), and the scan meets
         # row 1, the shorter upload, first; row 0 still wins the tie.
         cands = CandidateSet([0.0, 10.0], [9.0, 4.0])
-        schedule = greedy_select(cands, budget_of(1000.0))
-        assert schedule.order == (0, 1)
+        assert greedy_select(cands, budget_of(1000.0)) == [0, 1]
         identical = CandidateSet([10.0] * 3, [10.0] * 3)
-        assert greedy_select(identical, budget_of(1000.0)).order == (0, 1, 2)
+        assert greedy_select(identical, budget_of(1000.0)) == [0, 1, 2]
 
-    def test_empty_base_includes_setup_and_aggregation_time(self):
-        cands = candidate_set(tuple(cand(i, 300, 300, 1.0) for i in range(1, 3)))
-        schedule = greedy_select(cands, budget_of(100.0, t_cs=2.0, t_agg=3.0))
-        assert len(schedule) == 0
-        assert float(schedule.total_time) == 5.0
+    def test_setup_and_aggregation_time_count_against_the_deadline(self):
+        # Alone, the client takes 30 + 30 + 36 = 96 s: it fits 100 s, but not
+        # with 2 s of set-up and 3 s of aggregation.
+        cands = CandidateSet([36.0], [30.0])
+        assert greedy_select(cands, budget_of(100.0)) == [0]
+        assert greedy_select(cands, budget_of(100.0, t_cs=2.0, t_agg=3.0)) == []
+        assert greedy_select(cands, budget_of(101.001, t_cs=2.0, t_agg=3.0)) == [0]
 
 
 # Uploads u for which 100 / u is exact, so a throughput of 100 / u gives back u.
@@ -400,16 +388,15 @@ class TestGreedyMatchesReference:
             rows = random_candidates(rng, n, rounded=k % 2 == 0)
             overhead = (rng.uniform(0, 10), rng.uniform(0, 10)) if k % 4 < 2 else (0.0, 0.0)
             budget = budget_of(10 ** rng.uniform(1.5, 3.5), t_cs=overhead[0], t_agg=overhead[1])
-            assert_same_schedule(
-                plan(greedy_select, rows, budget), reference_greedy(rows, budget)
-            )
+            assert plan(greedy_select, rows, budget) == reference_greedy(rows, budget)
 
     def test_tentative_total_equal_to_deadline(self):
         # The hand-traced instance: the third client lands exactly on 100.
         rows = [cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0)]
         budget = budget_of(100.0)
         ref = reference_greedy(rows, budget)
-        assert_same_schedule(plan(greedy_select, rows, budget), ref)
+        assert ref == [1, 2]
+        assert plan(greedy_select, rows, budget) == ref
 
         rng = np.random.default_rng(7)
         for rounded in (True, False):
@@ -418,14 +405,14 @@ class TestGreedyMatchesReference:
             unbounded = reference_greedy(rows, budget_of(1e7, t_cs=t_cs, t_agg=t_agg))
             by_id = {int(c.id): c for c in rows}
             for k in (1, 5, 20, 60):
-                prefix = [by_id[int(cid)] for cid in unbounded.order[:k]]
+                prefix = [by_id[int(cid)] for cid in unbounded[:k]]
                 dist = float(dist_time(prefix, Megabits(100.0)))
-                deadline = t_cs + t_agg + dist + unbounded.theta[k]
+                deadline = t_cs + t_agg + dist + float(elapsed_theta(prefix)[-1])
                 budget = budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
                 ref = reference_greedy(rows, budget)
                 # The k-th pick's tentative total equals the deadline, so it is rejected.
-                assert unbounded.order[k - 1] not in ref.order
-                assert_same_schedule(plan(greedy_select, rows, budget), ref)
+                assert unbounded[k - 1] not in ref
+                assert plan(greedy_select, rows, budget) == ref
 
     def test_costs_that_overflow_are_not_picked_twice(self):
         # Client 2's cost, twice its 1e308 s upload, overflows, so once client
@@ -434,9 +421,9 @@ class TestGreedyMatchesReference:
         rows = [link(1, 0.0, 100.0), link(2, 0.0, 1e-306)]
         budget = budget_of(1.5e308)
         ref = reference_greedy(rows, budget)
-        assert [int(k) for k in ref.order] == [1]
+        assert ref == [1]
         with np.errstate(over="ignore"):
-            assert_same_schedule(plan(greedy_select, rows, budget), ref)
+            assert plan(greedy_select, rows, budget) == ref
 
     def test_acceptance_after_a_rejection_through_rounding(self):
         # Clients 1 and 2 tie on cost, 2 * t_upload + t_update, so client 1 is
@@ -462,8 +449,8 @@ class TestGreedyMatchesReference:
         rows = [first, second, link(3, 0.0, 0.1)]
         budget = budget_of(total(first))
         ref = reference_greedy(rows, budget)
-        assert [int(k) for k in ref.order] == [2]
-        assert_same_schedule(plan(greedy_select, rows, budget), ref)
+        assert ref == [2]
+        assert plan(greedy_select, rows, budget) == ref
 
 
 def lex_smallest_feasible_order(subset, head, deadline):
@@ -506,7 +493,8 @@ def lex_smallest_feasible_order(subset, head, deadline):
 
 
 def reference_exact(candidates, budget):
-    """Maximum-cardinality feasible schedule by exhaustive subset search.
+    """Ids of a maximum-cardinality feasible schedule, in upload order, by
+    exhaustive subset search.
 
     The oracle that `exact_select` replaced, kept as its reference for at most
     eight candidates.  Subsets are tried in decreasing size, and for each all
@@ -519,7 +507,6 @@ def reference_exact(candidates, budget):
     model_size = float(budget.model_size)
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
-    by_id = {int(c.id): c for c in candidates}
     pool = sorted(candidates, key=lambda c: int(c.id))
 
     for size in range(len(pool), 0, -1):
@@ -536,23 +523,8 @@ def reference_exact(candidates, budget):
             if found is not None and (best_order is None or found < best_order):
                 best_order = found
         if best_order is not None:
-            chosen = [by_id[k] for k in best_order]
-            trajectory = elapsed_theta(chosen)
-            dist = dist_time(chosen, budget.model_size)
-            total = base + float(dist) + float(trajectory[-1])
-            return Schedule(
-                order=best_order,
-                theta=tuple(float(t) for t in trajectory),
-                dist_time=dist,
-                total_time=Seconds(total),
-            )
-
-    return Schedule(
-        order=(),
-        theta=(0.0,),
-        dist_time=Seconds(0.0),
-        total_time=Seconds(base),
-    )
+            return list(best_order)
+    return []
 
 
 def adversarial_instance(rng):
@@ -577,9 +549,9 @@ def adversarial_instance(rng):
         unbounded = reference_greedy(rows, budget_of(1e7, t_cs=t_cs, t_agg=t_agg))
         k = int(rng.integers(1, len(unbounded) + 1))
         by_id = {int(c.id): c for c in rows}
-        prefix = [by_id[int(cid)] for cid in unbounded.order[:k]]
+        prefix = [by_id[int(cid)] for cid in unbounded[:k]]
         head = t_cs + t_agg + float(dist_time(prefix, Megabits(100.0)))
-        deadline = head + unbounded.theta[k]
+        deadline = head + float(elapsed_theta(prefix)[-1])
     else:
         deadline = t_cs + t_agg + 10 ** rng.uniform(1.0, 3.0)
     return rows, budget_of(deadline, t_cs=t_cs, t_agg=t_agg)
@@ -590,9 +562,7 @@ class TestGreedyOnAdversarialInstances:
         rng = np.random.default_rng(1804)
         for _ in range(2500):
             rows, budget = adversarial_instance(rng)
-            assert_same_schedule(
-                plan(greedy_select, rows, budget), reference_greedy(rows, budget)
-            )
+            assert plan(greedy_select, rows, budget) == reference_greedy(rows, budget)
 
 
 def solo_total(c, base):
@@ -632,9 +602,9 @@ class TestSchedulable:
         full = candidate_set(rows)
         ids = sorted(int(c.id) for c in rows)
         kept = np.flatnonzero(full.schedulable(budget))
-        assert_same_schedule(relabel(greedy_select(full, budget), ids), ref)
+        assert relabel(greedy_select(full, budget), ids) == ref
         masked = greedy_select(full._rows(kept), budget)
-        assert_same_schedule(relabel(masked, [ids[k] for k in kept]), ref)
+        assert relabel(masked, [ids[k] for k in kept]) == ref
 
     @pytest.mark.parametrize("scale", [1.0, 1.7e306], ids=["seconds", "near-overflow"])
     @pytest.mark.parametrize("t_cs, t_agg", [(0.0, 0.0), (2.5, 1.5)])
@@ -646,7 +616,7 @@ class TestSchedulable:
             ref = reference_greedy(rows, budget)
             self.assert_full_and_masked_greedy_give(ref, rows, budget)
             by_id = {int(c.id): c for c in rows}
-            solo = [solo_total(by_id[int(cid)], t_cs + t_agg) for cid in ref.order]
+            solo = [solo_total(by_id[int(cid)], t_cs + t_agg) for cid in ref]
             late += any(total >= float(budget.t_round) for total in solo)
             dropped += int((~mask).sum())
         # Some accepted client's solo total is on or above the deadline: it
@@ -681,14 +651,12 @@ class TestSchedulable:
 
 
 def assert_exact_schedule(schedule, rows, budget):
-    """In release order, theta replayed by `elapsed_theta`, total below T_round."""
+    """Distinct ids in release order, whose replayed total is below T_round."""
     by_id = {int(c.id): c for c in rows}
-    chosen = [by_id[int(k)] for k in schedule.order]
+    chosen = [by_id[k] for k in schedule]
     keys = [(float(c.t_update), int(c.id)) for c in chosen]
-    assert keys == sorted(keys)
-    assert list(schedule.theta) == [float(t) for t in elapsed_theta(chosen)]
-    assert float(schedule.dist_time) == float(dist_time(chosen, budget.model_size))
-    assert float(schedule.total_time) < float(budget.t_round)
+    assert keys == sorted(set(keys))
+    assert replay_total(chosen, budget) < float(budget.t_round)
 
 
 def deadline_on_a_total(rng, rows, t_cs, t_agg):
@@ -706,12 +674,11 @@ class TestExact:
             (cand(1, 20, 10, 10.0), cand(2, 30, 10, 10.0), cand(3, 80, 10, 10.0))
         )
         # All three land exactly on 100, so only two fit; any margin admits the third.
-        assert exact_select(cands, budget_of(100.0)).order == (0, 1)
-        schedule = exact_select(cands, budget_of(100.001))
-        assert schedule.order == (0, 1, 2)
-        assert schedule.theta == (0.0, 30.0, 40.0, 90.0)
-        assert float(schedule.dist_time) == 10.0
-        assert float(schedule.total_time) == 100.0
+        assert exact_select(cands, budget_of(100.0)) == [0, 1]
+        budget = budget_of(100.001)
+        order = exact_select(cands, budget)
+        assert order == [0, 1, 2]
+        assert replay(cands, order, budget) == ([0.0, 30.0, 40.0, 90.0], 100.0)
 
     def test_total_equal_to_deadline_is_rejected(self):
         # The 40 s upload is also the distribution time: 40 + 20 + 40 = 100 s.
@@ -720,16 +687,12 @@ class TestExact:
         assert len(exact_select(cands, budget_of(100.001))) == 1
 
     def test_empty_candidate_set(self):
-        schedule = exact_select(candidate_set(()), budget_of(100.0, t_cs=2.0, t_agg=3.0))
-        assert len(schedule) == 0
-        assert schedule.theta == (0.0,)
-        assert float(schedule.total_time) == 5.0
+        assert exact_select(candidate_set(()), budget_of(100.0, t_cs=2.0, t_agg=3.0)) == []
 
     def test_full_ties_keep_the_lowest_rows(self):
         cands = CandidateSet([0.0] * 6, [10.0] * 6)
-        schedule = exact_select(cands, budget_of(60.0))
         # Four uploads fit and every client ties; the lowest rows come back in order.
-        assert schedule.order == (0, 1, 2, 3)
+        assert exact_select(cands, budget_of(60.0)) == [0, 1, 2, 3]
 
     def test_best_set_found_at_a_slower_link(self):
         # One fast-link client fits (5 + 25 + 5 s) but two do not (5 + 25 +
@@ -738,7 +701,7 @@ class TestExact:
         rows = (link(1, 25, 20.0), link(2, 25, 20.0), link(3, 0, 10.0), link(4, 0, 10.0))
         budget = budget_of(38.0)
         schedule = plan(exact_select, rows, budget)
-        assert [int(k) for k in schedule.order] == [3, 4]
+        assert schedule == [3, 4]
         assert_exact_schedule(schedule, rows, budget)
 
     def test_matches_brute_force_up_to_eight_candidates(self):
@@ -766,9 +729,10 @@ class TestExact:
             n = int(rng.integers(1, 9))
             rows = tuple(link(j + 1, rng.uniform(0, 120), rng.uniform(1, 12)) for j in range(n))
             budget = budget_of(rng.uniform(40, 400))
-            g = greedy_select(candidate_set(rows), budget)
+            cands = candidate_set(rows)
+            g = greedy_select(cands, budget)
             e = plan(exact_select, rows, budget)
-            assert float(g.total_time) < float(budget.t_round)
+            assert replay(cands, g, budget)[1] < float(budget.t_round)
             assert_exact_schedule(e, rows, budget)
             assert len(g) <= len(e)
             if len(g) < len(e):
@@ -811,8 +775,8 @@ class TestExact:
         g = greedy_select(cands, budget)
         e = exact_select(cands, budget)
         assert len(g) <= len(e)
-        assert float(g.total_time) < float(budget.t_round)
-        assert float(e.total_time) < float(budget.t_round)
+        assert replay(cands, g, budget)[1] < float(budget.t_round)
+        assert replay(cands, e, budget)[1] < float(budget.t_round)
 
 
 class TestSchedule:
@@ -826,21 +790,19 @@ class TestSchedule:
         st.sampled_from([(0.0, 0.0), (2.5, 1.5)]),
     )
     def test_selections_pass_the_public_checks(self, rows, t_round, overheads):
-        # Nothing checks a Schedule when it is built; every schedule either
-        # planner returns must hold its invariants, with rows of the set as
-        # plain ints.
+        # Nothing checks a plan when it is returned; every order either
+        # planner returns must hold distinct rows of the set as plain ints,
+        # and replayed it must fit the deadline.
         t_update, t_upload = zip(*rows) if rows else ((), ())
         cands = CandidateSet(t_update, t_upload)
         budget = budget_of(t_round + sum(overheads), t_cs=overheads[0], t_agg=overheads[1])
         for select in (greedy_select, exact_select):
-            s = select(cands, budget)
-            assert len(s.theta) == len(s.order) + 1
-            assert s.theta[0] == 0.0
-            assert all(b >= a for a, b in zip(s.theta, s.theta[1:]))
-            assert len(set(s.order)) == len(s.order)
-            assert all(type(row) is int for row in s.order)
-            assert set(s.order) <= set(range(len(cands)))
-            assert type(s.dist_time) is type(s.total_time) is Seconds
+            order = select(cands, budget)
+            assert type(order) is list
+            assert len(set(order)) == len(order)
+            assert all(type(row) is int for row in order)
+            assert set(order) <= set(range(len(cands)))
+            assert replay(cands, order, budget)[1] < float(budget.t_round)
 
     @pytest.mark.parametrize("select", [greedy_select, exact_select])
     def test_rows_follow_their_clients_through_a_reordered_set(self, select):
@@ -855,8 +817,7 @@ class TestSchedule:
             shuffle = rng.permutation(len(cands))
             schedule = select(cands, budget)
             shuffled = select(cands._rows(shuffle), budget)
-            assert shuffle[list(shuffled.order)].tolist() == list(schedule.order)
-            assert shuffled.theta == schedule.theta
-            assert float(shuffled.total_time) == float(schedule.total_time)
+            assert shuffle[shuffled].tolist() == schedule
+            assert replay(cands._rows(shuffle), shuffled, budget) == replay(cands, schedule, budget)
             selected += len(schedule)
         assert selected > 0
