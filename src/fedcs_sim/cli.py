@@ -74,16 +74,57 @@ def _train_and_test(
     )
 
 
+def _generated_sets(native: dict, rng: RngStream) -> tuple[LabeledDataset, LabeledDataset]:
+    """The native sets a run generates from its seed's `dataset` stream: one
+    draw for train plus test keeps the class centroids shared."""
+    full = make_blob_dataset(
+        native["train_samples"] + native["test_samples"],
+        native["n_features"],
+        native["n_classes"],
+        rng.child("dataset").generator(),
+        spread=native["blob_spread"],
+    )
+    cut = native["train_samples"]
+    return (
+        LabeledDataset(full.features[:cut], full.labels[:cut], full.n_classes),
+        LabeledDataset(full.features[cut:], full.labels[cut:], full.n_classes),
+    )
+
+
+def _check_generated_partitions(native: dict, descriptors: list[RunDescriptor]) -> None:
+    """Apply `check_partition` to the train set each non_iid descriptor's run
+    generates: with few `train_samples` a seed's draw can miss a class.  A
+    failure is a ConfigError at `trainer.native.train_samples` naming the
+    seed.  iid needs no draw, and no sweep axis changes classes_per_client,
+    so each seed is drawn and checked once."""
+    checked = set()
+    for d in descriptors:
+        partition = d.resolved["partition"]
+        if partition["mode"] != "non_iid" or d.seed in checked:
+            continue
+        checked.add(d.seed)
+        train, _ = _generated_sets(native, RngStream(d.seed))
+        try:
+            check_partition(train, "non_iid", partition["classes_per_client"])
+        except ParameterError as exc:
+            raise ConfigError(f"trainer.native.train_samples: seed {d.seed}: {exc}") from exc
+
+
 def _check_dataset_files(config: ExperimentConfig, descriptors: list[RunDescriptor]) -> None:
-    """Check a native config's dataset files, for `run` and `validate` alike,
-    before anything runs.  Load each file once, as a run does, and apply what
-    a run checks of the loaded sets: `NativeTrainer.check_sets`, the `MlpNet`
-    of their feature and class counts and its parameter table, and
-    `check_partition` for each descriptor's partition.  A failure is a
-    ConfigError at its key.  No sweep axis changes the trainer, so every run
-    reads the same files; a config without files passes."""
+    """Check a native config's datasets, for `run` and `validate` alike,
+    before anything runs.  Without dataset files this is
+    `_check_generated_partitions`.  With them, load each file once, as a run
+    does, and apply what a run checks of the loaded sets:
+    `NativeTrainer.check_sets`, the `MlpNet` of their feature and class
+    counts and its parameter table, and `check_partition` for each
+    descriptor's partition.  A failure is a ConfigError at its key.  No sweep
+    axis changes the trainer, so every run reads the same files; a surrogate
+    config passes."""
     native = config.resolved["trainer"]["native"]
-    if config.resolved["trainer"]["kind"] != "native" or native["dataset_path"] is None:
+    if config.resolved["trainer"]["kind"] != "native":
+        return
+    if native["dataset_path"] is None:
+        _check_generated_partitions(native, descriptors)
         return
     loaded: dict[str, LabeledDataset] = {}
     for key in ("dataset_path", "test_dataset_path"):
@@ -127,18 +168,7 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
         test = None if test_path is None else load_dataset(test_path)
         train, test = _train_and_test(load_dataset(native["dataset_path"]), test)
     else:
-        # One draw for train plus test keeps the class centroids shared.
-        total = native["train_samples"] + native["test_samples"]
-        full = make_blob_dataset(
-            total,
-            native["n_features"],
-            native["n_classes"],
-            rng.child("dataset").generator(),
-            spread=native["blob_spread"],
-        )
-        cut = native["train_samples"]
-        train = LabeledDataset(full.features[:cut], full.labels[:cut], full.n_classes)
-        test = LabeledDataset(full.features[cut:], full.labels[cut:], full.n_classes)
+        train, test = _generated_sets(native, rng)
 
     part_cfg = config.resolved["partition"]
     partition = partition_dataset(

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import orjson
 
 from .core import ParameterError, RngStream, Seconds
 from .learning import GlobalModel, Trainer, aggregate
@@ -147,11 +148,26 @@ class StopCondition:
             raise ParameterError("target_accuracy must be in (0, 1]", field="target_accuracy")
 
 
-@dataclass(frozen=True)
+_ID_FIELDS = ("requested", "selected_or_completed")
+
+
+def _ids_json(ids: np.ndarray) -> str:
+    """The JSON list `json.dumps` writes for these ids: orjson formats the
+    int64 buffer, and its only commas are the separators, which `json.dumps`
+    writes as ", "."""
+    return orjson.dumps(ids, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ").decode()
+
+
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
     """Realized outcome of one round.
 
-    requested and selected_or_completed hold client ids, population row + 1.
+    requested and selected_or_completed hold client ids, population row + 1,
+    each as one read-only, C-contiguous int64 array: the constructor copies
+    whatever sequence it is given into one, so a record never shares a
+    buffer with its caller.  Two records are equal when their id arrays hold
+    the same ids and every other field compares equal; records are not
+    hashable.
     realized_round_duration is the wall-clock advance of the round;
     busy_time is the realized span of the round's work, which can be shorter
     (a schedule finishing early) or longer (an overrun under the extend
@@ -159,34 +175,62 @@ class RoundRecord:
     """
 
     round: int
-    requested: tuple[int, ...]
-    selected_or_completed: tuple[int, ...]
+    requested: np.ndarray
+    selected_or_completed: np.ndarray
     realized_round_duration: Seconds
     busy_time: Seconds
     clock_after: Seconds
     accuracy_after: float
     aggregated_count: int
 
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        for key in _ID_FIELDS:
+            ids = np.array(getattr(self, key), dtype=np.int64, order="C")
+            ids.flags.writeable = False
+            object.__setattr__(self, key, ids)
+
+    def _scalars(self) -> dict:
+        """Every field but the ids, in declaration order."""
+        return {key: value for key, value in vars(self).items() if key not in _ID_FIELDS}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalars() == other._scalars() and all(
+            np.array_equal(getattr(self, key), getattr(other, key)) for key in _ID_FIELDS
+        )
+
     def to_json_line(self) -> str:
-        # The fields in order; JSON writes each Seconds through float.__repr__
-        # and each tuple as a list.  `asdict` would give the same bytes but
-        # deep-copies every id, about 15x slower on a 1000-client cohort.
-        return json.dumps(vars(self))
+        """`json.dumps` of the fields in declaration order, each Seconds
+        written through float.__repr__: `round`, the two id lists, then the
+        other scalars."""
+        scalars = self._scalars()
+        head = json.dumps({"round": scalars.pop("round")})[:-1]
+        tail = json.dumps(scalars)[1:]
+        requested, chosen = _ids_json(self.requested), _ids_json(self.selected_or_completed)
+        return f'{head}, "requested": {requested}, "selected_or_completed": {chosen}, {tail}'
 
     @classmethod
     def from_json_line(cls, line: str) -> "RoundRecord":
         """The record of a `to_json_line` line, each field checked for its
-        JSON type: counts are non-negative integers, id lists hold positive
-        integers, times are numbers and the accuracy is a number in [0, 1].
-        true and false are not numbers here."""
+        JSON type: counts are non-negative integers, id lists hold integers
+        in [1, MAX_CLIENTS] (so int64 holds every id), times are numbers and
+        the accuracy is a number in [0, 1].  true and false are not numbers
+        here."""
         raw = json.loads(line)
         for key in ("round", "aggregated_count"):
             if type(raw[key]) is not int or raw[key] < 0:
                 raise ParameterError(f"{key} must be a non-negative integer, got {raw[key]!r}")
-        for key in ("requested", "selected_or_completed"):
+        for key in _ID_FIELDS:
             ids = raw[key]
-            if type(ids) is not list or not all(type(i) is int and i > 0 for i in ids):
-                raise ParameterError(f"{key} must be a list of positive integers")
+            if type(ids) is not list or not all(
+                type(i) is int and 1 <= i <= MAX_CLIENTS for i in ids
+            ):
+                raise ParameterError(
+                    f"{key} must be a list of positive integers no larger than {MAX_CLIENTS}"
+                )
         for key in ("realized_round_duration", "busy_time", "clock_after"):
             if type(raw[key]) not in (int, float):
                 raise ParameterError(f"{key} must be a number, got {raw[key]!r}")
@@ -195,8 +239,8 @@ class RoundRecord:
             raise ParameterError(f"accuracy_after must be a number in [0, 1], got {accuracy!r}")
         return cls(
             round=raw["round"],
-            requested=tuple(raw["requested"]),
-            selected_or_completed=tuple(raw["selected_or_completed"]),
+            requested=raw["requested"],
+            selected_or_completed=raw["selected_or_completed"],
             realized_round_duration=Seconds(raw["realized_round_duration"]),
             busy_time=Seconds(raw["busy_time"]),
             clock_after=Seconds(raw["clock_after"]),
@@ -400,7 +444,10 @@ def run_round(
 ) -> RoundRecord:
     """One round of `config.mode`: this requests the cohort and realizes its
     times, the mode's engine picks and times the clients, and this trains and
-    aggregates them, advances the clock and writes the record."""
+    aggregates them, advances the clock and writes the record.  The record
+    gets the cohort's and the selection's ids (row + 1) as int64 arrays,
+    never as Python ints: `RoundRecord.to_json_line` formats them straight
+    from the buffer."""
     requested = _request_positions(state, population, config)
     update, upload = realized_times(
         population, requested, config.budget, config.fluct, state.rng_fluctuation
@@ -417,8 +464,8 @@ def run_round(
     state.clock += advance
     return RoundRecord(
         round=round_index,
-        requested=tuple((requested + 1).tolist()),
-        selected_or_completed=tuple((requested[selected] + 1).tolist()),
+        requested=requested + 1,
+        selected_or_completed=requested[selected] + 1,
         realized_round_duration=Seconds(advance),
         busy_time=Seconds(busy),
         clock_after=Seconds(state.clock),

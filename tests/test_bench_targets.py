@@ -48,7 +48,7 @@ def test_run_checks_import_and_pass_on_a_small_fedcs_run(monkeypatch, overlay):
     checks = load_bench_module(monkeypatch, "checks")
     config = ExperimentConfig(resolve_config(overlay))
     records = execute_run(config, 0)
-    assert any(r.selected_or_completed for r in records)
+    assert any(len(r.selected_or_completed) for r in records)
     assert checks.check_run(records, config, 0) == []
 
 

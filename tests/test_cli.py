@@ -34,13 +34,14 @@ FEDLIM_R = {
 }
 
 
-# `validate` accepts it, and every run fails: 12 generated rows over the
-# default 10 classes leave some class without a row, which non_iid needs.
-FAILING_NATIVE = {
-    **SMALL,
-    "trainer": {"kind": "native", "native": {"train_samples": 12}},
-    "partition": {"mode": "non_iid"},
-}
+def fail_every_run(monkeypatch):
+    """Make every run of this process, and of workers forked from it, raise
+    a ParameterError once it starts: a failure that `validate` cannot see."""
+
+    def failing_run(config, seed):
+        raise ParameterError(f"no run for seed {seed}")
+
+    monkeypatch.setattr(cli, "execute_run", failing_run)
 
 
 class TestProvenanceHash:
@@ -224,8 +225,9 @@ class TestCommands:
         assert err == f"error: cannot use output directory {out}: Not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file.txt"]
 
-    def test_failing_descriptor_fails_every_run(self, tmp_path, capsys):
-        config = write_config(tmp_path, FAILING_NATIVE)
+    def test_failing_descriptor_fails_every_run(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, SMALL)
+        fail_every_run(monkeypatch)
         assert main(["validate", str(config)]) == 0
         out = tmp_path / "out"
         assert main(["run", str(config), "--out", str(out)]) == 1
@@ -243,8 +245,9 @@ class TestCommands:
             assert "\nTraceback (most recent call last)" in report
             assert "ParameterError" in report.split("Traceback", 1)[1]
 
-    def test_serial_and_parallel_failing_sweeps_report_alike(self, tmp_path, capsys):
-        config = write_config(tmp_path, FAILING_NATIVE)
+    def test_serial_and_parallel_failing_sweeps_report_alike(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, SMALL)
+        fail_every_run(monkeypatch)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert main(["run", str(config), "--out", str(serial)]) == 1
         serial_err = capsys.readouterr().err
@@ -424,6 +427,26 @@ class TestValidateDatasetFiles:
             "configuration error: trainer.native.dataset_path: non_iid partitioning requires "
             "every class to be represented\n"
         )
+
+    def test_a_generated_train_set_missing_a_class_under_non_iid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 25 generated rows over the default 10 classes: seed 2's draw misses
+        # a class, and seeds 1 and 3 draw every class.
+        sections = {"protocol": {"k_total": 60}, "budget": {"t_final_s": 1800.0}}
+        native = {"train_samples": 25}
+        non_iid = {**sections, "partition": {"mode": "non_iid"}}
+        assert self.rejection(tmp_path, capsys, native, seeds=[1, 2], **non_iid) == (
+            "configuration error: trainer.native.train_samples: seed 2: non_iid partitioning "
+            "requires every class to be represented\n"
+        )
+        passing = {"trainer": {"kind": "native", "native": native}, "seeds": [1, 3], **non_iid}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, passing)), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["failed_runs"] == {}
+        # iid draws no set to check.
+        monkeypatch.setattr(cli, "_generated_sets", None)
+        assert self.validate(tmp_path, native, seeds=[2], **sections) == 0
 
     def test_a_parameter_table_over_the_memory_limit(self, tmp_path, capsys):
         # The generated dataset's network is checked by `resolve_config`; a

@@ -169,6 +169,12 @@ class TestFileExports:
                 [1.5, None],
                 "selected_or_completed must be a list of positive integers",
             ),
+            ("requested", [2**63], "requested must be a list of positive integers no larger than"),
+            (
+                "selected_or_completed",
+                [10**30],
+                "selected_or_completed must be a list of positive integers no larger than",
+            ),
             ("accuracy_after", "high", "accuracy_after must be a number in [0, 1], got 'high'"),
             ("accuracy_after", 1.5, "accuracy_after must be a number in [0, 1], got 1.5"),
         ],

@@ -5,6 +5,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,21 @@ def test_readme_lists_every_random_stream_label():
     table = section.split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| `([^`]+)` \|", table, re.M))
     assert listed == labels
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # Each dependency here installs under its own import name.
+    declared = re.search(
+        r"^dependencies = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M
+    )[1]
+    dependencies = {
+        re.split(r"[<>=!~ ;\[]", spec)[0] for spec in re.findall(r'"([^"]+)"', declared)
+    }
+    imported = set()
+    for path in (ROOT / "src" / "fedcs_sim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == dependencies == {"numpy", "orjson"}

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -119,7 +121,7 @@ class TestFedcsRound:
             record = run_round(state, population_small, config, trainer, idx)
             assert len(record.requested) == config.cohort_size
             assert len(set(record.requested)) == config.cohort_size
-            seen.append(record.requested)
+            seen.append(tuple(record.requested.tolist()))
         assert len(set(seen)) > 1  # fresh draw each round
 
 
@@ -172,7 +174,7 @@ class TestFedcsRealizedFinishes:
         reference = fresh_state(trainer).rng_fluctuation
         reference.standard_normal((config.cohort_size, 2))
         record = run_round(state, population_small, config, trainer, 0)
-        assert record.selected_or_completed == ()
+        assert record.selected_or_completed.tolist() == []
         assert record.aggregated_count == 0
         assert state.rng_fluctuation.bit_generator.state == reference.bit_generator.state
         assert record.busy_time == 0.25 + 0.5
@@ -202,7 +204,7 @@ class TestFedcsSelectionWiring:
                     for p in (by_id[cid] for cid in record.requested)
                 ]
                 expected = reference_greedy(rows, budget)
-                assert record.selected_or_completed == tuple(expected)
+                assert record.selected_or_completed.tolist() == expected
 
             trainer = SurrogateTrainer()
             state = ExperimentState.fresh(trainer, rng)
@@ -230,7 +232,7 @@ class TestFedcsSelectionWiring:
         by_id = {int(p.id): p for p in population}
         records = run_experiment(config, stop, SurrogateTrainer(), population, rng)
         assert len(records) == 12
-        assert any(record.selected_or_completed for record in records)
+        assert any(len(record.selected_or_completed) for record in records)
         selected = []
         for record in records:
             rows = {
@@ -243,7 +245,7 @@ class TestFedcsSelectionWiring:
                 for p in (by_id[cid] for cid in record.requested)
             }
             expected = reference_greedy(list(rows.values()), budget)
-            assert record.selected_or_completed == tuple(expected)
+            assert record.selected_or_completed.tolist() == expected
             selected += [rows[cid] for cid in record.selected_or_completed]
         return selected
 
@@ -304,7 +306,7 @@ class TestFedlimRound:
         config = small_config(mode="fedlim", budget=budget)
         trainer = SurrogateTrainer()
         record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
-        assert record.selected_or_completed == ()
+        assert record.selected_or_completed.tolist() == []
         assert record.aggregated_count == 0
         assert record.accuracy_after == 0.0
         assert record.clock_after == 1.0
@@ -490,9 +492,9 @@ class TestFedlimUploadQueue:
             served, clock = reference_fedlim_uploads(
                 requested, release, upload, upload_order, deadline, reference.rng_order
             )
-            assert record.requested == tuple((requested + 1).tolist())
+            assert record.requested.tolist() == (requested + 1).tolist()
             completed_ids = (requested[served] + 1).tolist()
-            assert record.selected_or_completed == tuple(completed_ids)
+            assert record.selected_or_completed.tolist() == completed_ids
             assert float(record.busy_time) == min(clock, deadline)
             completed += len(served)
         assert 0 < completed < 5 * config.cohort_size
@@ -566,12 +568,14 @@ class TestPairedModes:
         assert len(runs["vanilla"][0]) > 1
         for (mine, my_draws), (theirs, their_draws) in itertools.combinations(runs.values(), 2):
             common = min(len(mine), len(theirs))
-            assert [r.requested for r in mine[:common]] == [r.requested for r in theirs[:common]]
+            assert [r.requested.tolist() for r in mine[:common]] == [
+                r.requested.tolist() for r in theirs[:common]
+            ]
             assert my_draws[:common] == their_draws[:common]
         vanilla, fedlim = runs["vanilla"][0], runs["fedlim-random"][0]
         for served, completed in zip(vanilla, fedlim):
             prefix = served.selected_or_completed[: len(completed.selected_or_completed)]
-            assert completed.selected_or_completed == prefix
+            assert completed.selected_or_completed.tolist() == prefix.tolist()
 
 
 class TestRunRound:
@@ -592,7 +596,7 @@ class TestRunRound:
         for idx in range(20):
             trainer.trained = []
             record = run_round(state, population_small, config, trainer, idx)
-            prefix = record.selected_or_completed[: record.aggregated_count]
+            prefix = record.selected_or_completed[: record.aggregated_count].tolist()
             assert trainer.trained == ([[cid - 1 for cid in prefix]] if prefix else [])
             assert all(type(row) is int for rows in trainer.trained for row in rows)
             dropped += len(record.selected_or_completed) - record.aggregated_count
@@ -764,6 +768,13 @@ class TestNativeTraining:
         assert (records, evaluated) == reference
 
 
+# Record times: the float reprs that switch notation, and any other.
+RECORD_TIMES = st.one_of(
+    st.sampled_from([0.0, 1e-05, 1e16, 180.0]),
+    st.floats(0.0, 1e20, allow_nan=False, allow_infinity=False),
+)
+
+
 class TestRecordSerialization:
     def test_json_line_roundtrip(self, population_small):
         config = small_config()
@@ -771,6 +782,86 @@ class TestRecordSerialization:
         record = run_round(fresh_state(trainer), population_small, config, trainer, 0)
         again = RoundRecord.from_json_line(record.to_json_line())
         assert again == record
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(1, MAX_CLIENTS), max_size=40),
+        chosen=st.lists(st.integers(1, MAX_CLIENTS), max_size=10),
+        layout=st.sampled_from(["tuple", "array", "strided"]),
+        times=st.lists(RECORD_TIMES, min_size=3, max_size=3),
+        accuracy=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        round_index=st.integers(0, 10**6),
+    )
+    @example([], [], "array", [0.0, 0.0, 0.0], 0.0, 0)  # empty
+    @example([MAX_CLIENTS], [MAX_CLIENTS], "tuple", [1e-05, 1e16, 0.0], 1.0, 1)  # one id
+    @example(  # a 1000-client cohort up to the largest id
+        list(range(MAX_CLIENTS - 999, MAX_CLIENTS + 1)),
+        list(range(MAX_CLIENTS - 999, MAX_CLIENTS + 1, 7)),
+        "strided",
+        [180.0, 97.25, 24000.0],
+        0.5,
+        133,
+    )
+    def test_json_line_is_json_dumps_of_the_ids_as_lists(
+        self, ids, chosen, layout, times, accuracy, round_index
+    ):
+        def given_as(values):
+            if layout == "tuple":
+                return tuple(values)
+            if layout == "array":
+                return np.array(values, dtype=np.int64)
+            return np.repeat(np.array(values, dtype=np.int32), 2)[::2]  # not contiguous
+
+        duration, busy, clock = times
+        record = RoundRecord(
+            round=round_index,
+            requested=given_as(ids),
+            selected_or_completed=given_as(chosen),
+            realized_round_duration=Seconds(duration),
+            busy_time=Seconds(busy),
+            clock_after=Seconds(clock),
+            accuracy_after=accuracy,
+            aggregated_count=len(chosen),
+        )
+        expected = json.dumps(
+            {
+                "round": round_index,
+                "requested": ids,
+                "selected_or_completed": chosen,
+                "realized_round_duration": duration,
+                "busy_time": busy,
+                "clock_after": clock,
+                "accuracy_after": accuracy,
+                "aggregated_count": len(chosen),
+            }
+        )
+        assert record.to_json_line() == expected
+        assert RoundRecord.from_json_line(expected) == record
+
+    def test_ids_are_read_only_int64_copies(self):
+        strided = np.arange(1, 9, dtype=np.int32)[::2]
+        contiguous = np.array([3, 5])
+        record = RoundRecord(
+            round=0,
+            requested=strided,
+            selected_or_completed=contiguous,
+            realized_round_duration=Seconds(180.0),
+            busy_time=Seconds(0.0),
+            clock_after=Seconds(180.0),
+            accuracy_after=0.0,
+            aggregated_count=2,
+        )
+        empty = dataclasses.replace(record, selected_or_completed=()).selected_or_completed
+        for ids in (record.requested, record.selected_or_completed, empty):
+            assert ids.dtype == np.int64 and ids.flags.c_contiguous
+            assert not ids.flags.writeable
+        contiguous[0] = 99  # the caller's array is not the record's
+        assert record.selected_or_completed.tolist() == [3, 5]
+        assert record == dataclasses.replace(record, requested=[1, 3, 5, 7])
+        assert record != dataclasses.replace(record, requested=[1, 3, 5])
+        assert record != dataclasses.replace(record, busy_time=Seconds(1.0))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
 
 
 class TestConfigValidation:
