@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -244,9 +243,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     execute = partial(_execute_descriptor, out_dir=out_dir)
 
     # The default fork context starts every worker at once, so never more
-    # than there are runs.
+    # than there are runs.  Only a pool loads multiprocessing (about 2 MB of
+    # RSS), so a one-worker run never imports it.
     workers = min(args.parallelism, len(descriptors))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(execute, descriptors))
     else:

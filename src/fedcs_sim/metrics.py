@@ -3,8 +3,6 @@ summary.json group objects, and the records and curve exports."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -186,17 +184,12 @@ def read_records_jsonl(path: str | Path) -> tuple[dict, list[RoundRecord]]:
 
 def write_curve_csv(records: list[RoundRecord], path: str | Path, header: dict) -> None:
     """Accuracy-over-time curve: clock_seconds, accuracy, clients_selected."""
+    # Rows as `csv.writer` writes them: no field needs quoting, and each
+    # ends in its "\r\n" terminator.
     meta = " ".join(f"{k}={header[k]}" for k in sorted(header))
-    buf = io.StringIO()
-    buf.write(f"# {meta}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["clock_seconds", "accuracy", "clients_selected"])
-    for r in records:
-        writer.writerow(
-            [
-                repr(float(r.clock_after)),
-                repr(float(r.accuracy_after)),
-                len(r.selected_or_completed),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    lines = [f"# {meta}\n", "clock_seconds,accuracy,clients_selected\r\n"]
+    lines.extend(
+        f"{float(r.clock_after)!r},{float(r.accuracy_after)!r},{len(r.selected_or_completed)}\r\n"
+        for r in records
+    )
+    atomic_write_text(path, "".join(lines))

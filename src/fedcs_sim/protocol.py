@@ -158,6 +158,18 @@ def _ids_json(ids: np.ndarray) -> str:
     return orjson.dumps(ids, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ").decode()
 
 
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_json(value: int | float) -> str:
+    """What `json.dumps` writes for an int or a float: its repr, with the
+    non-finite floats spelled NaN, Infinity and -Infinity."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = float.__repr__(value)
+    return _NON_FINITE_JSON.get(text, text)
+
+
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
     """Realized outcome of one round.
@@ -204,13 +216,17 @@ class RoundRecord:
 
     def to_json_line(self) -> str:
         """`json.dumps` of the fields in declaration order, each Seconds
-        written through float.__repr__: `round`, the two id lists, then the
-        other scalars."""
-        scalars = self._scalars()
-        head = json.dumps({"round": scalars.pop("round")})[:-1]
-        tail = json.dumps(scalars)[1:]
-        requested, chosen = _ids_json(self.requested), _ids_json(self.selected_or_completed)
-        return f'{head}, "requested": {requested}, "selected_or_completed": {chosen}, {tail}'
+        written through float.__repr__."""
+        return (
+            f'{{"round": {_number_json(self.round)}, '
+            f'"requested": {_ids_json(self.requested)}, '
+            f'"selected_or_completed": {_ids_json(self.selected_or_completed)}, '
+            f'"realized_round_duration": {_number_json(self.realized_round_duration)}, '
+            f'"busy_time": {_number_json(self.busy_time)}, '
+            f'"clock_after": {_number_json(self.clock_after)}, '
+            f'"accuracy_after": {_number_json(self.accuracy_after)}, '
+            f'"aggregated_count": {_number_json(self.aggregated_count)}}}'
+        )
 
     @classmethod
     def from_json_line(cls, line: str) -> "RoundRecord":

@@ -34,8 +34,9 @@ __all__ = [
     "realized_times",
 ]
 
-# Bounds that keep one population near 1 GB (about 100 bytes per client),
-# and an update's sample count (data count x epochs) an exact float.
+# Bounds that keep one population under 0.6 GB, and an update's sample count
+# (data count x epochs) an exact float.  A population holds 24 bytes per
+# client once built; building it peaks at about 51 (traced at K = 100 000).
 MAX_CLIENTS = 10**7
 MAX_DATA_COUNT = 10**6
 MAX_EPOCHS = 1000
@@ -69,26 +70,39 @@ class Population:
     throughput: np.ndarray
 
     def __post_init__(self) -> None:
-        # Counts are checked as floats: an int64 cast would truncate 2.5 and wrap NaN.
-        columns = {"data_count": np.array(self.data_count, dtype=np.float64)}
+        counts = np.asarray(self.data_count)
+        integral = counts.dtype.kind in "biu"
+        if integral:
+            # The one copy kept, exact but for uint64 counts past int64's
+            # range: they wrap to negatives, which the range check rejects.
+            data_count = counts.astype(np.int64)
+        else:
+            # Other counts are checked as floats: an int64 cast would truncate
+            # 2.5, wrap NaN and overflow on 10**30.
+            counts = data_count = np.array(self.data_count, dtype=np.float64)
+        columns = {"data_count": data_count}
         for name in ("capability", "throughput"):
             columns[name] = np.array(getattr(self, name), dtype=np.float64)
-        count = len(columns["data_count"])
+        count = len(data_count)
         if any(c.shape != (count,) for c in columns.values()):
             raise ParameterError("population columns must be 1-D arrays of equal length")
-        counts = columns["data_count"]
-        whole = np.floor(counts) == counts
-        whole &= (counts >= 1) & (counts <= MAX_DATA_COUNT)
+        # Each check is and-ed in place, so one temporary mask is alive at a time.
+        whole = data_count >= 1
+        whole &= data_count <= MAX_DATA_COUNT
+        if not integral:
+            whole &= np.floor(counts) == counts
         if not whole.all():
             i = int(np.argmin(whole))
             raise ModelError(
                 f"client {i + 1} needs an integer data count in [1, {MAX_DATA_COUNT}], "
                 f"got {float(counts[i])!r}"
             )
-        columns["data_count"] = counts.astype(np.int64)
+        columns["data_count"] = data_count.astype(np.int64, copy=False)
         capability, throughput = columns["capability"], columns["throughput"]
-        valid = np.isfinite(capability) & (capability > 0.0)
-        valid &= np.isfinite(throughput) & (throughput > 0.0)
+        valid = np.isfinite(capability)
+        valid &= capability > 0.0
+        valid &= np.isfinite(throughput)
+        valid &= throughput > 0.0
         if not valid.all():
             i = int(np.argmin(valid))
             raise ModelError(
@@ -181,13 +195,14 @@ def generate_profiles(
     """
     if not 1 <= count <= MAX_CLIENTS:
         raise ParameterError(f"count must be in [1, {MAX_CLIENTS}], got {count!r}")
-    distance, shadow = place_clients(count, cell, rng.child("placement").generator())
+    # Distances and shadows are freed before the resource columns are drawn.
+    placement = rng.child("placement").generator()
+    throughput = mean_throughput(*place_clients(count, cell, placement), cell)
     res = rng.child("resources").generator()
     lo, hi = ranges.data_count
     data_count = res.integers(lo, hi + 1, size=count)
     clo, chi = ranges.capability
     capability = res.uniform(clo, chi, size=count)
-    throughput = mean_throughput(distance, shadow, cell)
     return Population(data_count, capability, throughput)
 
 

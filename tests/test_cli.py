@@ -146,7 +146,7 @@ class TestCommands:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         config = write_config(tmp_path, SMALL)  # four runs
         out = tmp_path / "out"
         assert main(["run", str(config), "--out", str(out), "--parallelism", str(parallelism)]) == 0
@@ -154,9 +154,31 @@ class TestCommands:
         assert len(directory_bytes(out)) == 9
 
     def test_one_run_never_starts_a_pool(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         config = write_config(tmp_path, {**SMALL, "seeds": [0], "sweep": {}})
         assert main(["run", str(config), "--out", str(tmp_path / "out"), "--parallelism", "8"]) == 0
+
+    def test_a_one_worker_run_loads_no_pool(self, tmp_path):
+        # In a fresh interpreter: this one has loaded multiprocessing already.
+        config = write_config(tmp_path, SMALL)
+        script = (
+            "import sys\n"
+            "from fedcs_sim.cli import main\n"
+            f"assert main(['run', {str(config)!r}, '--out', {str(tmp_path / 'out')!r},"
+            " '--parallelism', '1']) == 0\n"
+            f"assert main(['validate', {str(config)!r}]) == 0\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        src = Path(fedcs_sim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]

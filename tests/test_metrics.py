@@ -1,9 +1,14 @@
+import csv
+import io
 import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcs_sim.core import ParameterError, Seconds
 from fedcs_sim.metrics import (
@@ -192,6 +197,30 @@ class TestFileExports:
         path.write_text("\n".join([header, first, json.dumps(raw)]) + "\n")
         with pytest.raises(ParameterError, match=rf"line 3: {re.escape(reason)}"):
             read_records_jsonl(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 1e-05, 1e16]), st.floats(0.0, 1e20)),
+                st.one_of(st.sampled_from([0.0, 1e-05, 1e16, math.nan, 1]), st.floats()),
+                st.integers(0, 12),
+            ),
+            max_size=20,
+        )
+    )
+    def test_curve_csv_is_what_csv_writer_writes(self, tmp_path_factory, rows):
+        records = [record(i, *row) for i, row in enumerate(rows)]
+        header = {"seed": 7, "config_hash": "abc123"}
+        path = tmp_path_factory.mktemp("curve") / "curve.csv"
+        write_curve_csv(records, path, header)
+        expected = io.StringIO()
+        expected.write("# config_hash=abc123 seed=7\n")
+        writer = csv.writer(expected)
+        writer.writerow(["clock_seconds", "accuracy", "clients_selected"])
+        for clock, accuracy, selected in rows:
+            writer.writerow([repr(float(clock)), repr(float(accuracy)), selected])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_curve_csv_layout(self, tmp_path):
         records = run_of([0.25, 0.75])

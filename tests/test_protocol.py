@@ -789,11 +789,18 @@ class TestRecordSerialization:
         chosen=st.lists(st.integers(1, MAX_CLIENTS), max_size=10),
         layout=st.sampled_from(["tuple", "array", "strided"]),
         times=st.lists(RECORD_TIMES, min_size=3, max_size=3),
-        accuracy=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        # Ints, and non-finite accuracies that only `from_json_line` rejects.
+        accuracy=st.one_of(
+            st.sampled_from([0.0, 1.0, 0, 1, math.nan, math.inf, -math.inf]),
+            st.floats(0.0, 1.0),
+        ),
         round_index=st.integers(0, 10**6),
     )
     @example([], [], "array", [0.0, 0.0, 0.0], 0.0, 0)  # empty
     @example([MAX_CLIENTS], [MAX_CLIENTS], "tuple", [1e-05, 1e16, 0.0], 1.0, 1)  # one id
+    @example([1], [], "array", [0.0, 0.0, 0.0], 0, 2)  # an int accuracy
+    @example([1], [], "array", [0.0, 0.0, 0.0], math.nan, 3)
+    @example([1], [], "array", [0.0, 0.0, 0.0], -math.inf, 4)
     @example(  # a 1000-client cohort up to the largest id
         list(range(MAX_CLIENTS - 999, MAX_CLIENTS + 1)),
         list(range(MAX_CLIENTS - 999, MAX_CLIENTS + 1, 7)),
@@ -836,7 +843,11 @@ class TestRecordSerialization:
             }
         )
         assert record.to_json_line() == expected
-        assert RoundRecord.from_json_line(expected) == record
+        if math.isfinite(accuracy):
+            assert RoundRecord.from_json_line(expected) == record
+        else:
+            with pytest.raises(ParameterError, match="accuracy_after must be a number in"):
+                RoundRecord.from_json_line(expected)
 
     def test_ids_are_read_only_int64_copies(self):
         strided = np.arange(1, 9, dtype=np.int32)[::2]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,12 @@ def make_profile(data_count=500, capability=50.0, throughput=1.4, cid=1):
     return ClientProfile(
         id=cid, data_count=data_count, mean_capability=capability, mean_throughput=throughput
     )
+
+
+def data_count_error(bad):
+    """The whole message that rejects `bad` as client 2's data count."""
+    message = f"client 2 needs an integer data count in [1, {MAX_DATA_COUNT}], got {float(bad)!r}"
+    return re.escape(message) + "$"
 
 
 def placed(count, cell, seed):
@@ -164,6 +172,18 @@ class TestGenerateProfiles:
         for got, expected in zip(placed(50, cell, 3), list(zip(*rows))[4:]):
             assert got.tobytes() == np.array(expected).tobytes()
 
+    def test_building_peaks_under_two_and_a_quarter_times_the_columns(self):
+        cell, ranges = CellConfig(), ResourceRanges()
+        generate_profiles(10, cell, ranges, RngStream(3))  # numpy.random's lazy imports
+        tracemalloc.start()
+        try:
+            population = generate_profiles(100_000, cell, ranges, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (population.data_count, population.capability, population.throughput)
+        assert peak <= 2.25 * sum(c.nbytes for c in columns)
+
     def test_count_is_bounded(self):
         for count in (0, MAX_CLIENTS + 1):
             with pytest.raises(ParameterError):
@@ -259,15 +279,43 @@ class TestPopulation:
         with pytest.raises(ModelError, match="client 2 needs finite positive mean capability"):
             Population([100, 200, 300], rates["capability"], rates["throughput"])
 
-    @pytest.mark.parametrize("bad", [2.5, -5, math.nan, 0, MAX_DATA_COUNT + 1, math.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [2.5, -5, math.nan, 0, MAX_DATA_COUNT + 1, math.inf]
+        # Integers past int64, which numpy reads as an object or a float64
+        # column, and floats.
+        + [10**30, 2**63, np.uint64(2**63), 1e300, -0.0],
+    )
     def test_rejects_a_data_count_that_is_not_a_whole_number_in_range(self, bad):
-        with pytest.raises(ModelError, match="client 2 needs an integer data count"):
+        with pytest.raises(ModelError, match=data_count_error(bad)):
             Population([100, bad, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0])
 
-    def test_whole_float_data_counts_are_stored_as_int64(self):
-        population = Population([100.0, float(MAX_DATA_COUNT)], [10.0, 20.0], [1.0, 2.0])
+    @pytest.mark.parametrize("bad", [2**63, 2**64 - 1])
+    def test_rejects_a_uint64_data_count_past_int64(self, bad):
+        counts = np.array([100, bad, 300], dtype=np.uint64)
+        with pytest.raises(ModelError, match=data_count_error(bad)):
+            Population(counts, [10.0, 20.0, 30.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "counts, stored",
+        [
+            ([100.0, float(MAX_DATA_COUNT)], [100, MAX_DATA_COUNT]),
+            ([True, True], [1, 1]),
+            (np.array([7, MAX_DATA_COUNT], dtype=np.int32), [7, MAX_DATA_COUNT]),
+            (np.array([100, 200]), [100, 200]),
+        ],
+        ids=["whole-floats", "bools", "int32", "int64"],
+    )
+    def test_whole_float_data_counts_are_stored_as_int64(self, counts, stored):
+        given = [np.asarray(counts), np.array([10.0, 20.0]), np.array([1.0, 2.0])]
+        population = Population(*given)
         assert population.data_count.dtype == np.int64
-        assert population.data_count.tolist() == [100, MAX_DATA_COUNT]
+        assert population.data_count.tolist() == stored
+        # Each column is a copy: the caller's arrays stay its own, and writeable.
+        columns = (population.data_count, population.capability, population.throughput)
+        for column, array in zip(columns, given):
+            assert not np.shares_memory(column, array)
+            assert array.flags.writeable
 
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ParameterError):
