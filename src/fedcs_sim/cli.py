@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Callable
 from functools import partial
 from pathlib import Path
 
@@ -59,86 +60,77 @@ from .resources import Population, generate_profiles
 __all__ = ["main", "execute_run", "build_trainer"]
 
 
-def _train_and_test(
-    train: LabeledDataset, test: LabeledDataset | None
+def _native_sets(
+    native: dict, rng: RngStream | None, load: Callable[[str], LabeledDataset]
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """The native sets from the dataset files: without a test file, a
-    deterministic 80/20 split of the train file by index."""
-    if test is not None:
-        return train, test
-    cut = max(1, int(0.8 * len(train)))
-    return (
-        LabeledDataset(train.features[:cut], train.labels[:cut], train.n_classes),
-        LabeledDataset(train.features[cut:], train.labels[cut:], train.n_classes),
-    )
-
-
-def _generated_sets(native: dict, rng: RngStream) -> tuple[LabeledDataset, LabeledDataset]:
-    """The native sets a run generates from its seed's `dataset` stream: one
-    draw for train plus test keeps the class centroids shared."""
-    full = make_blob_dataset(
-        native["train_samples"] + native["test_samples"],
-        native["n_features"],
-        native["n_classes"],
-        rng.child("dataset").generator(),
-        spread=native["blob_spread"],
-    )
-    cut = native["train_samples"]
+    """A native run's (train, test) sets.  Generated: one blob draw from
+    `rng`'s `dataset` stream, so train and test share class centroids, cut
+    at `train_samples`.  From files: `load("dataset_path")`, then
+    `load("test_dataset_path")`, or else the train file split by position
+    with no shuffle, its first 80% of rows (at least one) to train.  Raises
+    what `make_blob_dataset` or `load` raises."""
+    if native["dataset_path"] is None:
+        full = make_blob_dataset(
+            native["train_samples"] + native["test_samples"],
+            native["n_features"],
+            native["n_classes"],
+            rng.child("dataset").generator(),
+            spread=native["blob_spread"],
+        )
+        cut = native["train_samples"]
+    else:
+        full = load("dataset_path")
+        if native["test_dataset_path"] is not None:
+            return full, load("test_dataset_path")
+        cut = max(1, int(0.8 * len(full)))
     return (
         LabeledDataset(full.features[:cut], full.labels[:cut], full.n_classes),
         LabeledDataset(full.features[cut:], full.labels[cut:], full.n_classes),
     )
 
 
-def _check_generated_partitions(native: dict, descriptors: list[RunDescriptor]) -> None:
-    """Apply `check_partition` to the train set each non_iid descriptor's run
-    generates: with few `train_samples` a seed's draw can miss a class.  A
-    failure is a ConfigError at `trainer.native.train_samples` naming the
-    seed.  iid needs no draw, and no sweep axis changes classes_per_client,
-    so each seed is drawn and checked once."""
-    checked = set()
-    for d in descriptors:
-        partition = d.resolved["partition"]
-        if partition["mode"] != "non_iid" or d.seed in checked:
-            continue
-        checked.add(d.seed)
-        train, _ = _generated_sets(native, RngStream(d.seed))
-        try:
-            check_partition(train, "non_iid", partition["classes_per_client"])
-        except ParameterError as exc:
-            raise ConfigError(f"trainer.native.train_samples: seed {d.seed}: {exc}") from exc
+def _check_native_inputs(config: ExperimentConfig, descriptors: list[RunDescriptor]) -> None:
+    """Check a native config's sets by `_native_sets`, for `run` and
+    `validate` alike, before anything runs; a surrogate config passes.
 
+    Generated sets: each seed of a non_iid descriptor is drawn once, and a
+    train set `check_partition` rejects is a ConfigError at
+    `trainer.native.train_samples` naming the seed.  iid draws nothing, and
+    no sweep axis changes classes_per_client.  Files: each path is read
+    once, a failed read is a ConfigError at its `trainer.native.<key>`, and
+    what every run would reject is one at its key: `NativeTrainer.check_sets`
+    (the test file's, or the train file's when split), the `MlpNet` of the
+    loaded counts (`dataset_path`) and its parameter table, and
+    `check_partition` for each distinct partition.
+    """
+    spec = config.resolved["trainer"]
+    if spec["kind"] != "native":
+        return
+    native, loaded = spec["native"], {}
 
-def _check_dataset_files(config: ExperimentConfig, descriptors: list[RunDescriptor]) -> None:
-    """Check a native config's datasets, for `run` and `validate` alike,
-    before anything runs.  Without dataset files this is
-    `_check_generated_partitions`.  With them, load each file once, as a run
-    does, and apply what a run checks of the loaded sets:
-    `NativeTrainer.check_sets`, the `MlpNet` of their feature and class
-    counts and its parameter table, and `check_partition` for each
-    descriptor's partition.  A failure is a ConfigError at its key.  No sweep
-    axis changes the trainer, so every run reads the same files; a surrogate
-    config passes."""
-    native = config.resolved["trainer"]["native"]
-    if config.resolved["trainer"]["kind"] != "native":
-        return
-    if native["dataset_path"] is None:
-        _check_generated_partitions(native, descriptors)
-        return
-    loaded: dict[str, LabeledDataset] = {}
-    for key in ("dataset_path", "test_dataset_path"):
-        path = native[key]
+    def load(key: str) -> LabeledDataset:
         try:
-            if path is not None and path not in loaded:
-                loaded[path] = load_dataset(path)
+            if native[key] not in loaded:
+                loaded[native[key]] = load_dataset(native[key])
         except (OSError, ParameterError) as exc:
             raise ConfigError(f"trainer.native.{key}: {exc}") from exc
-    test_path = native["test_dataset_path"]
-    train, test = _train_and_test(loaded[native["dataset_path"]], loaded.get(test_path))
+        return loaded[native[key]]
+
+    if native["dataset_path"] is None:
+        per_client = config.resolved["partition"]["classes_per_client"]
+        non_iid = (d.seed for d in descriptors if d.resolved["partition"]["mode"] == "non_iid")
+        for seed in dict.fromkeys(non_iid):
+            train, _ = _native_sets(native, RngStream(seed), load)
+            try:
+                check_partition(train, "non_iid", per_client)
+            except ParameterError as exc:
+                raise ConfigError(f"trainer.native.train_samples: seed {seed}: {exc}") from exc
+        return
+    train, test = _native_sets(native, None, load)
     try:
         NativeTrainer.check_sets(train, test)
     except ParameterError as exc:
-        key = "dataset_path" if test_path is None else "test_dataset_path"
+        key = "dataset_path" if native["test_dataset_path"] is None else "test_dataset_path"
         raise ConfigError(f"trainer.native.{key}: {exc}") from exc
     try:
         net = MlpNet(train.features.shape[1], train.n_classes, tuple(native["hidden"]))
@@ -162,13 +154,7 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
         return SurrogateTrainer(a_max=s["a_max"], tau=s["tau"])
 
     native = spec["native"]
-    if native["dataset_path"] is not None:
-        test_path = native["test_dataset_path"]
-        test = None if test_path is None else load_dataset(test_path)
-        train, test = _train_and_test(load_dataset(native["dataset_path"]), test)
-    else:
-        train, test = _generated_sets(native, rng)
-
+    train, test = _native_sets(native, rng, lambda key: load_dataset(native[key]))
     part_cfg = config.resolved["partition"]
     partition = partition_dataset(
         train,
@@ -228,7 +214,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Checks the overrides by the config's rules, and the dataset files,
     # before the directory is touched.
     descriptors = run_descriptors(config)
-    _check_dataset_files(config, descriptors)
+    _check_native_inputs(config, descriptors)
     out_dir = Path(config.resolved["output_dir"])
     if out_dir.is_dir() and not args.force:
         print(f"error: output directory {out_dir} exists (use --force to overwrite)", file=sys.stderr)
@@ -287,7 +273,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     descriptors = run_descriptors(config)
-    _check_dataset_files(config, descriptors)
+    _check_native_inputs(config, descriptors)
     print(f"OK: {len(descriptors)} run descriptor(s), config hash {config.hash}")
     return 0
 

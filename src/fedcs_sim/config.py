@@ -419,7 +419,10 @@ def config_hash(resolved: dict[str, Any]) -> str:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, float) and value == int(value):
+    """A swept value as a group-name tag: an integral float below 1e16 in
+    magnitude as its integer (180.0 as 180, -0.0 as 0), any other float as
+    its repr (0.1, 1e+300), so a huge value cannot make a file name long."""
+    if isinstance(value, float) and abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return str(value)
 

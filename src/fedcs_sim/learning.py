@@ -345,8 +345,8 @@ class MlpNet:
         self.dims = (n_features, *hidden, n_classes)
         self.param_count = sum((a + 1) * b for a, b in zip(self.dims, self.dims[1:]))
 
-    def init_params(self, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
-        return scale * rng.normal(0.0, 1.0, size=self.param_count)
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        return 0.01 * rng.normal(0.0, 1.0, size=self.param_count)
 
     def _unpack(self, params: np.ndarray) -> list[np.ndarray]:
         """Per layer, a (m, a + 1, b) view of the [W; b] blocks."""

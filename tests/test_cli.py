@@ -12,11 +12,12 @@ import pytest
 
 import fedcs_sim
 from fedcs_sim import cli
-from fedcs_sim.cli import _execute_descriptor, execute_run, main
+from fedcs_sim.cli import _execute_descriptor, build_trainer, execute_run, main
 from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_descriptors
-from fedcs_sim.core import ParameterError
+from fedcs_sim.core import ParameterError, RngStream
 from fedcs_sim.learning import make_blob_dataset, save_dataset
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
+from fedcs_sim.resources import generate_profiles
 
 SMALL = {
     "protocol": {"k_total": 60},
@@ -101,6 +102,16 @@ class TestCommands:
             runs = [read_records_jsonl(p)[1] for p in sorted(parallel.glob(f"records-{group}_*"))]
             stats = [run_stats(records, thresholds) for records in runs]
             assert summarize(stats, thresholds) == summary
+
+    def test_a_huge_swept_value_names_its_group_by_repr(self, tmp_path, capsys):
+        # As an integer, 1e300 would spell a 301-digit file name.
+        user = {"protocol": {"k_total": 60}, "sweep": {"t_round_s": [1e300]}, "seeds": [0]}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, user)), "--out", str(out)]) == 0
+        assert (out / "records-fedcs_tr1e+300_seed0.jsonl").is_file()
+        assert sorted(json.loads((out / "summary.json").read_text())["groups"]) == [
+            "fedcs_tr1e+300"
+        ]
 
     def test_a_run_returns_its_stats_and_no_per_round_data(self, tmp_path):
         config = ExperimentConfig(resolve_config({**FEDLIM_R, "seeds": [0]}))
@@ -467,8 +478,26 @@ class TestValidateDatasetFiles:
         assert main(["run", str(write_config(tmp_path, passing)), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["failed_runs"] == {}
         # iid draws no set to check.
-        monkeypatch.setattr(cli, "_generated_sets", None)
+        monkeypatch.setattr(cli, "make_blob_dataset", None)
         assert self.validate(tmp_path, native, seeds=[2], **sections) == 0
+
+    def test_without_a_test_file_the_split_is_by_position(self, tmp_path):
+        # The first 80% of the file's rows train and the rest test, in file
+        # order, with no shuffle.
+        rows = [(i % 3, float(i), -0.5 * i) for i in range(10)]
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(f"{label},{x!r},{y!r}\n" for label, x, y in rows))
+        native = {"dataset_path": str(path)}
+        config = ExperimentConfig(resolve_config({"trainer": {"kind": "native", "native": native}}))
+        rng = RngStream(0)
+        population = generate_profiles(60, config.cell(), config.ranges(), rng)
+        trainer = build_trainer(config, population, rng)
+        features = np.array([row[1:] for row in rows])
+        labels = np.array([row[0] for row in rows], dtype=np.int64)
+        for dataset, kept in ((trainer.train_set, slice(0, 8)), (trainer.test_set, slice(8, 10))):
+            assert dataset.features.tobytes() == features[kept].tobytes()
+            assert dataset.labels.tobytes() == labels[kept].tobytes()
+            assert dataset.n_classes == 3
 
     def test_a_parameter_table_over_the_memory_limit(self, tmp_path, capsys):
         # The generated dataset's network is checked by `resolve_config`; a

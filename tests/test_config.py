@@ -318,6 +318,14 @@ def test_sweep_value_is_reported_at_its_axis_and_key(axis, value, key):
     assert message.startswith(f"sweep.{axis}: {key}: "), message
 
 
+def test_group_names_spell_integral_floats_as_integers_below_1e16():
+    sweep = {"t_round_s": [180.0, 9999999999999998.0, 1e16, 180.5], "r": [-0.0, 0.1]}
+    config = ExperimentConfig(resolve_config({"sweep": sweep, "seeds": [0]}))
+    groups = [d.group_id for d in run_descriptors(config)]
+    tags = ["tr180", "tr9999999999999998", "tr1e+16", "tr180.5"]
+    assert groups == [f"fedcs_{tr}_{r}" for tr in tags for r in ("r0", "r0.1")]
+
+
 def test_defaults_round_trip_through_the_objects_that_own_them():
     config = ExperimentConfig(resolve_config({}))
     assert config.cell() == CellConfig()

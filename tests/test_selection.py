@@ -668,6 +668,41 @@ def deadline_on_a_total(rng, rows, t_cs, t_agg):
     return head + float(elapsed_theta(subset)[-1])
 
 
+def lawler_moore_optimum(cands, budget):
+    """The size of a largest feasible schedule on integer-valued times, by
+    the pseudo-polynomial dynamic program of Lawler and Moore ("A functional
+    equation and its application to resource allocation and sequencing
+    problems", Management Science 16(1), 1969).  It shares no code with
+    `exact_select`: no heap and no replay.
+
+    With integer times every sum is exact, so a set fits when t_cs + t_agg
+    + dist + theta <= t_round - 1.  In release order, theta is the largest
+    t_update_j plus the uploads from j on.  So for each distinct upload
+    level u with t_cs + t_agg + u < t_round, the sets whose longest upload
+    is at most u are a 1||sum U_j instance: jobs are the candidates with
+    upload <= u, processing times their uploads, and due dates t_round -
+    t_cs - t_agg - u - t_update - 1.  Taking the jobs in due-date order,
+    most[t] is the most jobs that finish on time with total processing time
+    t; the optimum is the best count over all levels.
+    """
+    base = float(budget.t_cs) + float(budget.t_agg)
+    optimum = 0
+    for level in np.unique(cands.t_upload):
+        slack = int(float(budget.t_round) - base - level) - 1
+        if slack < 0:
+            continue
+        jobs = cands.t_upload <= level
+        due = slack - cands.t_update[jobs]
+        in_order = np.argsort(due, kind="stable")
+        most = np.full(slack + 1, -np.inf)
+        most[0] = 0.0
+        for p, d in zip(cands.t_upload[jobs][in_order].astype(int), due[in_order].astype(int)):
+            if p <= d:
+                most[p : d + 1] = np.maximum(most[p : d + 1], most[: d + 1 - p] + 1.0)
+        optimum = max(optimum, int(most.max()))
+    return optimum
+
+
 class TestExact:
     def test_three_client_hand_trace_boundary(self):
         cands = candidate_set(
@@ -754,6 +789,25 @@ class TestExact:
             assert len(g) <= len(e)
             strict += len(g) < len(e)
         assert strict > 0
+
+    @pytest.mark.parametrize("n, instances", [(100, 20), (1000, 3)])
+    def test_full_scale_against_an_independent_optimum(self, n, instances):
+        # Integer times, so `exact_select`'s sums are exact and its size is
+        # the optimum's; greedy, a heuristic, falls short on some instances.
+        rng = np.random.default_rng([n, 1969])
+        short = 0
+        for _ in range(instances):
+            cands = CandidateSet(
+                rng.integers(0, 300, n).astype(float), rng.integers(1, 41, n).astype(float)
+            )
+            t_round, t_cs, t_agg = rng.integers([60, 0, 0], [400, 10, 10]).astype(float)
+            budget = budget_of(t_round, t_cs=t_cs, t_agg=t_agg)
+            optimum = lawler_moore_optimum(cands, budget)
+            assert len(exact_select(cands, budget)) == optimum
+            greedy = len(greedy_select(cands, budget))
+            assert greedy <= optimum
+            short += greedy < optimum
+        assert short > 0
 
     @settings(max_examples=60, deadline=None)
     @given(
