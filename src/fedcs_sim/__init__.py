@@ -12,7 +12,6 @@ baselines, and post-processes record streams into the usual metrics.
 from .channel import CellConfig, mean_throughput, path_loss_db, place_clients
 from .core import (
     Megabits,
-    MegabitsPerSecond,
     ModelError,
     ParameterError,
     RngStream,
@@ -45,21 +44,15 @@ from .protocol import (
     run_round,
 )
 from .resources import (
-    ClientProfile,
     FluctuationConfig,
     Population,
     ResourceRanges,
     TimeBudget,
-    estimated_update_time,
-    estimated_upload_time,
     generate_profiles,
     realized_times,
 )
 from .selection import (
-    Candidate,
     CandidateSet,
-    dist_time,
-    elapsed_theta,
     exact_select,
     greedy_select,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MegabitsPerSecond, ParameterError
+from .core import ParameterError
 
 __all__ = [
     "CellConfig",
@@ -70,11 +70,6 @@ class CellConfig:
         if not 0 < self.min_distance_m <= self.radius_m:
             raise ParameterError("min_distance_m must be in (0, radius_m]", field="min_distance_m")
 
-    @property
-    def max_throughput(self) -> MegabitsPerSecond:
-        """Hard throughput cap: full bandwidth at the spectral-efficiency cap."""
-        return MegabitsPerSecond(self.rb_bandwidth_total_hz * self.rho_max_bps_hz / 1e6)
-
 
 def place_clients(
     count: int, cell: CellConfig, rng: np.random.Generator
@@ -119,9 +114,10 @@ def mean_throughput(distances: np.ndarray, shadows: np.ndarray, cell: CellConfig
     SNR is computed from transmit power, antenna gain, path loss and thermal
     noise over the full allocated bandwidth; the spectral efficiency is
     log2(1 + SNR / delta_loss) capped at rho_max, where the value is exactly
-    `cell.max_throughput`.  Each step is a numpy ufunc over the whole column,
-    in place, so a value may differ from the `math` formula in the last bits.
-    Per-round fluctuation is sampled around it elsewhere.
+    `rb_bandwidth_total_hz * rho_max_bps_hz / 1e6`.  Each step is a numpy
+    ufunc over the whole column, in place, so a value may differ from the
+    `math` formula in the last bits.  Per-round fluctuation is sampled around
+    it elsewhere.
     """
     noise_dbm = (
         THERMAL_NOISE_DBM_PER_HZ

@@ -150,8 +150,7 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
     """Instantiate the configured trainer for one run."""
     spec = config.resolved["trainer"]
     if spec["kind"] == "surrogate":
-        s = spec["surrogate"]
-        return SurrogateTrainer(a_max=s["a_max"], tau=s["tau"])
+        return SurrogateTrainer(**spec["surrogate"])
 
     native = spec["native"]
     train, test = _native_sets(native, rng, lambda key: load_dataset(native[key]))

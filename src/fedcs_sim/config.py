@@ -6,15 +6,15 @@ are rejected with their full dotted path.  All times are seconds.
 The typed objects that a run builds own the defaults and the range rules of
 their keys: CellConfig, ResourceRanges, TimeBudget, FluctuationConfig,
 FedLimOptions, ProtocolConfig, StopCondition, SgdHyper, MlpNet, Partition,
-the surrogate accuracy curve and RngStream.  DEFAULT_CONFIG reads each of
-those defaults from its object, and validation builds every object through
-the same ExperimentConfig accessors a run uses, reporting the object's
-ParameterError at the offending key's path.  This module owns only the JSON
-type and shape of each value, and the rules of keys that no object checks:
-the trainer kind, a positive final deadline, the native dataset sizes and
-paths, the memory a native run's index, feature and parameter tables may
-take, classes per client against the class count, the metric thresholds,
-the seed and sweep lists, and the output directory.
+SurrogateTrainer and RngStream.  DEFAULT_CONFIG reads each of those defaults
+from its object, and validation builds every object through the same
+ExperimentConfig accessors a run uses, reporting the object's ParameterError
+at the offending key's path.  This module owns only the JSON type and shape
+of each value, and the rules of keys that no object checks: the trainer kind,
+a positive final deadline, the native dataset sizes and paths, the memory a
+native run's index, feature and parameter tables may take, classes per client
+against the class count, the metric thresholds, the seed and sweep lists, and
+the output directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from .channel import CellConfig
 from .core import Megabits, ParameterError, RngStream, Seconds, UnitError
-from .learning import MlpNet, Partition, SgdHyper, SurrogateTrainer, surrogate_accuracy
+from .learning import MlpNet, Partition, SgdHyper, SurrogateTrainer
 from .protocol import FedLimOptions, ProtocolConfig, StopCondition
 from .resources import FluctuationConfig, ResourceRanges, TimeBudget
 
@@ -141,14 +141,6 @@ _MAX_GENERATED_SAMPLES = 10**6
 _MAX_NATIVE_TABLE_BYTES = 2 * 2**30
 _OVER_THE_LIMIT = f"over the {_MAX_NATIVE_TABLE_BYTES / 2**30:g} GiB limit"
 
-# Keys whose value None is meaningful rather than a type error.
-_NULLABLE = {
-    "trainer.native.dataset_path",
-    "trainer.native.test_dataset_path",
-    "stop.target_accuracy",
-    *(f"sweep.{axis}" for axis in _SWEEP_AXES),
-}
-
 
 def resolved_defaults() -> dict[str, Any]:
     return copy.deepcopy(DEFAULT_CONFIG)
@@ -178,9 +170,8 @@ def _merge(default: Any, user: Any, path: str) -> Any:
             k: _merge(v, user[k], f"{path + '.' if path else ''}{k}") if k in user else copy.deepcopy(v)
             for k, v in default.items()
         }
-    if user is None:
-        if path in _NULLABLE:
-            return None
+    # A key is nullable exactly when its default is null.
+    if user is None and default is not None:
         raise ConfigError(f"{path}: null is not allowed here")
     if isinstance(default, bool):
         if not isinstance(user, bool):
@@ -252,7 +243,7 @@ def _validate(cfg: dict[str, Any]) -> None:
         ("trainer.native", config.sgd_hyper),
         ("trainer.native", lambda: MlpNet(native["n_features"], native["n_classes"],
                                           tuple(native["hidden"]))),
-        ("trainer.surrogate", lambda: surrogate_accuracy(0, **cfg["trainer"]["surrogate"])),
+        ("trainer.surrogate", lambda: SurrogateTrainer(**cfg["trainer"]["surrogate"])),
         ("partition", lambda: Partition({}, **cfg["partition"])),
         ("seeds", lambda: [RngStream(seed) for seed in seeds]),
     ):

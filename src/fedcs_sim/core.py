@@ -15,7 +15,6 @@ __all__ = [
     "UnitError",
     "Seconds",
     "Megabits",
-    "MegabitsPerSecond",
     "RngStream",
 ]
 
@@ -75,10 +74,6 @@ class Megabits(_NonNegativeReal):
     @classmethod
     def from_megabytes(cls, megabytes: float) -> "Megabits":
         return cls(float(megabytes) * 8.0)
-
-
-class MegabitsPerSecond(_NonNegativeReal):
-    """Link throughput in megabits per second."""
 
 
 @dataclass(frozen=True)

@@ -381,8 +381,11 @@ class MlpNet:
         return logits
 
     def _backprop(self, layers, x1, onehot, grads) -> None:
-        """Write each model's gradient into `grads`, views laid out as `layers`:
-        one [gW; gb] block per product of a layer's input and its delta."""
+        """Write the gradient of each model's mean softmax cross-entropy on
+        its batch into `grads`, views laid out as `layers`: one [gW; gb] block
+        per product of a layer's input and its delta.  Every slice goes
+        through the same float operations as a model computed on its own, a
+        stack of one: numpy's stacked matmul runs one BLAS product per slice."""
         activations, delta = self._forward(layers, x1)
         self._softmax(delta)
         delta -= onehot
@@ -393,31 +396,17 @@ class MlpNet:
                 w = layers[i][:, :-1].transpose(0, 2, 1)
                 delta = (delta @ w) * (activations[i][..., :-1] > 0.0)
 
-    def gradients(self, params: np.ndarray, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-        """Gradient of each model's mean softmax cross-entropy on its batch.
-
-        `params` is (m, P), `x` (m, rows, d) and `onehot` the one-hot labels
-        (m, rows, n_classes); the result is (m, P).  Every slice goes through
-        the same float operations as a model computed on its own: numpy's
-        stacked matmul runs one BLAS product per slice.
-        """
-        grads = np.empty(params.shape)
-        self._backprop(self._unpack(params), with_ones(x), onehot, self._unpack(grads))
-        return grads
-
     def _logits(self, flat: np.ndarray, x1: np.ndarray) -> np.ndarray:
         """(rows, k) logits of one model on (rows, d + 1) inputs."""
         return self._forward(self._unpack(flat[None]), x1[None])[1][0]
 
-    def loss(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean softmax cross-entropy."""
-        probs = self._softmax(self._logits(flat, with_ones(x))[None])[0]
-        return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
-
     def loss_and_grad(self, flat: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """Loss plus its gradient w.r.t. the flat parameter vector."""
-        grad = self.gradients(flat[None], x[None], np.eye(self.dims[-1])[y][None])[0]
-        return self.loss(flat, x, y), grad
+        """One model's mean softmax cross-entropy and its flat gradient."""
+        x1, grad = with_ones(x)[None], np.empty(flat.shape)
+        onehot = np.eye(self.dims[-1])[y][None]
+        self._backprop(self._unpack(flat[None]), x1, onehot, self._unpack(grad[None]))
+        probs = self._softmax(self._logits(flat, x1[0])[None])[0]
+        return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300))), grad
 
 
 def with_ones(x: np.ndarray) -> np.ndarray:

@@ -23,14 +23,11 @@ __all__ = [
     "MAX_DATA_COUNT",
     "MAX_EPOCHS",
     "RELATIVE_CLAMP_FLOOR",
-    "ClientProfile",
     "FluctuationConfig",
     "Population",
     "ResourceRanges",
     "TimeBudget",
     "generate_profiles",
-    "estimated_update_time",
-    "estimated_upload_time",
     "realized_times",
 ]
 

@@ -37,9 +37,11 @@ their loops.  Greedy scans its pool in upload order and stops each pick at
 the first upload above the cheapest cost, and after a rejection at the first
 remaining upload that cannot fit; both bounds are exact in floats.
 `Candidate` is the row view that the scalar helpers (`elapsed_theta`,
-`dist_time`) take.  `dist_time` divides the model size by the slowest
-throughput; with every upload model_size / throughput, that is the longest
-upload to the last bit, because correctly rounded division is monotone.
+`dist_time`) take.  None of the three is exported: they serve only
+`bench/checks.py`'s re-plan of each fedcs record, until that check reads
+columns too.  `dist_time` divides the model size by the slowest throughput;
+with every upload model_size / throughput, that is the longest upload to the
+last bit, because correctly rounded division is monotone.
 """
 
 from __future__ import annotations
@@ -51,16 +53,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Megabits, MegabitsPerSecond, ParameterError, Seconds, UnitError
+from .core import Megabits, ParameterError, Seconds, UnitError
 from .resources import Population, TimeBudget
 
 __all__ = [
-    "Candidate",
     "CandidateSet",
     "extend_theta",
     "finish_times",
-    "elapsed_theta",
-    "dist_time",
     "greedy_select",
     "exact_select",
 ]
@@ -73,7 +72,7 @@ class Candidate:
     id: int
     t_update: Seconds
     t_upload: Seconds
-    throughput: MegabitsPerSecond
+    throughput: float
 
     def __post_init__(self) -> None:
         if self.throughput <= 0:

@@ -203,6 +203,36 @@ def test_invalid_overlay_is_reported_at_its_key_path(overlay, path):
     assert_reported_at(overlay, path)
 
 
+def leaf_defaults(tree, prefix=""):
+    """(dotted path, default) of every leaf of a config tree; a list is a leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_defaults(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAF_DEFAULTS = dict(leaf_defaults(DEFAULT_CONFIG))
+
+
+def test_the_keys_with_a_null_default_are_the_optional_ones():
+    assert {path for path, value in LEAF_DEFAULTS.items() if value is None} == {
+        "trainer.native.dataset_path",
+        "trainer.native.test_dataset_path",
+        "stop.target_accuracy",
+        *(f"sweep.{axis}" for axis in ("mode", "t_round_s", "r", "partition_mode")),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(LEAF_DEFAULTS))
+def test_null_is_accepted_exactly_where_the_default_is_null(path):
+    overlay = overlay_of(path, None)
+    if LEAF_DEFAULTS[path] is None:
+        assert run_descriptors(ExperimentConfig(resolve_config(overlay)))
+    else:
+        assert config_error(overlay) == f"{path}: null is not allowed here"
+
+
 # Every integer key and the largest value it takes (seeds: RngStream, below 2**64).
 INTEGER_BOUNDS = {
     "protocol.k_total": 10**7,

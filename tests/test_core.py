@@ -3,7 +3,6 @@ import pytest
 
 from fedcs_sim.core import (
     Megabits,
-    MegabitsPerSecond,
     ParameterError,
     RngStream,
     Seconds,
@@ -15,11 +14,10 @@ class TestUnits:
     def test_accepts_non_negative(self):
         assert Seconds(0.0) == 0.0
         assert Seconds(180) == 180.0
-        assert MegabitsPerSecond(8.64) == 8.64
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -0.001])
     def test_rejects_invalid_reals(self, bad):
-        for unit in (Seconds, Megabits, MegabitsPerSecond):
+        for unit in (Seconds, Megabits):
             with pytest.raises(UnitError):
                 unit(bad)
 

@@ -26,6 +26,7 @@ from fedcs_sim.learning import (
     partition_dataset,
     save_dataset,
     surrogate_accuracy,
+    with_ones,
 )
 from fedcs_sim.resources import MAX_EPOCHS, Population
 
@@ -248,12 +249,12 @@ class TestLocalUpdate:
         features = np.array([[1.0, 0.0], [-1.0, 0.0], [0.9, 0.1], [-0.8, -0.2]])
         labels = np.array([0, 1, 0, 1])
         params = np.zeros(net.param_count)
-        before = net.loss(params, features, labels)
+        before = net.loss_and_grad(params, features, labels)[0]
         hyper = SgdHyper(batch_size=4, epochs=1, lr0=0.25, lr_decay=1.0)
         model = GlobalModel(params=params, round=0)
         rng = RngStream(1, "train").generator()
         (updated,) = train_shards(model, [(features, labels)], net, hyper, rng)
-        after = net.loss(updated.params, features, labels)
+        after = net.loss_and_grad(updated.params, features, labels)[0]
         assert after < before
 
     def test_gradient_matches_central_finite_differences(self):
@@ -269,9 +270,9 @@ class TestLocalUpdate:
         for i in range(20):
             bumped = params.copy()
             bumped[i] += h
-            up = net.loss(bumped, features, labels)
+            up = net.loss_and_grad(bumped, features, labels)[0]
             bumped[i] -= 2 * h
-            down = net.loss(bumped, features, labels)
+            down = net.loss_and_grad(bumped, features, labels)[0]
             numeric = (up - down) / (2 * h)
             assert abs(numeric - grad[i]) < 1e-5
 
@@ -286,9 +287,9 @@ class TestLocalUpdate:
         for i in range(net.param_count):
             bumped = params.copy()
             bumped[i] += h
-            up = net.loss(bumped, features, labels)
+            up = net.loss_and_grad(bumped, features, labels)[0]
             bumped[i] -= 2 * h
-            down = net.loss(bumped, features, labels)
+            down = net.loss_and_grad(bumped, features, labels)[0]
             assert abs((up - down) / (2 * h) - grad[i]) < 1e-5
 
     def test_shard_and_input_model_left_untouched(self):
@@ -425,18 +426,26 @@ def random_stack(hidden, seed):
     return net, params, x, y
 
 
+def stacked_gradients(net, params, x, y):
+    """Each model's gradient on its batch, from the `_backprop` that `local_update` calls."""
+    grads = np.empty(params.shape)
+    net._backprop(net._unpack(params), with_ones(x), np.eye(net.dims[-1])[y], net._unpack(grads))
+    return grads
+
+
 class TestStackedBackprop:
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
     @pytest.mark.parametrize("seed", range(6))
     def test_each_slice_equals_the_two_dimensional_pass(self, hidden, seed):
         net, params, x, y = random_stack(hidden, seed)
-        grads = net.gradients(params, x, np.eye(net.dims[-1])[y])
+        grads = stacked_gradients(net, params, x, y)
 
         for s in range(len(params)):
             loss, grad, _ = folded_loss_and_grad(net, params[s], x[s], y[s])
             assert grads[s].tobytes() == grad.tobytes()
-            assert net.loss_and_grad(params[s], x[s], y[s])[1].tobytes() == grad.tobytes()
-            assert net.loss(params[s], x[s], y[s]) == loss
+            own_loss, own_grad = net.loss_and_grad(params[s], x[s], y[s])
+            assert own_grad.tobytes() == grad.tobytes()
+            assert own_loss == loss
 
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
     @pytest.mark.parametrize("seed", range(6))
@@ -450,13 +459,14 @@ class TestStackedBackprop:
         # under that kernel and 2.9e-14 under SkylakeX; the largest relative
         # difference of a loss was 1.6e-16.
         net, params, x, y = random_stack(hidden, seed)
-        grads = net.gradients(params, x, np.eye(net.dims[-1])[y])
+        grads = stacked_gradients(net, params, x, y)
 
         for s in range(len(params)):
             loss, grad, scale = reference_loss_and_grad(net, params[s], x[s], y[s])
             excess = np.abs(grads[s] - grad) - 1e-12 * scale
             assert (excess <= 0.0).all(), f"entry {int(np.argmax(excess))} exceeds its bound"
-            assert net.loss(params[s], x[s], y[s]) == pytest.approx(loss, rel=1e-12, abs=0)
+            own_loss = net.loss_and_grad(params[s], x[s], y[s])[0]
+            assert own_loss == pytest.approx(loss, rel=1e-12, abs=0)
 
 
 def openblas_haswell_kernel_runs_here():

@@ -25,11 +25,14 @@ def realized(mean, r, z):
 
 
 def clients_and_fluctuation(config, seed):
-    """The run's population, by id, and its fluctuation stream."""
+    """The run's population, each id (row + 1) keyed to its data count, mean
+    capability and mean throughput, and its fluctuation stream."""
     protocol = config.protocol()
     rng = RngStream(seed)
     population = generate_profiles(protocol.k_total, config.cell(), config.ranges(), rng)
-    return {client.id: client for client in population}, rng.child("fluctuation").generator()
+    columns = (population.data_count, population.capability, population.throughput)
+    clients = dict(enumerate(zip(*(column.tolist() for column in columns)), 1))
+    return clients, rng.child("fluctuation").generator()
 
 
 def realized_round(clients, config, fluctuation):
@@ -42,19 +45,18 @@ def realized_round(clients, config, fluctuation):
     r, model_size = protocol.fluct.r, float(budget.model_size)
     normals = fluctuation.standard_normal((len(clients), 2)).tolist() if r else None
     update, upload = [], []
-    for k, client in enumerate(clients):
-        capability, throughput = client.mean_capability, client.mean_throughput
+    for k, (data_count, capability, throughput) in enumerate(clients):
         if normals:
             capability = realized(capability, r, normals[k][0])
             throughput = realized(throughput, r, normals[k][1])
-        update.append(budget.epochs_per_round * client.data_count / capability)
+        update.append(budget.epochs_per_round * data_count / capability)
         upload.append(model_size / throughput)
     return update, upload
 
 
-def paper_greedy(clients, budget):
-    """The paper's greedy selection over the estimated times of `clients`:
-    the chosen positions, in upload order.
+def paper_greedy(ids, clients, budget):
+    """The paper's greedy selection over the estimated times of `clients`,
+    whose ids are `ids`: the chosen positions, in upload order.
 
     While candidates remain, take the one whose marginal cost, the growth of
     the distribution time plus its upload plus its update overhang past the
@@ -64,8 +66,8 @@ def paper_greedy(clients, budget):
     model_size, deadline = float(budget.model_size), float(budget.t_round)
     base = float(budget.t_cs) + float(budget.t_agg)
     estimates = [
-        (budget.epochs_per_round * c.data_count / c.mean_capability, model_size / c.mean_throughput)
-        for c in clients
+        (budget.epochs_per_round * data_count / capability, model_size / throughput)
+        for data_count, capability, throughput in clients
     ]
     remaining = list(range(len(clients)))
     chosen, theta, dist = [], 0.0, 0.0
@@ -73,7 +75,7 @@ def paper_greedy(clients, budget):
     def cost_then_id(k):
         update, upload = estimates[k]
         cost = (max(dist, upload) - dist) + upload + max(0.0, update - theta)
-        return cost, clients[k].id
+        return cost, ids[k]
 
     while remaining:
         k = min(remaining, key=cost_then_id)
@@ -101,9 +103,10 @@ def replay_fedcs(records, config, seed):
     t_round, t_cs, t_agg = float(budget.t_round), float(budget.t_cs), float(budget.t_agg)
     clock, replayed = 0.0, []
     for record in records:
-        clients = [by_id[cid] for cid in record.requested]
+        ids = record.requested.tolist()
+        clients = [by_id[cid] for cid in ids]
         update, upload = realized_round(clients, config, fluctuation)
-        chosen = paper_greedy(clients, budget)
+        chosen = paper_greedy(ids, clients, budget)
         dist = max((upload[k] for k in chosen), default=0.0)
         theta, on_time = 0.0, 0
         for k in chosen:
@@ -117,7 +120,7 @@ def replay_fedcs(records, config, seed):
         clock += advance
         replayed.append(
             {
-                "selected_or_completed": [clients[k].id for k in chosen],
+                "selected_or_completed": [ids[k] for k in chosen],
                 "busy_time": busy,
                 "realized_round_duration": advance,
                 "clock_after": clock,
@@ -147,7 +150,8 @@ def replay_vanilla(records, config, seed):
     t_cs, t_agg = float(budget.t_cs), float(budget.t_agg)
     clock, replayed = 0.0, []
     for record in records:
-        clients = [by_id[cid] for cid in record.requested]
+        ids = record.requested.tolist()
+        clients = [by_id[cid] for cid in ids]
         update, upload = realized_round(clients, config, fluctuation)
         served = order.permutation(len(clients)).tolist()
         theta = 0.0
@@ -159,7 +163,7 @@ def replay_vanilla(records, config, seed):
         clock += total
         replayed.append(
             {
-                "selected_or_completed": [clients[i].id for i in served],
+                "selected_or_completed": [ids[i] for i in served],
                 "busy_time": total,
                 "realized_round_duration": total,
                 "clock_after": clock,

@@ -9,7 +9,6 @@ import pytest
 from fedcs_sim.channel import THERMAL_NOISE_DBM_PER_HZ, CellConfig, place_clients
 from fedcs_sim.core import (
     Megabits,
-    MegabitsPerSecond,
     ModelError,
     ParameterError,
     RngStream,
@@ -86,7 +85,7 @@ def reference_mean_throughput(pos, cell):
     )
     snr = 10.0 ** (snr_db / 10.0)
     efficiency = min(cell.rho_max_bps_hz, math.log2(1.0 + snr / cell.delta_loss))
-    return MegabitsPerSecond(cell.rb_bandwidth_total_hz * efficiency / 1e6)
+    return cell.rb_bandwidth_total_hz * efficiency / 1e6
 
 
 def reference_generate_profiles(count, cell, ranges, rng):
@@ -206,7 +205,7 @@ def assert_throughput_matches(got, expected, cell):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.dtype == expected.dtype == np.float64
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-    capped = expected == float(cell.max_throughput)
+    capped = expected == cell.rb_bandwidth_total_hz * cell.rho_max_bps_hz / 1e6
     assert capped.any()
     assert got[capped].tobytes() == expected[capped].tobytes()
 

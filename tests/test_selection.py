@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcs_sim.core import Megabits, MegabitsPerSecond, ParameterError, Seconds
-from fedcs_sim.resources import TimeBudget
+from fedcs_sim.channel import CellConfig
+from fedcs_sim.core import Megabits, ParameterError, RngStream, Seconds
+from fedcs_sim.resources import ResourceRanges, TimeBudget, generate_profiles
 from fedcs_sim.selection import (
     Candidate,
     CandidateSet,
@@ -22,7 +23,7 @@ from fedcs_sim.selection import (
 
 
 def cand(cid, t_update, t_upload, throughput=10.0):
-    return Candidate(cid, Seconds(t_update), Seconds(t_upload), MegabitsPerSecond(throughput))
+    return Candidate(cid, Seconds(t_update), Seconds(t_upload), float(throughput))
 
 
 def candidate_set(rows):
@@ -807,6 +808,27 @@ class TestExact:
             greedy = len(greedy_select(cands, budget))
             assert greedy <= optimum
             short += greedy < optimum
+        assert short > 0
+
+    def test_paper_cell_cohorts_against_an_independent_optimum(self):
+        # The paper cell's estimated times (K = 1000, default budget) rounded
+        # to whole 10 ms units, so every sum is exact and T_round = 180 s is
+        # 18000 units.  Over these 150 cohorts greedy falls short of the
+        # optimum on 24, keeping 6.41 clients on average against 6.57.
+        budget, short = budget_of(18000.0), 0
+        for seed in range(3):
+            population = generate_profiles(1000, CellConfig(), ResourceRanges(), RngStream(seed))
+            estimated = CandidateSet.estimated(population, TimeBudget())
+            grid = [np.rint(times * 100.0) for times in (estimated.t_update, estimated.t_upload)]
+            rng = np.random.default_rng(seed)
+            for _ in range(50):
+                cohort = rng.choice(1000, 100, replace=False)
+                cands = CandidateSet(grid[0][cohort], grid[1][cohort])
+                optimum = lawler_moore_optimum(cands, budget)
+                assert len(exact_select(cands, budget)) == optimum
+                greedy = len(greedy_select(cands, budget))
+                assert greedy <= optimum
+                short += greedy < optimum
         assert short > 0
 
     @settings(max_examples=60, deadline=None)
