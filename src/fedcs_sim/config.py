@@ -306,9 +306,11 @@ def _check_native_tables(config: "ExperimentConfig") -> None:
     `_MAX_NATIVE_TABLE_BYTES` in one table.
 
     With n the largest data count: the partition holds up to k_total x n
-    int64 indices, and one round's `local_update` index table up to epochs x
-    (n // batch_size) x cohort size x batch_size, when every client of the
-    cohort is aggregated.  The generated dataset holds (train_samples +
+    indices, counted at 8 bytes each, the int64 width that a dataset of
+    more than 2**31 rows needs (`partition_dataset` stores a smaller set's
+    as int32).  One round's `local_update` index table holds up to epochs x
+    (n // batch_size) x cohort size x batch_size int64s, when every client
+    of the cohort is aggregated.  The generated dataset holds (train_samples +
     test_samples) x n_features float64s, and its network's parameters go
     through `check_parameter_table`; a dataset file's network is known only
     once `validate` loads the file.  Only the sizes are computed; nothing is
@@ -328,7 +330,8 @@ def _check_native_tables(config: "ExperimentConfig") -> None:
     _require(
         shards <= _MAX_NATIVE_TABLE_BYTES,
         "trainer.kind",
-        f"native partition of {shards} bytes (k_total x data_count_range[1] int64s) "
+        f"native partition of {shards} bytes (k_total x data_count_range[1] indices "
+        f"at 8 bytes, the int64 width of a dataset of more than 2**31 rows) "
         f"is {_OVER_THE_LIMIT}",
     )
     native = config.resolved["trainer"]["native"]

@@ -73,7 +73,11 @@ class GlobalModel:
 
 @dataclass(frozen=True)
 class Partition:
-    """Sample indices per client: `shards[k]` is population row k's."""
+    """Sample indices per client: `shards[k]` is population row k's.
+
+    `partition_dataset` stores indices as int32 when the dataset has at most
+    2**31 rows, so every index fits, and as int64 above that.
+    """
 
     shards: tuple[np.ndarray, ...]
     mode: str
@@ -288,30 +292,34 @@ def partition_dataset(
     with replacement is required because per-client counts may sum past the
     dataset size.  Clients draw one after another in row order.
 
-    Every shard is a read-only int64 array.  iid takes all shards from one
-    `integers` call, each client's the slice between the cumulative counts.
-    That gives the same numbers, and leaves `rng` in the same state, as one
-    call per client: `integers` takes each bounded value from the bit
-    generator's own 32- or 64-bit stream, and PCG64 keeps a spare 32-bit
-    half in its state, so a call boundary moves no draw.  non_iid cannot
-    draw at once, because each client's class `choice` sits between its
-    index draws.
+    Every shard is a read-only array of the `Partition` index width.  iid
+    takes all shards from one `integers` call, each client's the slice
+    between the cumulative counts.  That gives the same numbers, and leaves
+    `rng` in the same state, as one call per client: `integers` takes each
+    bounded value from the bit generator's own 32- or 64-bit stream, and
+    PCG64 keeps a spare 32-bit half in its state, so a call boundary moves
+    no draw.  The stream is chosen by the range alone, so an int32 draw
+    gives the values, and leaves the state, that an int64 draw would.
+    non_iid cannot draw at once, because each client's class `choice` sits
+    between its index draws; its class pools are cast to the index width
+    once, and each shard is a gather from one.
     """
     check_partition(dataset, mode, classes_per_client)
     counts = population.data_count
+    width = np.int32 if len(dataset) <= 2**31 else np.int64
     if mode == "iid":
-        flat = rng.integers(0, len(dataset), size=int(counts.sum()))
+        flat = rng.integers(0, len(dataset), size=int(counts.sum()), dtype=width)
         flat.setflags(write=False)
         ends = np.cumsum(counts).tolist()
         shards = tuple(flat[start:end] for start, end in zip([0, *ends], ends))
         return Partition(shards=shards, mode=mode, classes_per_client=classes_per_client)
 
-    by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
+    by_class = [np.flatnonzero(dataset.labels == c).astype(width) for c in range(dataset.n_classes)]
     shards = []
     for count in counts.tolist():
         classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
         pool = np.concatenate([by_class[c] for c in sorted(classes)])
-        idx = pool[rng.integers(0, len(pool), size=count)].astype(np.int64, copy=False)
+        idx = pool[rng.integers(0, len(pool), size=count)]
         idx.setflags(write=False)
         shards.append(idx)
     return Partition(shards=tuple(shards), mode=mode, classes_per_client=classes_per_client)

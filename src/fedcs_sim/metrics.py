@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -122,18 +125,21 @@ def summarize(stats: list[RunStats], thresholds: list[float]) -> dict:
     }
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename.
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """The text handle of a temp file in `path`'s directory, renamed onto
+    `path` when the block ends and unlinked if it raises.
 
     The temp file is created, exclusively, with the mode that `open(path,
-    "w")` would give a new file: 0o666 less the process umask.
+    "w")` would give a new file: 0o666 less the process umask.  Until the
+    rename, `path` keeps whatever it held.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -141,13 +147,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` through `atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
 def write_records_jsonl(
     records: list[RoundRecord], path: str | Path, header: dict
 ) -> None:
-    """One JSON object per line; the first line is the provenance header."""
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(r.to_json_line() for r in records)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One JSON object per line; the first line is the provenance header.
+    Each line goes to the file as it is made, so only one is held at a time."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for r in records:
+            fh.write(r.to_json_line())
+            fh.write("\n")
 
 
 def read_records_jsonl(path: str | Path) -> tuple[dict, list[RoundRecord]]:
@@ -187,9 +202,10 @@ def write_curve_csv(records: list[RoundRecord], path: str | Path, header: dict) 
     # Rows as `csv.writer` writes them: no field needs quoting, and each
     # ends in its "\r\n" terminator.
     meta = " ".join(f"{k}={header[k]}" for k in sorted(header))
-    lines = [f"# {meta}\n", "clock_seconds,accuracy,clients_selected\r\n"]
-    lines.extend(
-        f"{float(r.clock_after)!r},{float(r.accuracy_after)!r},{len(r.selected_or_completed)}\r\n"
-        for r in records
-    )
-    atomic_write_text(path, "".join(lines))
+    with atomic_writer(path) as fh:
+        fh.write(f"# {meta}\nclock_seconds,accuracy,clients_selected\r\n")
+        fh.writelines(
+            f"{float(r.clock_after)!r},{float(r.accuracy_after)!r},"
+            f"{len(r.selected_or_completed)}\r\n"
+            for r in records
+        )

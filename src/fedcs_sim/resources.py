@@ -31,9 +31,10 @@ __all__ = [
     "realized_times",
 ]
 
-# Bounds that keep one population under 0.6 GB, and an update's sample count
-# (data count x epochs) an exact float.  A population holds 24 bytes per
-# client once built; building it peaks at about 51 (traced at K = 100 000).
+# Bounds that keep building one population under 0.3 GB, and an update's
+# sample count (data count x epochs) an exact float.  A population holds 24
+# bytes per client once built; building it peaks at about 27 (traced at
+# K = 100 000), since `generate_profiles` keeps the columns it draws.
 MAX_CLIENTS = 10**7
 MAX_DATA_COUNT = 10**6
 MAX_EPOCHS = 1000
@@ -68,8 +69,7 @@ class Population:
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.data_count)
-        integral = counts.dtype.kind in "biu"
-        if integral:
+        if counts.dtype.kind in "biu":
             # The one copy kept, exact but for uint64 counts past int64's
             # range: they wrap to negatives, which the range check rejects.
             data_count = counts.astype(np.int64)
@@ -77,17 +77,40 @@ class Population:
             # Other counts are checked as floats: an int64 cast would truncate
             # 2.5, wrap NaN and overflow on 10**30.
             counts = data_count = np.array(self.data_count, dtype=np.float64)
-        columns = {"data_count": data_count}
-        for name in ("capability", "throughput"):
-            columns[name] = np.array(getattr(self, name), dtype=np.float64)
+        capability = np.array(self.capability, dtype=np.float64)
+        throughput = np.array(self.throughput, dtype=np.float64)
+        self._adopt(counts, data_count, capability, throughput)
+
+    @classmethod
+    def _of_fresh(
+        cls, data_count: np.ndarray, capability: np.ndarray, throughput: np.ndarray
+    ) -> Population:
+        """The population of columns that no one else holds, kept without a
+        copy and made read-only: int64 counts, float64 rates.  The checks
+        are `__post_init__`'s."""
+        population = object.__new__(cls)
+        population._adopt(data_count, data_count, capability, throughput)
+        return population
+
+    def _adopt(
+        self,
+        counts: np.ndarray,
+        data_count: np.ndarray,
+        capability: np.ndarray,
+        throughput: np.ndarray,
+    ) -> None:
+        """Check the columns and keep them, read-only.  `data_count` is int64
+        or float64 and `counts` the caller's counts, which an error quotes;
+        the rates are float64."""
+        columns = {"data_count": data_count, "capability": capability, "throughput": throughput}
         count = len(data_count)
         if any(c.shape != (count,) for c in columns.values()):
             raise ParameterError("population columns must be 1-D arrays of equal length")
         # Each check is and-ed in place, so one temporary mask is alive at a time.
         whole = data_count >= 1
         whole &= data_count <= MAX_DATA_COUNT
-        if not integral:
-            whole &= np.floor(counts) == counts
+        if data_count.dtype.kind == "f":
+            whole &= np.floor(data_count) == data_count
         if not whole.all():
             i = int(np.argmin(whole))
             raise ModelError(
@@ -95,7 +118,6 @@ class Population:
                 f"got {float(counts[i])!r}"
             )
         columns["data_count"] = data_count.astype(np.int64, copy=False)
-        capability, throughput = columns["capability"], columns["throughput"]
         valid = np.isfinite(capability)
         valid &= capability > 0.0
         valid &= np.isfinite(throughput)
@@ -200,7 +222,7 @@ def generate_profiles(
     data_count = res.integers(lo, hi + 1, size=count)
     clo, chi = ranges.capability
     capability = res.uniform(clo, chi, size=count)
-    return Population(data_count, capability, throughput)
+    return Population._of_fresh(data_count, capability, throughput)
 
 
 def estimated_update_time(profile: ClientProfile, budget: TimeBudget) -> Seconds:

@@ -17,6 +17,7 @@ from fedcs_sim.config import ExperimentConfig, config_hash, resolve_config, run_
 from fedcs_sim.core import ParameterError, RngStream
 from fedcs_sim.learning import make_blob_dataset, save_dataset
 from fedcs_sim.metrics import RunStats, read_records_jsonl, run_stats, summarize
+from fedcs_sim.protocol import RoundRecord
 from fedcs_sim.resources import generate_profiles
 
 SMALL = {
@@ -277,6 +278,33 @@ class TestCommands:
         for report in reports:
             assert "\nTraceback (most recent call last)" in report
             assert "ParameterError" in report.split("Traceback", 1)[1]
+
+    def test_a_rerun_that_fails_while_writing_records_keeps_the_earlier_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = write_config(tmp_path, {**SMALL, "seeds": [0], "sweep": {}})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        earlier = directory_bytes(out)
+        lines = []
+
+        def fail_on_the_third_line(record):
+            if len(lines) == 2:
+                raise RuntimeError("cannot encode")
+            lines.append(to_json_line(record))
+            return lines[-1]
+
+        to_json_line = RoundRecord.to_json_line
+        monkeypatch.setattr(RoundRecord, "to_json_line", fail_on_the_third_line)
+        assert main(["run", str(config), "--out", str(out), "--force"]) == 1
+        assert "FAILED fedcs_seed0: RuntimeError: cannot encode" in capsys.readouterr().err
+        # Only summary.json, which now lists the failed run, is rewritten;
+        # no temporary file is left beside the others.
+        files = directory_bytes(out)
+        summary = json.loads(files.pop("summary.json"))
+        assert summary["failed_runs"] == {"fedcs_seed0": "RuntimeError: cannot encode"}
+        del earlier["summary.json"]
+        assert files == earlier
 
     def test_serial_and_parallel_failing_sweeps_report_alike(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, SMALL)

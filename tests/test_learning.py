@@ -193,7 +193,7 @@ class TestPartition:
         assert len(part.shards) == len(want)
         for row, shard in enumerate(part.shards):
             assert np.array_equal(shard, want[row])
-            assert shard.dtype == np.int64
+            assert shard.dtype == (np.int32 if rows <= 2**31 else np.int64)
             assert not shard.flags.writeable
             assert len(shard) == population.data_count[row]
         assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,42 @@ class TestFileExports:
         for clock, accuracy, selected in rows:
             writer.writerow([repr(float(clock)), repr(float(accuracy)), selected])
         assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_records_are_written_one_line_at_a_time(self, tmp_path):
+        # 134 rounds of a 1000-client cohort among 100 000 clients: joined
+        # into one string, they would take about 1 MB at once.
+        rng = np.random.default_rng(0)
+        records = []
+        for i in range(134):
+            ids = np.sort(rng.choice(100_000, 1000, replace=False)) + 1
+            seconds = (Seconds(180.0), Seconds(150.0), Seconds(180.0 * (i + 1)))
+            records.append(RoundRecord(i, ids, ids[:100], *seconds, 0.5, 100))
+        write_records_jsonl(records[:1], tmp_path / "warm-up.jsonl", {"seed": 0})
+        path = tmp_path / "records.jsonl"
+        tracemalloc.start()
+        try:
+            write_records_jsonl(records, path, {"seed": 0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10**6
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("existing", [None, b"earlier records\n"], ids=["new", "existing"])
+    def test_a_record_that_fails_midway_leaves_the_target_as_it_was(self, tmp_path, existing):
+        class Unwritable:
+            def to_json_line(self):
+                raise RuntimeError("cannot encode")
+
+        path = tmp_path / "records.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
+        records = [*run_of([0.3, 0.6]), Unwritable(), *run_of([0.9])]
+        with pytest.raises(RuntimeError, match="cannot encode"):
+            write_records_jsonl(records, path, {"seed": 7})
+        assert list(tmp_path.iterdir()) == ([] if existing is None else [path])
+        if existing is not None:
+            assert path.read_bytes() == existing
 
     def test_curve_csv_layout(self, tmp_path):
         records = run_of([0.25, 0.75])

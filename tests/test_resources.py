@@ -171,7 +171,7 @@ class TestGenerateProfiles:
         for got, expected in zip(placed(50, cell, 3), list(zip(*rows))[4:]):
             assert got.tobytes() == np.array(expected).tobytes()
 
-    def test_building_peaks_under_two_and_a_quarter_times_the_columns(self):
+    def test_building_peaks_under_one_and_a_quarter_times_the_columns(self):
         cell, ranges = CellConfig(), ResourceRanges()
         generate_profiles(10, cell, ranges, RngStream(3))  # numpy.random's lazy imports
         tracemalloc.start()
@@ -181,7 +181,7 @@ class TestGenerateProfiles:
         finally:
             tracemalloc.stop()
         columns = (population.data_count, population.capability, population.throughput)
-        assert peak <= 2.25 * sum(c.nbytes for c in columns)
+        assert peak <= 1.25 * sum(c.nbytes for c in columns)
 
     def test_count_is_bounded(self):
         for count in (0, MAX_CLIENTS + 1):
@@ -319,6 +319,32 @@ class TestPopulation:
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ParameterError):
             Population([100, 200], [10.0], [1.0, 2.0])
+
+    def test_fresh_columns_are_kept_without_a_copy(self):
+        given = [np.array([100, 200]), np.array([10.0, 20.0]), np.array([1.0, 2.0])]
+        population = Population._of_fresh(*given)
+        columns = (population.data_count, population.capability, population.throughput)
+        for column, array in zip(columns, given):
+            assert column is array
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([100, 0, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0]),
+            ([100, MAX_DATA_COUNT + 1, 300], [10.0, 20.0, 30.0], [1.0, 2.0, 3.0]),
+            ([100, 200, 300], [10.0, math.nan, 30.0], [1.0, 2.0, 3.0]),
+            ([100, 200, 300], [10.0, 20.0, 30.0], [1.0, 0.0, 3.0]),
+            ([100, 200], [10.0], [1.0, 2.0]),
+        ],
+        ids=["zero-count", "count-past-max", "nan-capability", "zero-throughput", "unequal"],
+    )
+    def test_fresh_columns_get_the_constructors_checks(self, columns):
+        with pytest.raises((ModelError, ParameterError)) as public:
+            Population(*columns)
+        fresh = (np.array(columns[0]), *(np.array(c, dtype=np.float64) for c in columns[1:]))
+        with pytest.raises(type(public.value), match=re.escape(str(public.value))):
+            Population._of_fresh(*fresh)
 
 
 class TestEstimatedTimes:
