@@ -31,6 +31,7 @@ from .config import (
     check_parameter_table,
     config_hash,
     parse_config,
+    resolve_config,
     resolved_defaults,
     run_descriptors,
 )
@@ -162,11 +163,7 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
         rng.child("partition").generator(),
         classes_per_client=part_cfg["classes_per_client"],
     )
-    net = MlpNet(
-        n_features=train.features.shape[1],
-        n_classes=train.n_classes,
-        hidden=tuple(native["hidden"]),
-    )
+    net = MlpNet(train.features.shape[1], train.n_classes, tuple(native["hidden"]))
     return NativeTrainer(
         train_set=train,
         test_set=test,
@@ -205,13 +202,14 @@ def _execute_descriptor(descriptor: RunDescriptor, out_dir: Path) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        config.resolved["seeds"] = [args.seed]
+        overrides["seeds"] = [args.seed]
     if args.out is not None:
-        config.resolved["output_dir"] = args.out
-
-    # Checks the overrides by the config's rules, and the dataset files,
-    # before the directory is touched.
+        overrides["output_dir"] = args.out
+    if overrides:
+        # The config's rules check the overrides before the directory is touched.
+        config = ExperimentConfig(resolve_config({**config.resolved, **overrides}))
     descriptors = run_descriptors(config)
     _check_native_inputs(config, descriptors)
     out_dir = Path(config.resolved["output_dir"])

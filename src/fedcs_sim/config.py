@@ -3,23 +3,26 @@
 A config file is a JSON object; omitted keys take the defaults, unknown keys
 are rejected with their full dotted path.  All times are seconds.
 
-The typed objects that a run builds own the defaults and the range rules of
-their keys: CellConfig, ResourceRanges, TimeBudget, FluctuationConfig,
-FedLimOptions, ProtocolConfig, StopCondition, SgdHyper, MlpNet, Partition,
-SurrogateTrainer and RngStream.  DEFAULT_CONFIG reads each of those defaults
-from its object, and validation builds every object through the same
-ExperimentConfig accessors a run uses, reporting the object's ParameterError
-at the offending key's path.  This module owns only the JSON type and shape
-of each value, and the rules of keys that no object checks: the trainer kind,
-a positive final deadline, the native dataset sizes and paths, the memory a
-native run's index, feature and parameter tables may take, classes per client
-against the class count, the metric thresholds, the seed and sweep lists, and
-the output directory.
+The typed objects that a run builds own the defaults and the rules of their
+keys, element types included (integer data-count bounds and hidden sizes, a
+numeric target accuracy): CellConfig, ResourceRanges, TimeBudget,
+FluctuationConfig, FedLimOptions, ProtocolConfig, StopCondition, SgdHyper,
+MlpNet, Partition, SurrogateTrainer and RngStream.  DEFAULT_CONFIG reads
+each of those defaults from its object, and validation builds every object
+through the same ExperimentConfig accessors a run uses, reporting the
+object's ParameterError at the offending key's path.  This module owns only
+the JSON type of each scalar, the shapes that no object can check (the [low,
+high] pairs, the hidden list, the path strings, a non-empty seed list), and
+the rules of keys that no object checks: the trainer kind, a positive final
+deadline, the native dataset sizes and paths, the memory a native run's
+index, feature and parameter tables may take, classes per client against
+the class count, the metric thresholds, the seed and sweep lists, and the
+output directory.
 
 The sweep section turns one file into a cartesian product of run
 descriptors over protocol mode, deadline, fluctuation and partition mode,
 crossed with the seed list.  A sweep value is valid when the variant it
-produces is.
+produces is; no rule reads two axes, so every combination is valid.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from .channel import CellConfig
-from .core import Megabits, ParameterError, RngStream, Seconds, UnitError
+from .core import Megabits, ParameterError, RngStream, Seconds, UnitError, is_number
 from .learning import MlpNet, Partition, SgdHyper, SurrogateTrainer
 from .protocol import FedLimOptions, ProtocolConfig, StopCondition
 from .resources import FluctuationConfig, ResourceRanges, TimeBudget
@@ -79,7 +81,7 @@ _JSON_KEYS = {
 def _default_config() -> dict[str, Any]:
     """The default tree.  Each literal is a key for which no object holds a default."""
     protocol, ranges, sgd = ProtocolConfig(), ResourceRanges(), SgdHyper()
-    budget, surrogate, partition = protocol.budget, SurrogateTrainer(), Partition({}, "iid")
+    budget, surrogate, partition = protocol.budget, SurrogateTrainer(), Partition()
     stop = StopCondition(Seconds(24000.0))
     return {
         "cell": dataclasses.asdict(CellConfig()),
@@ -146,18 +148,6 @@ def resolved_defaults() -> dict[str, Any]:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
-def _is_number(value: Any) -> bool:
-    """A finite JSON number that fits a float.  true and false are not numbers
-    here, and neither are NaN and the infinities, which Python's json reads
-    from NaN, Infinity and out-of-range literals such as 1e400."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
-
-
 def _merge(default: Any, user: Any, path: str) -> Any:
     if isinstance(default, dict):
         if not isinstance(user, dict):
@@ -177,21 +167,20 @@ def _merge(default: Any, user: Any, path: str) -> Any:
         if not isinstance(user, bool):
             raise ConfigError(f"{path}: expected a boolean")
         return user
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(user, bool) or not isinstance(user, int):
             raise ConfigError(f"{path}: expected an integer")
         return user
     if isinstance(default, float):
-        if not _is_number(user):
+        if not is_number(user):
             raise ConfigError(f"{path}: expected a number")
         return float(user)
     if isinstance(default, str):
         if not isinstance(user, str):
             raise ConfigError(f"{path}: expected a string")
         return user
-    if isinstance(default, list) or default is None:
-        return copy.deepcopy(user)
-    raise ConfigError(f"{path}: unsupported value {user!r}")
+    # A list, or any value of a nullable key: `_validate` or its object checks it.
+    return copy.deepcopy(user)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -205,28 +194,16 @@ def _validate(cfg: dict[str, Any]) -> None:
     for key in ("data_count_range", "capability_range"):
         pair = res[key]
         _require(
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)),
+            isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair)),
             f"resources.{key}",
             "must be a [low, high] pair of numbers",
         )
-    _require(
-        all(isinstance(v, int) for v in res["data_count_range"]),
-        "resources.data_count_range",
-        "must contain integers",
-    )
     native = cfg["trainer"]["native"]
-    _require(
-        isinstance(native["hidden"], list)
-        and all(_is_number(h) and isinstance(h, int) for h in native["hidden"]),
-        "trainer.native.hidden",
-        "must be a list of integers",
-    )
+    _require(isinstance(native["hidden"], list), "trainer.native.hidden",
+             "must be a list of integers")
     for key in ("dataset_path", "test_dataset_path"):
         _require(native[key] is None or isinstance(native[key], str), f"trainer.native.{key}",
                  "must be null or a string path")
-    target = cfg["stop"]["target_accuracy"]
-    _require(target is None or _is_number(target), "stop.target_accuracy",
-             "must be null or a number")
     seeds = cfg["seeds"]
     _require(isinstance(seeds, list) and len(seeds) >= 1, "seeds", "must be a non-empty list")
 
@@ -244,7 +221,7 @@ def _validate(cfg: dict[str, Any]) -> None:
         ("trainer.native", lambda: MlpNet(native["n_features"], native["n_classes"],
                                           tuple(native["hidden"]))),
         ("trainer.surrogate", lambda: SurrogateTrainer(**cfg["trainer"]["surrogate"])),
-        ("partition", lambda: Partition({}, **cfg["partition"])),
+        ("partition", lambda: Partition(**cfg["partition"])),
         ("seeds", lambda: [RngStream(seed) for seed in seeds]),
     ):
         try:
@@ -282,7 +259,7 @@ def _validate(cfg: dict[str, Any]) -> None:
     )
     thresholds = cfg["metrics"]["thresholds"]
     _require(
-        isinstance(thresholds, list) and all(_is_number(t) and 0 <= t <= 1 for t in thresholds),
+        isinstance(thresholds, list) and all(is_number(t) and 0 <= t <= 1 for t in thresholds),
         "metrics.thresholds",
         "must be a list of fractions in [0, 1]",
     )
@@ -432,7 +409,9 @@ class RunDescriptor:
 
 
 def run_descriptors(config: "ExperimentConfig") -> list[RunDescriptor]:
-    """Expand the sweep axes x seeds into concrete run descriptors."""
+    """Expand a resolved config's sweep axes x seeds into run descriptors.
+    This only expands: `resolve_config` checked every sweep value, and so
+    every combination (see the module docstring)."""
     cfg = config.resolved
     axes = [axis for axis in _SWEEP_AXES if cfg["sweep"][axis] is not None]
     descriptors = []
@@ -444,8 +423,6 @@ def run_descriptors(config: "ExperimentConfig") -> list[RunDescriptor]:
             if _SWEEP_AXES[axis][2] is not None
         ]
         group = "_".join([variant["protocol"]["mode"], *tags])
-        # Also checks a seed list that replaced the resolved one (`run --seed`).
-        _validate(variant)
         for seed in cfg["seeds"]:
             descriptors.append(
                 RunDescriptor(

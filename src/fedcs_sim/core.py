@@ -16,6 +16,8 @@ __all__ = [
     "Seconds",
     "Megabits",
     "RngStream",
+    "is_integer",
+    "is_number",
 ]
 
 
@@ -42,6 +44,23 @@ class ModelError(SimulationError):
 
 class UnitError(ParameterError):
     """A physical-unit value is negative, non-finite, or non-integral."""
+
+
+def is_integer(value: object) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """A finite number that fits a float.  true and false are not numbers
+    here, and neither are NaN and the infinities, which Python's json reads
+    from NaN, Infinity and out-of-range literals such as 1e400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 class _NonNegativeReal(float):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelError, ParameterError
+from .core import ModelError, ParameterError, is_integer
 from .resources import MAX_DATA_COUNT, MAX_EPOCHS, TimeBudget
 
 __all__ = [
@@ -79,8 +79,8 @@ class Partition:
     2**31 rows, so every index fits, and as int64 above that.
     """
 
-    shards: tuple[np.ndarray, ...]
-    mode: str
+    shards: tuple[np.ndarray, ...] = ()
+    mode: str = "iid"
     classes_per_client: int = 2
 
     def __post_init__(self) -> None:
@@ -133,7 +133,7 @@ class LabeledDataset:
             raise ParameterError("features must be (n, d) and labels (n,)")
         if len(self.features) != len(self.labels):
             raise ParameterError("features and labels must have equal length")
-        if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, (int, np.integer)):
+        if not is_integer(self.n_classes):
             raise ParameterError(f"n_classes must be an integer, got {self.n_classes!r}")
         if self.n_classes < 2:
             raise ParameterError("n_classes must be >= 2")
@@ -264,7 +264,7 @@ def check_partition(dataset: LabeledDataset, mode: str, classes_per_client: int)
     least `classes_per_client` classes (field "classes_per_client" when
     short) and a row of every class, or some client's pool could be empty.
     """
-    Partition((), mode, classes_per_client)
+    Partition(mode=mode, classes_per_client=classes_per_client)
     if mode == "iid":
         return
     if dataset.n_classes < classes_per_client:
@@ -348,8 +348,9 @@ class MlpNet:
             raise ParameterError(f"n_features must be in [1, {MAX_WIDTH}]", field="n_features")
         if not 2 <= n_classes <= MAX_WIDTH:
             raise ParameterError(f"n_classes must be in [2, {MAX_WIDTH}]", field="n_classes")
-        if any(not 1 <= h <= MAX_WIDTH for h in hidden):
-            raise ParameterError(f"hidden sizes must be in [1, {MAX_WIDTH}]", field="hidden")
+        if not all(is_integer(h) and 1 <= h <= MAX_WIDTH for h in hidden):
+            message = f"hidden sizes must be integers in [1, {MAX_WIDTH}], got {hidden!r}"
+            raise ParameterError(message, field="hidden")
         self.dims = (n_features, *hidden, n_classes)
         self.param_count = sum((a + 1) * b for a, b in zip(self.dims, self.dims[1:]))
 

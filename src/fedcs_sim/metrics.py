@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
 from .core import ParameterError, Seconds
 from .protocol import RoundRecord
 
@@ -64,9 +62,9 @@ def run_stats(records: list[RoundRecord], thresholds: list[float]) -> RunStats:
     return RunStats(
         toa=toa,
         final_accuracy=records[-1].accuracy_after,
-        mean_clients_per_round=float(np.mean(counts)),
-        mean_clients_per_nonempty_round=float(np.mean(nonempty)) if nonempty else None,
-        total_clients_selected=int(np.sum(counts)),
+        mean_clients_per_round=_mean(counts),
+        mean_clients_per_nonempty_round=_mean(nonempty) if nonempty else None,
+        total_clients_selected=sum(counts),
         rounds_completed=len(records),
     )
 

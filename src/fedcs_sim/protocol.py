@@ -13,11 +13,7 @@ fedcs:   greedy client selection on the estimated times, then multicast
          fit the round deadline.
 fedlim:  deadline-limited baseline: the whole cohort downloads the model,
          updates in parallel, and uploads sequentially until the first upload
-         misses the deadline.  No upload ends before release + upload, so the
-         queue is cut after the first client whose release + upload passes
-         the deadline by a relative 1e-9 (see `_fedlim_uploads`), and the
-         `channel` and `ready` orders sort only the clients up to that cut.
-         The clock advances by exactly one deadline.
+         misses the deadline.  The clock advances by exactly one deadline.
 vanilla: the same random cohort with no deadline; the round lasts as long as
          the slowest path takes.
 
@@ -45,7 +41,7 @@ from functools import cached_property
 import numpy as np
 import orjson
 
-from .core import ParameterError, RngStream, Seconds
+from .core import ParameterError, RngStream, Seconds, is_number
 from .learning import GlobalModel, Trainer, aggregate
 from .resources import MAX_CLIENTS, FluctuationConfig, Population, TimeBudget, realized_times
 from .selection import CandidateSet, finish_times, greedy_select
@@ -64,7 +60,6 @@ __all__ = [
     "run_experiment",
 ]
 
-MODES = ("fedcs", "fedlim", "vanilla")
 LATE_POLICIES = ("extend", "discard")
 FEDLIM_DISTRIBUTIONS = ("unicast", "multicast", "none")
 FEDLIM_UPLOAD_ORDERS = ("channel", "ready", "random")
@@ -144,8 +139,10 @@ class StopCondition:
     target_accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
-            raise ParameterError("target_accuracy must be in (0, 1]", field="target_accuracy")
+        t = self.target_accuracy
+        if t is not None and not (is_number(t) and 0 < t <= 1):
+            message = f"target_accuracy must be null or a number in (0, 1], got {t!r}"
+            raise ParameterError(message, field="target_accuracy")
 
 
 _ID_FIELDS = ("requested", "selected_or_completed")
@@ -329,9 +326,7 @@ def _fedcs_round(state, population, config, requested, update, upload):
     if state.estimates is None:
         state.estimates = CandidateSet.estimated(population, budget)
         state.schedulable = state.estimates.schedulable(budget)
-    # Greedy rejects every other cohort member from any state, and dropping
-    # a client it would reject changes neither its picks, its acceptances
-    # nor, with the rest kept in cohort order, its tie-breaks.
+    # Only the schedulable members, in cohort order (see `greedy_select`).
     planned = np.flatnonzero(state.schedulable[requested])
     selected = planned[greedy_select(state.estimates._rows(requested[planned]), budget)]
     uploads = upload[selected].tolist()
@@ -449,6 +444,7 @@ _ROUND_ENGINES = {
     "fedlim": _fedlim_round,
     "vanilla": _vanilla_round,
 }
+MODES = tuple(_ROUND_ENGINES)
 
 
 def run_round(

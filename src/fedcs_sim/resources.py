@@ -2,9 +2,9 @@
 
 A `Population` holds every client's data count, mean compute capability and
 mean uplink throughput as numpy columns, fixed for the whole simulation.
-Estimated times are deterministic column expressions over it; realized times
-re-sample capability and throughput around their means with a configurable
-relative std, one draw per round for the clients it needs.
+`realized_times` is the one time model: it re-samples capability and
+throughput around their means with a configurable relative std, one draw per
+round for the clients it needs, and at r = 0 gives the estimated times.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import CellConfig, mean_throughput, place_clients
-from .core import Megabits, ModelError, ParameterError, RngStream, Seconds
+from .core import Megabits, ModelError, ParameterError, RngStream, Seconds, is_integer
 
 __all__ = [
     "MAX_CLIENTS",
@@ -165,9 +165,9 @@ class ResourceRanges:
 
     def __post_init__(self) -> None:
         lo, hi = self.data_count
-        if not (0 < lo <= hi <= MAX_DATA_COUNT):
+        if not (is_integer(lo) and is_integer(hi) and 0 < lo <= hi <= MAX_DATA_COUNT):
             raise ParameterError(
-                f"data_count range must satisfy 0 < lo <= hi <= {MAX_DATA_COUNT}, "
+                f"data_count range must be integers with 0 < lo <= hi <= {MAX_DATA_COUNT}, "
                 f"got {self.data_count!r}",
                 field="data_count",
             )
@@ -239,10 +239,10 @@ def estimated_upload_time(profile: ClientProfile, budget: TimeBudget) -> Seconds
 
 def realized_times(
     population: Population,
-    positions: np.ndarray,
+    positions: np.ndarray | slice,
     budget: TimeBudget,
     fluct: FluctuationConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Realized (update, upload) times of the clients at `positions`, in that order.
 
@@ -251,8 +251,9 @@ def realized_times(
     one (n, 2) draw of [capability, throughput] rows: the same numbers as
     drawing client by client, capability first.  `Population` admits only
     finite positive means, so the floor is at least +0.0 without a clamp of
-    its own.  With r == 0 the estimates are reproduced bit for bit and no
-    draws are consumed.
+    its own.  With r == 0 the times are the estimates, epochs * data_count /
+    capability and model_size / throughput, no draws are consumed and `rng`
+    is unused (it may be None).
     """
     capability, throughput = population.capability[positions], population.throughput[positions]
     if fluct.r != 0.0:

@@ -581,3 +581,19 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_weighted_aggregation_changes_the_model_but_not_the_selection():
+    native = {
+        "protocol": {"k_total": 200},
+        "budget": {"t_final_s": 1800.0},
+        "trainer": {"kind": "native"},
+    }
+    weighted = {**native, "protocol": {"k_total": 200, "aggregate_weighted": True}}
+    configs = [ExperimentConfig(resolve_config(overlay)) for overlay in (native, weighted)]
+    assert [c.protocol().aggregate_weighted for c in configs] == [False, True]
+    plain, by_count = (execute_run(config, 0) for config in configs)
+    assert len(plain) == len(by_count) > 1
+    for a, b in zip(plain, by_count):
+        assert np.array_equal(a.selected_or_completed, b.selected_or_completed)
+    assert any(a.accuracy_after != b.accuracy_after for a, b in zip(plain, by_count))

@@ -224,6 +224,13 @@ def test_the_keys_with_a_null_default_are_the_optional_ones():
     }
 
 
+def test_every_default_leaf_has_a_json_type_that_merge_handles():
+    # `_merge` checks the type of a bool, int, float or str leaf and passes a
+    # list or a null default's value through; no other leaf may exist.
+    for path, value in LEAF_DEFAULTS.items():
+        assert value is None or type(value) in (bool, int, float, str, list), path
+
+
 @pytest.mark.parametrize("path", sorted(LEAF_DEFAULTS))
 def test_null_is_accepted_exactly_where_the_default_is_null(path):
     overlay = overlay_of(path, None)
@@ -311,6 +318,25 @@ def test_an_integer_beyond_the_float_range_is_not_a_number(tmp_path, capsys):
     config.write_text('{"cell": {"tx_power_dbm": 1' + "0" * 400 + "}}")
     assert main(["validate", str(config)]) == 2
     assert capsys.readouterr().err == "configuration error: cell.tx_power_dbm: expected a number\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found: {path}"),
+        ('{"seeds": [0]', "malformed JSON in {path}: "),
+        ("[1, 2]", "config root must be a JSON object"),
+    ],
+)
+def test_a_config_file_that_is_not_a_json_object_is_a_configuration_error(
+    text, message, tmp_path, capsys
+):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    assert main(["validate", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + message.format(path=config))
 
 
 def test_a_directory_is_not_a_readable_config(tmp_path, capsys):

@@ -965,3 +965,65 @@ class TestNativeTrainer:
                 data, empty, Partition((), "iid"), MlpNet(4, 3), SgdHyper(),
                 np.random.default_rng(0),
             )
+
+
+class TestInputChecks:
+    """Each input check quoted by its message, so that removing it fails here."""
+
+    @pytest.mark.parametrize(
+        "params, round_, error, message",
+        [
+            (np.zeros((2, 3)), 0, ModelError, "params must be a flat vector"),
+            (np.array([0.0, np.inf]), 0, ModelError, "params must be finite"),
+            (np.zeros(3), -1, ParameterError, r"round must be >= 0"),
+        ],
+    )
+    def test_global_model(self, params, round_, error, message):
+        with pytest.raises(error, match=message):
+            GlobalModel(params=params, round=round_)
+
+    @pytest.mark.parametrize(
+        "features, labels, n_classes, message",
+        [
+            (np.zeros(4), np.zeros(4, dtype=np.int64), 2, r"features must be \(n, d\) and labels \(n,\)"),
+            (np.zeros((4, 2)), np.zeros(3, dtype=np.int64), 2, "features and labels must have equal length"),
+            (np.zeros((4, 2)), np.zeros(4, dtype=np.int64), 1, "n_classes must be >= 2"),
+            (np.zeros((2, 2)), np.array([0, 2]), 2, r"labels must lie in \[0, n_classes\)"),
+        ],
+    )
+    def test_labeled_dataset(self, features, labels, n_classes, message):
+        with pytest.raises(ParameterError, match=message):
+            LabeledDataset(features, labels, n_classes)
+
+    def test_blob_dataset_needs_a_sample_per_class(self):
+        with pytest.raises(ParameterError, match="need at least one sample per class"):
+            make_blob_dataset(2, 4, 3, np.random.default_rng(0))
+
+    def test_dataset_files_need_a_known_extension(self, tmp_path):
+        data = make_blob_dataset(10, 2, 2, np.random.default_rng(0))
+        path = tmp_path / "set.txt"
+        with pytest.raises(ParameterError, match="unsupported dataset extension '.txt'"):
+            save_dataset(data, path)
+        path.write_text("0,1.0,2.0\n")
+        with pytest.raises(ParameterError, match="unsupported dataset extension '.txt'"):
+            load_dataset(path)
+
+    def test_loss_and_grad_needs_the_network_parameter_count(self):
+        net = MlpNet(4, 3)
+        with pytest.raises(ModelError, match=f"expected {net.param_count} parameters, got 7"):
+            net.loss_and_grad(np.zeros(7), np.zeros((2, 4)), np.array([0, 1]))
+
+    def test_surrogate_accuracy_needs_a_non_negative_count(self):
+        with pytest.raises(ParameterError, match="update_count must be >= 0"):
+            surrogate_accuracy(-1, 0.9, 100.0)
+
+    @pytest.mark.parametrize("hidden", [(True,), (1.5,), ("8",), (None,), (0,), (4097,)])
+    def test_hidden_sizes_must_be_integers_in_range(self, hidden):
+        with pytest.raises(ParameterError, match=r"hidden sizes must be integers in \[1, 4096\]"):
+            MlpNet(4, 3, hidden)
+
+    def test_hidden_sizes_may_be_numpy_integers(self):
+        assert MlpNet(4, 3, (np.int64(5),)).dims == (4, 5, 3)
+
+    def test_partition_defaults_to_an_empty_iid_partition(self):
+        assert Partition() == Partition((), "iid", 2)

@@ -923,3 +923,24 @@ class TestConfigValidation:
     def test_stop_condition_target_validated(self):
         with pytest.raises(ParameterError):
             StopCondition(t_final=Seconds(10.0), target_accuracy=1.5)
+
+
+def test_run_round_rejects_a_cohort_larger_than_the_population():
+    population = generate_profiles(5, CellConfig(), ResourceRanges(), RngStream(0))
+    config = small_config(k_total=10, fraction=1.0)
+    with pytest.raises(ParameterError, match="cohort size exceeds the client population"):
+        run_round(fresh_state(), population, config, SurrogateTrainer(), 0)
+
+
+def test_the_modes_are_the_round_engines_in_order():
+    assert protocol.MODES == ("fedcs", "fedlim", "vanilla")
+    with pytest.raises(ParameterError) as info:
+        ProtocolConfig(mode="centralized")
+    assert str(info.value) == "mode must be one of ('fedcs', 'fedlim', 'vanilla'), got 'centralized'"
+
+
+@pytest.mark.parametrize("target", [True, "high", [0.5], math.nan, math.inf, 0, 1.5])
+def test_the_target_accuracy_must_be_a_number_in_range(target):
+    with pytest.raises(ParameterError, match=r"must be null or a number in \(0, 1\]") as info:
+        StopCondition(Seconds(10.0), target)
+    assert info.value.field == "target_accuracy"

@@ -451,3 +451,22 @@ class TestRealizedTimes:
     def test_invalid_spread_rejected(self, r):
         with pytest.raises(ParameterError):
             FluctuationConfig(r)
+
+
+def test_estimated_upload_time_rejects_zero_throughput():
+    profile = ClientProfile(id=3, data_count=100, mean_capability=10.0, mean_throughput=0.0)
+    with pytest.raises(ModelError, match="client 3 has zero mean throughput"):
+        estimated_upload_time(profile, TimeBudget())
+
+
+@pytest.mark.parametrize("data_count", [(1.5, 5), (True, 5), (100, 1000.0), ("1", 5)])
+def test_data_count_range_bounds_must_be_integers(data_count):
+    with pytest.raises(ParameterError, match="data_count range must be integers") as info:
+        ResourceRanges(data_count=data_count)
+    assert info.value.field == "data_count"
+
+
+def test_data_count_range_bounds_may_be_numpy_integers():
+    ranges = ResourceRanges(data_count=(np.int64(5), np.int64(9)))
+    assert ranges.data_count == (5, 9)
+

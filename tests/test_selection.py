@@ -897,3 +897,9 @@ class TestSchedule:
             assert replay(cands._rows(shuffle), shuffled, budget) == replay(cands, schedule, budget)
             selected += len(schedule)
         assert selected > 0
+
+
+@pytest.mark.parametrize("throughput", [0.0, -1.0])
+def test_a_candidate_needs_positive_throughput(throughput):
+    with pytest.raises(ParameterError, match="candidate 4 must have positive throughput"):
+        Candidate(4, Seconds(1.0), Seconds(1.0), throughput)
