@@ -285,9 +285,10 @@ def _check_native_tables(config: "ExperimentConfig") -> None:
     With n the largest data count: the partition holds up to k_total x n
     indices, counted at 8 bytes each, the int64 width that a dataset of
     more than 2**31 rows needs (`partition_dataset` stores a smaller set's
-    as int32).  One round's `local_update` index table holds up to epochs x
-    (n // batch_size) x cohort size x batch_size int64s, when every client
-    of the cohort is aggregated.  The generated dataset holds (train_samples +
+    as int32, and one of at most 2**16 rows as uint16).  One round's
+    `local_update` index table holds up to epochs x (n // batch_size) x
+    cohort size x batch_size int64s, when every client of the cohort is
+    aggregated.  The generated dataset holds (train_samples +
     test_samples) x n_features float64s, and its network's parameters go
     through `check_parameter_table`; a dataset file's network is known only
     once `validate` loads the file.  Only the sizes are computed; nothing is

@@ -47,6 +47,9 @@ PARTITION_MODES = ("iid", "non_iid")
 # bounds classes per client: a width x width table stays near 130 MB.
 MAX_WIDTH = 4096
 
+# The most indices one iid `integers` call draws (see `partition_dataset`).
+DRAW_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class GlobalModel:
@@ -75,8 +78,9 @@ class GlobalModel:
 class Partition:
     """Sample indices per client: `shards[k]` is population row k's.
 
-    `partition_dataset` stores indices as int32 when the dataset has at most
-    2**31 rows, so every index fits, and as int64 above that.
+    `partition_dataset` stores indices at the narrowest width that holds
+    every one: uint16 when the dataset has at most 2**16 rows, int32 when it
+    has at most 2**31 rows, and int64 above that.
     """
 
     shards: tuple[np.ndarray, ...] = ()
@@ -171,7 +175,12 @@ def make_blob_dataset(
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= 3.0
     labels = rng.integers(0, n_classes, size=n_samples)
-    features = centers[labels] + spread * rng.normal(0.0, 1.0, size=(n_samples, n_features))
+    # Scaled and shifted in place, one (n, d) temporary fewer than
+    # `centers[labels] + spread * noise`: the same draws and, since IEEE
+    # addition commutes, the same bytes.
+    features = rng.normal(0.0, 1.0, size=(n_samples, n_features))
+    features *= spread
+    features += centers[labels]
     return LabeledDataset(features=features, labels=labels.astype(np.int64), n_classes=n_classes)
 
 
@@ -293,22 +302,31 @@ def partition_dataset(
     dataset size.  Clients draw one after another in row order.
 
     Every shard is a read-only array of the `Partition` index width.  iid
-    takes all shards from one `integers` call, each client's the slice
-    between the cumulative counts.  That gives the same numbers, and leaves
-    `rng` in the same state, as one call per client: `integers` takes each
-    bounded value from the bit generator's own 32- or 64-bit stream, and
-    PCG64 keeps a spare 32-bit half in its state, so a call boundary moves
-    no draw.  The stream is chosen by the range alone, so an int32 draw
-    gives the values, and leaves the state, that an int64 draw would.
+    fills one flat array of that width from consecutive `integers` calls of
+    at most `DRAW_CHUNK` values, each cast into its slice, and each client's
+    shard is the view between the cumulative counts.  That gives the same
+    numbers, and leaves `rng` in the same state, as one call per client:
+    `integers` takes each bounded value from the bit generator's own 32- or
+    64-bit stream, and PCG64 keeps a spare 32-bit half in its state, so a
+    call boundary moves no draw.  The stream is chosen by the range alone,
+    so an int32 draw gives the values, and leaves the state, that an int64
+    draw would.  A uint16 draw would not: it takes a 16-bit buffered
+    stream, so the chunks are drawn as int32 (int64 above 2**31 rows), and
+    no full-length array at the draw width exists.
     non_iid cannot draw at once, because each client's class `choice` sits
     between its index draws; its class pools are cast to the index width
     once, and each shard is a gather from one.
     """
     check_partition(dataset, mode, classes_per_client)
     counts = population.data_count
-    width = np.int32 if len(dataset) <= 2**31 else np.int64
+    rows = len(dataset)
+    draw = np.int32 if rows <= 2**31 else np.int64
+    width = np.uint16 if rows <= 2**16 else draw
     if mode == "iid":
-        flat = rng.integers(0, len(dataset), size=int(counts.sum()), dtype=width)
+        flat = np.empty(int(counts.sum()), dtype=width)
+        for start in range(0, len(flat), DRAW_CHUNK):
+            chunk = flat[start : start + DRAW_CHUNK]
+            chunk[...] = rng.integers(0, rows, size=len(chunk), dtype=draw)
         flat.setflags(write=False)
         ends = np.cumsum(counts).tolist()
         shards = tuple(flat[start:end] for start, end in zip([0, *ends], ends))

@@ -1,9 +1,11 @@
 import collections
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import fedcs_sim
 from fedcs_sim.core import ModelError, ParameterError, RngStream
 from fedcs_sim.learning import (
+    DRAW_CHUNK,
     GlobalModel,
     LabeledDataset,
     MlpNet,
@@ -76,6 +79,17 @@ def balanced_dataset(per_class=100, n_classes=10, n_features=4, seed=0):
     labels = np.repeat(np.arange(n_classes), per_class)
     features = rng.normal(size=(per_class * n_classes, n_features))
     return LabeledDataset(features=features, labels=labels.astype(np.int64), n_classes=n_classes)
+
+
+def reference_blob_dataset(n_samples, n_features, n_classes, rng, spread=1.0):
+    """`make_blob_dataset` as one expression: the code that the in-place
+    noise scaling replaced, kept verbatim."""
+    centers = rng.normal(0.0, 1.0, size=(n_classes, n_features))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    centers *= 3.0
+    labels = rng.integers(0, n_classes, size=n_samples)
+    features = centers[labels] + spread * rng.normal(0.0, 1.0, size=(n_samples, n_features))
+    return features, labels
 
 
 def reference_partition(dataset, population, mode, rng, classes_per_client=2):
@@ -176,11 +190,16 @@ class TestPartition:
     @pytest.mark.parametrize("counts", PARTITION_COUNTS.values(), ids=PARTITION_COUNTS.keys())
     @pytest.mark.parametrize(
         "mode, rows",
-        [*(("iid", n) for n in (1, 2, 7, 1000, 2**31, 2**33)), ("non_iid", 2), ("non_iid", 1000)],
+        [
+            *(("iid", n) for n in (1, 2, 7, 1000, 2**16, 2**16 + 1, 2**31, 2**33)),
+            ("non_iid", 2),
+            ("non_iid", 1000),
+        ],
     )
     def test_partition_equals_the_per_client_loop(self, mode, rows, counts):
-        # One row leaves `integers(0, 1)` nothing to draw; 2**33 rows take
-        # the 64-bit path of `integers`.
+        # One row leaves `integers(0, 1)` nothing to draw; 2**16 and 2**31
+        # rows are the most that uint16 and int32 indices hold; 2**33 rows
+        # take the 64-bit path of `integers`.
         if rows <= 1000:
             labels = np.arange(rows, dtype=np.int64) % 2
             dataset = LabeledDataset(np.zeros((rows, 3)), labels, 2)
@@ -193,16 +212,37 @@ class TestPartition:
         assert len(part.shards) == len(want)
         for row, shard in enumerate(part.shards):
             assert np.array_equal(shard, want[row])
-            assert shard.dtype == (np.int32 if rows <= 2**31 else np.int64)
+            width = np.uint16 if rows <= 2**16 else np.int32 if rows <= 2**31 else np.int64
+            assert shard.dtype == width
             assert not shard.flags.writeable
             assert len(shard) == population.data_count[row]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize("clients", [1, 500])
-    def test_iid_draws_once_per_run(self, clients):
+    @pytest.mark.parametrize(
+        "clients, count", [(1, 10), (500, 10), (150, 1000)], ids=["1", "500", "150"]
+    )
+    def test_iid_draws_once_per_run(self, clients, count):
+        # Once for a run of up to DRAW_CHUNK values; 150 x 1000 spans three chunks.
         rng = CountingGenerator(np.random.default_rng(0))
-        partition_dataset(balanced_dataset(), tiny_population([10] * clients), "iid", rng)
-        assert rng.calls == {"integers": 1}
+        partition_dataset(balanced_dataset(), tiny_population([count] * clients), "iid", rng)
+        assert rng.calls == {"integers": math.ceil(clients * count / DRAW_CHUNK)}
+
+    def test_iid_partition_peaks_near_its_uint16_shards(self):
+        # The 2000-row default set: 2 bytes per index, and never more than
+        # one int32 chunk of draws beside them.
+        dataset = balanced_dataset(per_class=200)
+        counts = np.random.default_rng(9).integers(100, 1001, size=1000).tolist()
+        population = tiny_population(counts)
+        partition_dataset(dataset, tiny_population([10]), "iid", np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            part = partition_dataset(dataset, population, "iid", np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shard_bytes = sum(shard.nbytes for shard in part.shards)
+        assert shard_bytes == 2 * sum(counts)
+        assert peak <= 1.25 * shard_bytes + 4 * DRAW_CHUNK
 
     @pytest.mark.parametrize("clients", [1, 500])
     def test_non_iid_draws_once_per_client(self, clients):
@@ -765,6 +805,16 @@ class TestDatasets:
         assert data.features.shape == (500, 16)
         assert data.labels.shape == (500,)
         assert set(np.unique(data.labels)) <= set(range(10))
+
+    @pytest.mark.parametrize("spread", [0.0, 0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blob_dataset_equals_the_one_expression(self, seed, spread):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        data = make_blob_dataset(300, 7, 5, rng, spread=spread)
+        features, labels = reference_blob_dataset(300, 7, 5, reference_rng, spread=spread)
+        assert data.features.tobytes() == features.tobytes()
+        assert data.labels.tobytes() == labels.astype(np.int64).tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_blobs_are_learnable(self):
         data = make_blob_dataset(800, 8, 4, RngStream(1, "data").generator(), spread=0.4)
