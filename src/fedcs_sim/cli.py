@@ -160,7 +160,7 @@ def build_trainer(config: ExperimentConfig, population: Population, rng: RngStre
         train,
         population,
         part_cfg["mode"],
-        rng.child("partition").generator(),
+        rng.child("partition"),
         classes_per_client=part_cfg["classes_per_client"],
     )
     net = MlpNet(train.features.shape[1], train.n_classes, tuple(native["hidden"]))

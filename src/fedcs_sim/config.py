@@ -137,9 +137,9 @@ DEFAULT_CONFIG: dict[str, Any] = _default_config()
 # The most samples the generated train or test set may hold.
 _MAX_GENERATED_SAMPLES = 10**6
 
-# The most bytes a native run may need in one table: the partition's or one
-# round's `local_update` int64 sample indices, the generated float64
-# features, or `local_update`'s stacked float64 parameters.
+# The most bytes a native run may need in one table: the partition's shard
+# cache's or one round's `local_update` int64 sample indices, the generated
+# float64 features, or `local_update`'s stacked float64 parameters.
 _MAX_NATIVE_TABLE_BYTES = 2 * 2**30
 _OVER_THE_LIMIT = f"over the {_MAX_NATIVE_TABLE_BYTES / 2**30:g} GiB limit"
 
@@ -282,17 +282,15 @@ def _check_native_tables(config: "ExperimentConfig") -> None:
     """Reject a native run whose worst case needs more than
     `_MAX_NATIVE_TABLE_BYTES` in one table.
 
-    With n the largest data count: the partition holds up to k_total x n
-    indices, counted at 8 bytes each, the int64 width that a dataset of
-    more than 2**31 rows needs (`partition_dataset` stores a smaller set's
-    as int32, and one of at most 2**16 rows as uint16).  One round's
-    `local_update` index table holds up to epochs x (n // batch_size) x
-    cohort size x batch_size int64s, when every client of the cohort is
-    aggregated.  The generated dataset holds (train_samples +
-    test_samples) x n_features float64s, and its network's parameters go
-    through `check_parameter_table`; a dataset file's network is known only
-    once `validate` loads the file.  Only the sizes are computed; nothing is
-    allocated.
+    With n the largest data count: the partition keeps each shard it draws,
+    so a run that trains every client (vanilla can) ends with up to k_total
+    x n int64 indices in its cache.  One round's `local_update` index table
+    holds up to epochs x (n // batch_size) x cohort size x batch_size
+    int64s, when every client of the cohort is aggregated.  The generated
+    dataset holds (train_samples + test_samples) x n_features float64s, and
+    its network's parameters go through `check_parameter_table`; a dataset
+    file's network is known only once `validate` loads the file.  Only the
+    sizes are computed; nothing is allocated.
     """
     protocol, hyper = config.protocol(), config.sgd_hyper()
     most = config.ranges().data_count[1]
@@ -308,9 +306,8 @@ def _check_native_tables(config: "ExperimentConfig") -> None:
     _require(
         shards <= _MAX_NATIVE_TABLE_BYTES,
         "trainer.kind",
-        f"native partition of {shards} bytes (k_total x data_count_range[1] indices "
-        f"at 8 bytes, the int64 width of a dataset of more than 2**31 rows) "
-        f"is {_OVER_THE_LIMIT}",
+        f"native partition of {shards} bytes (k_total x data_count_range[1] int64 "
+        f"indices, its shard cache once every client has trained) is {_OVER_THE_LIMIT}",
     )
     native = config.resolved["trainer"]["native"]
     if native["dataset_path"] is None:

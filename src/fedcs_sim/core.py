@@ -121,9 +121,13 @@ class RngStream:
         """Derive a sub-stream; children with distinct labels are independent."""
         return RngStream(self.seed, f"{self.label}/{label}")
 
-    def generator(self) -> np.random.Generator:
-        """A fresh generator positioned at the start of this stream."""
+    def seed_sequence(self) -> np.random.SeedSequence:
+        """The seed sequence at the start of this stream; its `spawn`
+        children are further independent streams, found by index alone."""
         digest = hashlib.sha256(self.label.encode("utf-8")).digest()
         key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        return np.random.default_rng(seq)
+        return np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+
+    def generator(self) -> np.random.Generator:
+        """A fresh generator positioned at the start of this stream."""
+        return np.random.default_rng(self.seed_sequence())

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelError, ParameterError, is_integer
+from .core import ModelError, ParameterError, RngStream, is_integer
 from .resources import MAX_DATA_COUNT, MAX_EPOCHS, TimeBudget
 
 __all__ = [
@@ -47,9 +47,6 @@ PARTITION_MODES = ("iid", "non_iid")
 # bounds classes per client: a width x width table stays near 130 MB.
 MAX_WIDTH = 4096
 
-# The most indices one iid `integers` call draws (see `partition_dataset`).
-DRAW_CHUNK = 2**16
-
 
 @dataclass(frozen=True)
 class GlobalModel:
@@ -74,18 +71,27 @@ class GlobalModel:
         return int(self.params.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Sample indices per client: `shards[k]` is population row k's.
+    """Sample indices per client, each client's drawn when `shard` first
+    asks for them and then kept.
 
-    `partition_dataset` stores indices at the narrowest width that holds
-    every one: uint16 when the dataset has at most 2**16 rows, int32 when it
-    has at most 2**31 rows, and int64 above that.
+    Population row k's shard is `data_count[k]` indices drawn from the k-th
+    child that `seed.spawn` would give, so it depends on the seed and k
+    alone, not on which shards were drawn before it.  iid draws them
+    uniformly from the `n_samples` rows of the set.  non_iid first draws
+    `classes_per_client` distinct classes, then indices from those classes'
+    `pools` only.  Both draw with replacement, since the counts may sum
+    past the dataset size.
     """
 
-    shards: tuple[np.ndarray, ...] = ()
     mode: str = "iid"
     classes_per_client: int = 2
+    data_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    n_samples: int = 0
+    pools: tuple[np.ndarray, ...] = ()
+    seed: np.random.SeedSequence | None = None
+    _shards: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in PARTITION_MODES:
@@ -97,6 +103,26 @@ class Partition:
             raise ParameterError(
                 f"classes_per_client must be in [1, {MAX_WIDTH}]", field="classes_per_client"
             )
+
+    def __len__(self) -> int:
+        return len(self.data_count)
+
+    def shard(self, row: int) -> np.ndarray:
+        """Row `row`'s read-only int64 sample indices, drawn on the first call."""
+        idx = self._shards.get(row)
+        if idx is None:
+            child = np.random.SeedSequence(self.seed.entropy, spawn_key=(*self.seed.spawn_key, row))
+            rng = np.random.default_rng(child)
+            count = self.data_count[row]
+            if self.mode == "iid":
+                idx = rng.integers(0, self.n_samples, size=count)
+            else:
+                classes = rng.choice(len(self.pools), size=self.classes_per_client, replace=False)
+                pool = np.concatenate([self.pools[c] for c in sorted(classes)])
+                idx = pool[rng.integers(0, len(pool), size=count)]
+            idx.setflags(write=False)
+            self._shards[row] = idx
+        return idx
 
 
 @dataclass(frozen=True)
@@ -290,57 +316,24 @@ def partition_dataset(
     dataset: LabeledDataset,
     population,
     mode: str,
-    rng: np.random.Generator,
+    stream: RngStream,
     classes_per_client: int = Partition.classes_per_client,
 ) -> Partition:
-    """Assign each client of a `Population` its `data_count` sample indices.
-
-    iid: indices drawn uniformly with replacement from the whole set.
-    non_iid: each client first draws `classes_per_client` distinct classes,
-    then samples with replacement from those classes' pool only.  Sampling
-    with replacement is required because per-client counts may sum past the
-    dataset size.  Clients draw one after another in row order.
-
-    Every shard is a read-only array of the `Partition` index width.  iid
-    fills one flat array of that width from consecutive `integers` calls of
-    at most `DRAW_CHUNK` values, each cast into its slice, and each client's
-    shard is the view between the cumulative counts.  That gives the same
-    numbers, and leaves `rng` in the same state, as one call per client:
-    `integers` takes each bounded value from the bit generator's own 32- or
-    64-bit stream, and PCG64 keeps a spare 32-bit half in its state, so a
-    call boundary moves no draw.  The stream is chosen by the range alone,
-    so an int32 draw gives the values, and leaves the state, that an int64
-    draw would.  A uint16 draw would not: it takes a 16-bit buffered
-    stream, so the chunks are drawn as int32 (int64 above 2**31 rows), and
-    no full-length array at the draw width exists.
-    non_iid cannot draw at once, because each client's class `choice` sits
-    between its index draws; its class pools are cast to the index width
-    once, and each shard is a gather from one.
-    """
+    """The `Partition` that gives each client of a `Population` its
+    `data_count` sample indices of `dataset`, drawn from `stream`'s seed
+    sequence.  Nothing is drawn here; non_iid keeps each class's rows."""
     check_partition(dataset, mode, classes_per_client)
-    counts = population.data_count
-    rows = len(dataset)
-    draw = np.int32 if rows <= 2**31 else np.int64
-    width = np.uint16 if rows <= 2**16 else draw
-    if mode == "iid":
-        flat = np.empty(int(counts.sum()), dtype=width)
-        for start in range(0, len(flat), DRAW_CHUNK):
-            chunk = flat[start : start + DRAW_CHUNK]
-            chunk[...] = rng.integers(0, rows, size=len(chunk), dtype=draw)
-        flat.setflags(write=False)
-        ends = np.cumsum(counts).tolist()
-        shards = tuple(flat[start:end] for start, end in zip([0, *ends], ends))
-        return Partition(shards=shards, mode=mode, classes_per_client=classes_per_client)
-
-    by_class = [np.flatnonzero(dataset.labels == c).astype(width) for c in range(dataset.n_classes)]
-    shards = []
-    for count in counts.tolist():
-        classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
-        pool = np.concatenate([by_class[c] for c in sorted(classes)])
-        idx = pool[rng.integers(0, len(pool), size=count)]
-        idx.setflags(write=False)
-        shards.append(idx)
-    return Partition(shards=tuple(shards), mode=mode, classes_per_client=classes_per_client)
+    pools = ()
+    if mode == "non_iid":
+        pools = tuple(np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes))
+    return Partition(
+        mode=mode,
+        classes_per_client=classes_per_client,
+        data_count=population.data_count,
+        n_samples=len(dataset),
+        pools=pools,
+        seed=stream.seed_sequence(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +677,12 @@ class NativeTrainer(Trainer):
         return GlobalModel(params=self._init_params, round=0)
 
     def client_updates(self, model, rows, rng):
-        shards = self.partition.shards
+        partition = self.partition
         for row in rows:
-            if not 0 <= row < len(shards):  # a bare index would take -1 as the last
+            if not 0 <= row < len(partition):  # a bare index would take -1 as the last
                 raise ParameterError(f"row {int(row)} has no shard in the partition")
         return local_update(
-            model, self.train_set, [shards[row] for row in rows], self.net, self.hyper, rng
+            model, self.train_set, [partition.shard(row) for row in rows], self.net, self.hyper, rng
         )
 
     def evaluate(self, model) -> float:

@@ -297,15 +297,19 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> list[int]:
     earlier one.  The sweep stops once the distribution time alone reaches
     the deadline.
 
-    A term is tested as `head + (t_update + sum) < t_round`, with head =
-    (t_cs + t_agg) + u: the strict test, in the association, that
-    `greedy_select` applies to its totals.  When the sums are exact (as on
-    integer grids) a set passes exactly when its replayed total does, so
-    any gap to greedy is the heuristic's.  Otherwise the two can differ in
-    the last bit, so a larger set is taken only once its total, replayed in
-    release order by `extend_theta`, is below t_round: every schedule
-    returned fits, and a total within the last bit of the deadline can cost
-    the optimum one client.
+    A term is tested as `head + (t_update + sum) >= limit`, with head =
+    (t_cs + t_agg) + u.  Those running sums and a schedule's replayed
+    `extend_theta` chain round differently, so near the deadline they can
+    disagree in the last bit either way, and a set can fit where a subset
+    of it does not.  So a level is walked first against t_round (1 + 1e-9),
+    a margin far above the rounding of either: no schedule that fits, in any
+    order, keeps more clients.  Its set is taken if its total, replayed in
+    release order, is below t_round, or else in `greedy_select`'s order of
+    that set if greedy keeps all of it.  Failing both, the level is walked
+    again against t_round (1 - 1e-9), whose set fits unless its total is
+    within the last bits of the deadline, and is checked by the same replay.
+    So every schedule returned fits, and exact sums (as on integer grids)
+    give the optimum.
     """
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
@@ -316,24 +320,35 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> list[int]:
     upload_times = candidates.t_upload[walk]
     t_upload = upload_times.tolist()
 
+    def moore_hodgson(admitted: list[int], head: float, limit: float) -> list[int]:
+        """The walk's rows kept against `limit`, in release order."""
+        kept: list[tuple[float, int]] = []
+        uploads = 0.0
+        for k in admitted:
+            heapq.heappush(kept, (-t_upload[k], k))
+            uploads += t_upload[k]
+            if head + (t_update[k] + uploads) >= limit:
+                uploads += heapq.heappop(kept)[0]
+        return sorted((k for _, k in kept), reverse=True)
+
     best: list[int] = []
     for level in np.unique(upload_times).tolist():
         head = base + level
         if head >= deadline:
             break
-        admitted = np.flatnonzero(upload_times <= level)
-        kept: list[tuple[float, int]] = []
-        uploads = 0.0
-        for k in admitted.tolist():
-            heapq.heappush(kept, (-t_upload[k], k))
-            uploads += t_upload[k]
-            if head + (t_update[k] + uploads) >= deadline:
-                uploads += heapq.heappop(kept)[0]
-        if len(kept) > len(best):
-            release = sorted((k for _, k in kept), reverse=True)
+        admitted = np.flatnonzero(upload_times <= level).tolist()
+        for limit in (deadline * (1.0 + 1e-9), deadline * (1.0 - 1e-9)):
+            release = moore_hodgson(admitted, head, limit)
+            if len(release) <= len(best):
+                break
             theta = finish_times([t_update[k] for k in release], [t_upload[k] for k in release])
             if base + max(t_upload[k] for k in release) + theta[-1] < deadline:
                 best = release
+                break
+            order = greedy_select(candidates._rows(walk[release]), budget)
+            if len(order) == len(release):
+                best = [release[j] for j in order]
+                break
 
     rows = walk.tolist()
     return [rows[k] for k in best]

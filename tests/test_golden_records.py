@@ -131,7 +131,7 @@ def test_native_training_on_a_non_iid_partition(tmp_path, capsys):
         seeds=[5],
     )
     assert record_digests(tmp_path, overlay) == {
-        "fedcs_seed5": "9e8d83a121cdd3820e64812ef798c83da80a16f10250e547e32bbee88c205541"
+        "fedcs_seed5": "88bc06e30d5bfe7200e43bac420141c24ec332d22264dd8bf973db5d84e289d0"
     }
 
 
@@ -145,7 +145,7 @@ def test_native_training_with_a_hidden_layer(tmp_path, capsys):
         seeds=[6],
     )
     assert record_digests(tmp_path, overlay) == {
-        "fedcs_seed6": "dc266c458841247a459e6a139262fafcd103e253559bed83e0379d53c62b25aa"
+        "fedcs_seed6": "b3ac93e2c77fb60a05abdcf8f9586154b0c233b640723ee29f3c747bba73d6ae"
     }
 
 

@@ -1,6 +1,5 @@
 import collections
 import json
-import math
 import os
 import re
 import subprocess
@@ -14,7 +13,6 @@ import pytest
 import fedcs_sim
 from fedcs_sim.core import ModelError, ParameterError, RngStream
 from fedcs_sim.learning import (
-    DRAW_CHUNK,
     GlobalModel,
     LabeledDataset,
     MlpNet,
@@ -31,7 +29,9 @@ from fedcs_sim.learning import (
     surrogate_accuracy,
     with_ones,
 )
-from fedcs_sim.resources import MAX_EPOCHS, Population
+from fedcs_sim.cli import build_trainer
+from fedcs_sim.config import ExperimentConfig, resolve_config
+from fedcs_sim.resources import MAX_EPOCHS, Population, generate_profiles
 
 
 def reference_local_update(model, features, labels, net, hyper, rng):
@@ -92,29 +92,31 @@ def reference_blob_dataset(n_samples, n_features, n_classes, rng, spread=1.0):
     return features, labels
 
 
-def reference_partition(dataset, population, mode, rng, classes_per_client=2):
-    """Each client's shard drawn in its own turn: the loop that the one-draw
-    iid partition replaced, kept verbatim for both modes."""
+def reference_partition(dataset, population, mode, stream, classes_per_client=2):
+    """Every client's shard drawn in row order, client k's from the k-th
+    child that `spawn` gives of the stream's seed sequence."""
     by_class = [np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
+    children = stream.seed_sequence().spawn(len(population))
     shards = []
-    n = len(dataset)
-    for count in population.data_count.tolist():
+    for count, child in zip(population.data_count.tolist(), children):
+        rng = np.random.default_rng(child)
         if mode == "iid":
-            idx = rng.integers(0, n, size=count)
+            idx = rng.integers(0, len(dataset), size=count)
         else:
             classes = rng.choice(dataset.n_classes, size=classes_per_client, replace=False)
             pool = np.concatenate([by_class[c] for c in sorted(classes)])
             idx = pool[rng.integers(0, len(pool), size=count)]
-        shards.append(idx.astype(np.int64))
+        shards.append(idx)
     return shards
 
 
 class CountingGenerator:
-    """Delegates to a `Generator` and counts the calls of each method."""
+    """Delegates to a `Generator` and counts the calls of each method into
+    the shared `calls`."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, calls):
         self.rng = rng
-        self.calls = collections.Counter()
+        self.calls = calls
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
@@ -124,6 +126,16 @@ class CountingGenerator:
             return method(*args, **kwargs)
 
         return counted
+
+
+def counting_generators(monkeypatch):
+    """Wrap every generator that `np.random.default_rng` makes from here on
+    in a `CountingGenerator`; the calls of all of them, counted together."""
+    calls, default_rng = collections.Counter(), np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a: CountingGenerator(default_rng(*a), calls)
+    )
+    return calls
 
 
 class RowCount:
@@ -147,45 +159,54 @@ PARTITION_COUNTS = {
 }
 
 
+def all_shards(partition):
+    return [partition.shard(row) for row in range(len(partition))]
+
+
 class TestPartition:
     def test_iid_class_histogram_is_uniform(self):
         # 10^4 clients x 100 samples over a balanced 10-class set: the mean
         # per-class count per client is 10 with std 3/sqrt(10^4) = 0.03.
         dataset = balanced_dataset()
         population = tiny_population([100] * 10**4)
-        part = partition_dataset(dataset, population, "iid", RngStream(0, "partition").generator())
-        counts = np.zeros(10)
-        for shard in part.shards:
-            counts += np.bincount(dataset.labels[shard], minlength=10)
+        part = partition_dataset(dataset, population, "iid", RngStream(0, "partition"))
+        counts = np.bincount(dataset.labels[np.concatenate(all_shards(part))], minlength=10)
         per_client_means = counts / len(population)
         assert np.all(np.abs(per_client_means - 10.0) <= 3 * 0.03)
 
-    def test_non_iid_spans_at_most_two_labels(self):
+    @pytest.mark.parametrize("classes_per_client", [1, 2, 3])
+    def test_non_iid_spans_at_most_classes_per_client_labels(self, classes_per_client):
         dataset = balanced_dataset()
         population = tiny_population([150] * 200)
         part = partition_dataset(
-            dataset, population, "non_iid", RngStream(1, "partition").generator()
+            dataset, population, "non_iid", RngStream(1, "partition"), classes_per_client
         )
-        assert len(part.shards) == len(population)
-        for shard in part.shards:
-            labels = set(dataset.labels[shard].tolist())
-            assert len(labels) <= 2
+        spans = [len(set(dataset.labels[shard].tolist())) for shard in all_shards(part)]
+        assert len(spans) == len(population)
+        assert max(spans) == classes_per_client
 
-    def test_shard_sizes_match_data_counts(self):
+    @pytest.mark.parametrize("mode", ["iid", "non_iid"])
+    def test_shards_are_read_only_int64_indices_of_their_data_counts(self, mode):
         dataset = balanced_dataset()
-        population = tiny_population([100 + 13 * i for i in range(20)])
-        part = partition_dataset(dataset, population, "iid", RngStream(2, "partition").generator())
-        assert type(part.shards) is tuple
-        assert [len(shard) for shard in part.shards] == population.data_count.tolist()
+        population = tiny_population([1] + [100 + 13 * i for i in range(20)])
+        part = partition_dataset(dataset, population, mode, RngStream(2, "partition"))
+        shards = all_shards(part)
+        assert [len(shard) for shard in shards] == population.data_count.tolist()
+        for shard in shards:
+            assert shard.dtype == np.int64
+            assert not shard.flags.writeable
+            assert 0 <= shard.min() and shard.max() < len(dataset)
 
     def test_same_seed_reproduces_assignment(self):
         dataset = balanced_dataset()
         population = tiny_population([120] * 50)
-        a = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
-        b = partition_dataset(dataset, population, "non_iid", RngStream(3, "partition").generator())
-        assert len(a.shards) == len(b.shards) == len(population)
-        for shard_a, shard_b in zip(a.shards, b.shards):
+        a, b, c = (
+            partition_dataset(dataset, population, "non_iid", RngStream(seed, "partition"))
+            for seed in (3, 3, 4)
+        )
+        for shard_a, shard_b, shard_c in zip(all_shards(a), all_shards(b), all_shards(c)):
             assert np.array_equal(shard_a, shard_b)
+            assert not np.array_equal(shard_a, shard_c)
 
     @pytest.mark.parametrize("counts", PARTITION_COUNTS.values(), ids=PARTITION_COUNTS.keys())
     @pytest.mark.parametrize(
@@ -197,58 +218,75 @@ class TestPartition:
         ],
     )
     def test_partition_equals_the_per_client_loop(self, mode, rows, counts):
-        # One row leaves `integers(0, 1)` nothing to draw; 2**16 and 2**31
-        # rows are the most that uint16 and int32 indices hold; 2**33 rows
-        # take the 64-bit path of `integers`.
+        # One row leaves `integers(0, 1)` nothing to draw; 2**33 rows take
+        # the 64-bit path of `integers`.  Shards are asked for last row
+        # first, so each is drawn after every shard that follows it.
         if rows <= 1000:
             labels = np.arange(rows, dtype=np.int64) % 2
             dataset = LabeledDataset(np.zeros((rows, 3)), labels, 2)
         else:
             dataset = RowCount(rows)
         population = tiny_population(counts)
-        rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
-        part = partition_dataset(dataset, population, mode, rng)
-        want = reference_partition(dataset, population, mode, reference_rng)
-        assert len(part.shards) == len(want)
-        for row, shard in enumerate(part.shards):
+        stream = RngStream(17, "partition")
+        part = partition_dataset(dataset, population, mode, stream)
+        got = [part.shard(row) for row in reversed(range(len(population)))][::-1]
+        want = reference_partition(dataset, population, mode, stream)
+        assert len(got) == len(want)
+        for row, shard in enumerate(got):
             assert np.array_equal(shard, want[row])
-            width = np.uint16 if rows <= 2**16 else np.int32 if rows <= 2**31 else np.int64
-            assert shard.dtype == width
+            assert shard.dtype == np.int64
             assert not shard.flags.writeable
-            assert len(shard) == population.data_count[row]
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "clients, count", [(1, 10), (500, 10), (150, 1000)], ids=["1", "500", "150"]
-    )
-    def test_iid_draws_once_per_run(self, clients, count):
-        # Once for a run of up to DRAW_CHUNK values; 150 x 1000 spans three chunks.
-        rng = CountingGenerator(np.random.default_rng(0))
-        partition_dataset(balanced_dataset(), tiny_population([count] * clients), "iid", rng)
-        assert rng.calls == {"integers": math.ceil(clients * count / DRAW_CHUNK)}
+    @pytest.mark.parametrize("mode", ["iid", "non_iid"])
+    @pytest.mark.parametrize("order", ["ascending", "random"])
+    def test_a_shard_does_not_depend_on_the_shards_drawn_before_it(self, mode, order):
+        dataset = balanced_dataset()
+        population = tiny_population(np.random.default_rng(5).integers(1, 1001, 60).tolist())
+        rows = list(range(60))
+        if order == "random":
+            np.random.default_rng(6).shuffle(rows)
+        alone = {}
+        for row in rows[:10]:
+            fresh = partition_dataset(dataset, population, mode, RngStream(7, "partition"))
+            alone[row] = fresh.shard(row)
+        part = partition_dataset(dataset, population, mode, RngStream(7, "partition"))
+        drawn = {row: part.shard(row) for row in rows}
+        for row, shard in alone.items():
+            assert np.array_equal(drawn[row], shard)
+        assert all(part.shard(row) is shard for row, shard in drawn.items())
 
-    def test_iid_partition_peaks_near_its_uint16_shards(self):
-        # The 2000-row default set: 2 bytes per index, and never more than
-        # one int32 chunk of draws beside them.
-        dataset = balanced_dataset(per_class=200)
-        counts = np.random.default_rng(9).integers(100, 1001, size=1000).tolist()
-        population = tiny_population(counts)
-        partition_dataset(dataset, tiny_population([10]), "iid", np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            part = partition_dataset(dataset, population, "iid", np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        shard_bytes = sum(shard.nbytes for shard in part.shards)
-        assert shard_bytes == 2 * sum(counts)
-        assert peak <= 1.25 * shard_bytes + 4 * DRAW_CHUNK
-
+    @pytest.mark.parametrize("mode", ["iid", "non_iid"])
     @pytest.mark.parametrize("clients", [1, 500])
-    def test_non_iid_draws_once_per_client(self, clients):
-        rng = CountingGenerator(np.random.default_rng(0))
-        partition_dataset(balanced_dataset(), tiny_population([10] * clients), "non_iid", rng)
-        assert rng.calls == {"choice": clients, "integers": clients}
+    def test_each_shard_is_drawn_once_when_first_asked_for(self, monkeypatch, mode, clients):
+        # One generator per shard: iid draws its indices in one call, and
+        # non_iid its classes and then its indices.  Set-up draws nothing.
+        dataset, population = balanced_dataset(), tiny_population([10] * clients)
+        calls = counting_generators(monkeypatch)
+        part = partition_dataset(dataset, population, mode, RngStream(0, "partition"))
+        assert not calls
+        all_shards(part)
+        all_shards(part)
+        per_shard = {"integers": 1} if mode == "iid" else {"choice": 1, "integers": 1}
+        assert calls == {name: clients * n for name, n in per_shard.items()}
+
+    def test_native_set_up_does_not_grow_with_the_population(self):
+        # Set-up keeps the data counts by reference and draws no shard, so
+        # 100 000 clients trace as much memory as 100 do.  The first build
+        # is a warm-up.
+        peaks = []
+        for k_total in (100, 100, 100_000):
+            overlay = {"protocol": {"k_total": k_total}, "trainer": {"kind": "native"}}
+            config = ExperimentConfig(resolve_config(overlay))
+            population = generate_profiles(k_total, config.cell(), config.ranges(), RngStream(1))
+            tracemalloc.start()
+            try:
+                trainer = build_trainer(config, population, RngStream(1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(trainer.partition) == k_total
+            peaks.append(peak)
+        assert peaks[2] <= peaks[1] + 64 * 1024
 
     def test_too_few_classes_rejected(self):
         dataset = balanced_dataset(n_classes=2, per_class=50)
@@ -257,7 +295,7 @@ class TestPartition:
                 dataset,
                 tiny_population([100]),
                 "non_iid",
-                RngStream(4, "partition").generator(),
+                RngStream(4, "partition"),
                 classes_per_client=3,
             )
 
@@ -265,7 +303,7 @@ class TestPartition:
         dataset = balanced_dataset()
         with pytest.raises(ParameterError):
             partition_dataset(
-                dataset, tiny_population([100]), "stratified", RngStream(5, "partition").generator()
+                dataset, tiny_population([100]), "stratified", RngStream(5, "partition")
             )
 
 
@@ -662,15 +700,14 @@ class TestStackedLocalUpdate:
 
     def test_trainer_updates_clients_in_the_order_given(self):
         data = balanced_dataset(per_class=40, n_classes=3)
-        rng = np.random.default_rng(1)
-        partition = Partition(tuple(rng.integers(0, len(data), size=n) for n in (120, 33)), "iid")
+        partition = partition_dataset(data, tiny_population([120, 33]), "iid", RngStream(1))
         net = MlpNet(4, 3)
         trainer = NativeTrainer(data, data, partition, net, SgdHyper(), np.random.default_rng(2))
         model = trainer.init_model()
         updated = trainer.client_updates(model, [1, 0], np.random.default_rng(3))
         reference_rng = np.random.default_rng(3)
         for got, row in zip(updated, (1, 0)):
-            idx = partition.shards[row]
+            idx = partition.shard(row)
             want = reference_local_update(
                 model, data.features[idx], data.labels[idx], net, SgdHyper(), reference_rng
             )
@@ -680,7 +717,7 @@ class TestStackedLocalUpdate:
     def test_a_row_outside_the_partition_is_rejected(self, row):
         # -1 would index the last shard of a bare tuple.
         data = balanced_dataset(per_class=5, n_classes=3)
-        partition = Partition((np.arange(10), np.arange(5)), "iid")
+        partition = partition_dataset(data, tiny_population([10, 5]), "iid", RngStream(0))
         trainer = NativeTrainer(
             data, data, partition, MlpNet(4, 3), SgdHyper(), np.random.default_rng(0)
         )
@@ -983,7 +1020,7 @@ class TestNativeTrainer:
     def test_evaluate_is_the_accuracy_on_the_test_set(self):
         data = balanced_dataset(per_class=20, n_classes=3)
         test = balanced_dataset(per_class=10, n_classes=3, seed=1)
-        partition = Partition((np.arange(60),), "iid")
+        partition = partition_dataset(data, tiny_population([60]), "iid", RngStream(0))
         net = MlpNet(4, 3, hidden=(5,))
         trainer = NativeTrainer(data, test, partition, net, SgdHyper(), np.random.default_rng(0))
         (model,) = trainer.client_updates(trainer.init_model(), [0], np.random.default_rng(1))
@@ -1003,7 +1040,7 @@ class TestNativeTrainer:
         message = f"train and test sets must agree on the {name} count, got {counts}"
         with pytest.raises(ParameterError, match=message):
             NativeTrainer(
-                data, test, Partition((), "iid"), MlpNet(8, 3), SgdHyper(),
+                data, test, Partition(), MlpNet(8, 3), SgdHyper(),
                 np.random.default_rng(0),
             )
 
@@ -1012,7 +1049,7 @@ class TestNativeTrainer:
         empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
         with pytest.raises(ParameterError, match="test set is empty"):
             NativeTrainer(
-                data, empty, Partition((), "iid"), MlpNet(4, 3), SgdHyper(),
+                data, empty, Partition(), MlpNet(4, 3), SgdHyper(),
                 np.random.default_rng(0),
             )
 
@@ -1076,4 +1113,5 @@ class TestInputChecks:
         assert MlpNet(4, 3, (np.int64(5),)).dims == (4, 5, 3)
 
     def test_partition_defaults_to_an_empty_iid_partition(self):
-        assert Partition() == Partition((), "iid", 2)
+        partition = Partition()
+        assert (partition.mode, partition.classes_per_client, len(partition)) == ("iid", 2, 0)

@@ -736,7 +736,7 @@ class PerClientTrainer(RecordingTrainer):
     def client_updates(self, model, rows, rng):
         updates = []
         for row in rows:
-            idx = self.partition.shards[row]
+            idx = self.partition.shard(row)
             x, y = self.train_set.features[idx], self.train_set.labels[idx]
             updates.append(reference_local_update(model, x, y, self.net, self.hyper, rng))
         return updates
@@ -746,7 +746,7 @@ def native_trainer(cls, population):
     full = make_blob_dataset(700, 8, 4, RngStream(0, "dataset").generator())
     train = LabeledDataset(full.features[:600], full.labels[:600], 4)
     test = LabeledDataset(full.features[600:], full.labels[600:], 4)
-    partition = partition_dataset(train, population, "iid", RngStream(0, "partition").generator())
+    partition = partition_dataset(train, population, "iid", RngStream(0, "partition"))
     net = MlpNet(8, 4, hidden=(6,))
     return cls(train, test, partition, net, SgdHyper(), RngStream(0, "init").generator())
 

@@ -704,6 +704,24 @@ def lawler_moore_optimum(cands, budget):
     return optimum
 
 
+def totals_of_every_subset(t_update, t_upload, base):
+    """The replayed total of every subset of each instance's clients, each
+    served in release order, and each subset's size.  Row i of the (m, n)
+    columns is instance i; subset s holds client k when bit k of s is set.
+    Every instance runs the same `extend_theta` chain, in numpy, once per
+    release position."""
+    m, n = t_update.shape
+    members = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    theta, dist = np.zeros((m, 2**n)), np.zeros((m, 2**n))
+    instances = np.arange(m)
+    for k in np.argsort(t_update, axis=1, kind="stable").T:
+        update, upload = t_update[instances, k][:, None], t_upload[instances, k][:, None]
+        joins = members[:, k].T
+        theta = np.where(joins, (theta + upload) + np.maximum(0.0, update - theta), theta)
+        dist = np.where(joins, np.maximum(dist, upload), dist)
+    return (base[:, None] + dist) + theta, members.sum(axis=1)
+
+
 class TestExact:
     def test_three_client_hand_trace_boundary(self):
         cands = candidate_set(
@@ -757,6 +775,29 @@ class TestExact:
             schedule = plan(exact_select, rows, budget)
             assert len(schedule) == len(reference_exact(rows, budget))
             assert_exact_schedule(schedule, rows, budget)
+
+    def test_never_below_every_subset_or_greedy_off_the_grid(self):
+        # Deadlines on one random subset's replayed total, where the walk's
+        # sums and a replay round apart in the last bit.  The brute force
+        # replays subsets in release order only, so a set that fits only in
+        # greedy's order can put exact above it.
+        rng = np.random.default_rng(1968)
+        checked = 0
+        for n in range(2, 9):
+            m = 860
+            t_update, t_upload = rng.uniform(0, 60, (m, n)), rng.uniform(0.1, 30, (m, n))
+            t_cs = rng.uniform(0, 5, m)
+            totals, sizes = totals_of_every_subset(t_update, t_upload, t_cs)
+            deadline = totals[np.arange(m), rng.integers(1, 2**n, m)]
+            optimum = np.where(totals < deadline[:, None], sizes, 0).max(axis=1)
+            for i in range(m):
+                cands = CandidateSet(t_update[i], t_upload[i])
+                budget = budget_of(float(deadline[i]), t_cs=float(t_cs[i]))
+                schedule = exact_select(cands, budget)
+                assert replay(cands, schedule, budget)[1] < deadline[i]
+                assert len(schedule) >= max(optimum[i], len(greedy_select(cands, budget)))
+                checked += 1
+        assert checked >= 6000
 
     def test_greedy_never_beats_exact_and_exact_sometimes_strictly_wins(self):
         rng = np.random.default_rng(20260809)
