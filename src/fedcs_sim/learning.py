@@ -76,21 +76,25 @@ class Partition:
     """Sample indices per client, each client's drawn when `shard` first
     asks for them and then kept.
 
-    Population row k's shard is `data_count[k]` indices drawn from the k-th
-    child that `seed.spawn` would give, so it depends on the seed and k
+    A config builds it from the mode and classes per client alone, with no
+    clients; `partition_dataset` alone sets the private sampling state.
+    Population row k's shard is `_data_count[k]` indices drawn from the k-th
+    child that `_seed.spawn` would give, so it depends on the seed and k
     alone, not on which shards were drawn before it.  iid draws them
-    uniformly from the `n_samples` rows of the set.  non_iid first draws
+    uniformly from the `_n_samples` rows of the set.  non_iid first draws
     `classes_per_client` distinct classes, then indices from those classes'
-    `pools` only.  Both draw with replacement, since the counts may sum
+    `_pools` only.  Both draw with replacement, since the counts may sum
     past the dataset size.
     """
 
     mode: str = "iid"
     classes_per_client: int = 2
-    data_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    n_samples: int = 0
-    pools: tuple[np.ndarray, ...] = ()
-    seed: np.random.SeedSequence | None = None
+    _data_count: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64), init=False, repr=False
+    )
+    _n_samples: int = field(default=0, init=False, repr=False)
+    _pools: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+    _seed: np.random.SeedSequence | None = field(default=None, init=False, repr=False)
     _shards: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -105,20 +109,22 @@ class Partition:
             )
 
     def __len__(self) -> int:
-        return len(self.data_count)
+        return len(self._data_count)
 
     def shard(self, row: int) -> np.ndarray:
         """Row `row`'s read-only int64 sample indices, drawn on the first call."""
         idx = self._shards.get(row)
         if idx is None:
-            child = np.random.SeedSequence(self.seed.entropy, spawn_key=(*self.seed.spawn_key, row))
-            rng = np.random.default_rng(child)
-            count = self.data_count[row]
+            count = self._data_count[row]
+            seed = self._seed
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, row))
+            )
             if self.mode == "iid":
-                idx = rng.integers(0, self.n_samples, size=count)
+                idx = rng.integers(0, self._n_samples, size=count)
             else:
-                classes = rng.choice(len(self.pools), size=self.classes_per_client, replace=False)
-                pool = np.concatenate([self.pools[c] for c in sorted(classes)])
+                classes = rng.choice(len(self._pools), size=self.classes_per_client, replace=False)
+                pool = np.concatenate([self._pools[c] for c in sorted(classes)])
                 idx = pool[rng.integers(0, len(pool), size=count)]
             idx.setflags(write=False)
             self._shards[row] = idx
@@ -326,14 +332,15 @@ def partition_dataset(
     pools = ()
     if mode == "non_iid":
         pools = tuple(np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes))
-    return Partition(
-        mode=mode,
-        classes_per_client=classes_per_client,
-        data_count=population.data_count,
-        n_samples=len(dataset),
-        pools=pools,
-        seed=stream.seed_sequence(),
-    )
+    partition = Partition(mode=mode, classes_per_client=classes_per_client)
+    for name, value in (
+        ("_data_count", population.data_count),
+        ("_n_samples", len(dataset)),
+        ("_pools", pools),
+        ("_seed", stream.seed_sequence()),
+    ):
+        object.__setattr__(partition, name, value)
+    return partition
 
 
 # ---------------------------------------------------------------------------

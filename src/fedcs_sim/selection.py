@@ -288,67 +288,76 @@ def exact_select(candidates: CandidateSet, budget: TimeBudget) -> list[int]:
     slack - t_update, which Moore-Hodgson solves exactly (Moore, Management
     Science 15(1), 1968): walk the clients by descending (t_update, row),
     keep their uploads on a max-heap with a running sum, and whenever a term
-    reaches the slack drop the largest upload kept.
+    reaches the limit drop the largest upload kept.
 
     The distribution time is the longest selected upload, so the walk is
     repeated for each distinct upload time u, shortest first, over the
     candidates with t_upload <= u; the first largest set wins.  The levels
     are distinct, so each admits more candidates than any set kept at an
-    earlier one.  The sweep stops once the distribution time alone reaches
-    the deadline.
+    earlier one.  The sweep stops once (t_cs + t_agg) + u reaches the limit.
 
-    A term is tested as `head + (t_update + sum) >= limit`, with head =
-    (t_cs + t_agg) + u.  Those running sums and a schedule's replayed
-    `extend_theta` chain round differently, so near the deadline they can
-    disagree in the last bit either way, and a set can fit where a subset
-    of it does not.  So a level is walked first against t_round (1 + 1e-9),
-    a margin far above the rounding of either: no schedule that fits, in any
-    order, keeps more clients.  Its set is taken if its total, replayed in
-    release order, is below t_round, or else in `greedy_select`'s order of
-    that set if greedy keeps all of it.  Failing both, the level is walked
-    again against t_round (1 - 1e-9), whose set fits unless its total is
-    within the last bits of the deadline, and is checked by the same replay.
-    So every schedule returned fits, and exact sums (as on integer grids)
-    give the optimum.
+    The walk sums Python integers in a unit 2^53 finer than its finest
+    input, so each term is a set's total R in release order, exactly.  A
+    schedule fits when its replayed total, the float `extend_theta` chain,
+    is below t_round.  Each chain step adds at most two roundings of its
+    partial total (a step that adds t_update - theta cancels theta's
+    earlier error) and the head two more, so the replay is within (2n + 2)
+    2^-53 R of R, to first order.  With E = 4 (n + 1) 2^-53 t_round, every
+    schedule that fits, in any order, has R < t_round + E in release order,
+    and every set with R < t_round - E fits.  So a level's set against
+    t_round + E is taken when its replay fits, and then no fitting schedule
+    keeps more clients; else a total lies within E of the deadline, and the
+    level's set against t_round - E is taken.  Inside that band a set can
+    fit in one order and not in another, so `greedy_select`'s schedule is
+    returned, in its order, when it keeps more clients.  On integer grids,
+    and wherever no total lies within E of the deadline, the result is the
+    optimum.
     """
     base = float(budget.t_cs) + float(budget.t_agg)
     deadline = float(budget.t_round)
 
     # Walk order: descending (t_update, row); its reverse is release order.
     walk = np.argsort(candidates.t_update, kind="stable")[::-1]
-    t_update = candidates.t_update[walk].tolist()
     upload_times = candidates.t_upload[walk]
-    t_upload = upload_times.tolist()
+    updates, uploads = candidates.t_update[walk].tolist(), upload_times.tolist()
+    unit = max(x.as_integer_ratio()[1] for x in [base, deadline, *updates, *uploads]) << 53
 
-    def moore_hodgson(admitted: list[int], head: float, limit: float) -> list[int]:
+    def exact(x: float) -> int:
+        numerator, denominator = x.as_integer_ratio()
+        return numerator * (unit // denominator)
+
+    t_update, t_upload = [exact(x) for x in updates], [exact(x) for x in uploads]
+    margin = exact(deadline) * 4 * (len(walk) + 1) >> 53
+    limits = (exact(deadline) + margin, exact(deadline) - margin)
+
+    def moore_hodgson(admitted: list[int], head: int, limit: int) -> list[int]:
         """The walk's rows kept against `limit`, in release order."""
-        kept: list[tuple[float, int]] = []
-        uploads = 0.0
+        kept: list[tuple[int, int]] = []
+        total = 0
         for k in admitted:
             heapq.heappush(kept, (-t_upload[k], k))
-            uploads += t_upload[k]
-            if head + (t_update[k] + uploads) >= limit:
-                uploads += heapq.heappop(kept)[0]
+            total += t_upload[k]
+            if head + t_update[k] + total >= limit:
+                total += heapq.heappop(kept)[0]
         return sorted((k for _, k in kept), reverse=True)
+
+    def fits(release: list[int]) -> bool:
+        theta = finish_times([updates[k] for k in release], [uploads[k] for k in release])
+        return base + max(uploads[k] for k in release) + theta[-1] < deadline
 
     best: list[int] = []
     for level in np.unique(upload_times).tolist():
-        head = base + level
-        if head >= deadline:
+        head = exact(base) + exact(level)
+        if head >= limits[0]:
             break
         admitted = np.flatnonzero(upload_times <= level).tolist()
-        for limit in (deadline * (1.0 + 1e-9), deadline * (1.0 - 1e-9)):
-            release = moore_hodgson(admitted, head, limit)
-            if len(release) <= len(best):
-                break
-            theta = finish_times([t_update[k] for k in release], [t_upload[k] for k in release])
-            if base + max(t_upload[k] for k in release) + theta[-1] < deadline:
-                best = release
-                break
-            order = greedy_select(candidates._rows(walk[release]), budget)
-            if len(order) == len(release):
-                best = [release[j] for j in order]
-                break
+        release = moore_hodgson(admitted, head, limits[0])
+        if len(release) > len(best) and not fits(release):
+            release = moore_hodgson(admitted, head, limits[1])
+        if len(release) > len(best):
+            best = release
 
     rows = walk.tolist()
-    return [rows[k] for k in best]
+    schedule = [rows[k] for k in best]
+    greedy = greedy_select(candidates, budget)
+    return greedy if len(greedy) > len(schedule) else schedule

@@ -1115,3 +1115,8 @@ class TestInputChecks:
     def test_partition_defaults_to_an_empty_iid_partition(self):
         partition = Partition()
         assert (partition.mode, partition.classes_per_client, len(partition)) == ("iid", 2, 0)
+        # Only `partition_dataset` gives a partition clients to draw for.
+        with pytest.raises(IndexError):
+            partition.shard(0)
+        with pytest.raises(TypeError):
+            Partition(data_count=np.array([10]))

@@ -776,19 +776,44 @@ class TestExact:
             assert len(schedule) == len(reference_exact(rows, budget))
             assert_exact_schedule(schedule, rows, budget)
 
+    def test_a_set_far_inside_the_deadline_is_kept(self):
+        # {0} totals 179.9999999 s and fits; {1} totals 180.00000005 s and
+        # does not.  A relative margin of 1e-9 on the walk (0.18 us) would
+        # keep {1} above the deadline and drop {0} below it.
+        cands = CandidateSet([159.99999988, 160.00000005], [10.00000001, 10.0])
+        budget = budget_of(180.0)
+        assert greedy_select(cands, budget) == [0]
+        assert exact_select(cands, budget) == [0]
+
+    def test_a_set_that_fits_only_in_greedy_order_is_returned(self):
+        # All four clients total exactly the deadline in release order
+        # (1, 3, 0, 2), and fit in greedy's order (1, 0, 3, 2): client 3's
+        # update ends inside client 0's upload either way, so the two orders
+        # differ only in their rounding.
+        cands = CandidateSet(
+            [9.110073508397484, 1.4432777936236119, 53.35775906552987, 7.468987861249758],
+            [2.7928254033882722, 6.145650500522564, 0.4037001008990775, 5.920753415984083],
+        )
+        budget = budget_of(62.01401823118446, t_cs=2.1069085642329437)
+        assert replay(cands, [1, 3, 0, 2], budget)[1] == float(budget.t_round)
+        assert exact_select(cands, budget) == greedy_select(cands, budget) == [1, 0, 3, 2]
+
     def test_never_below_every_subset_or_greedy_off_the_grid(self):
-        # Deadlines on one random subset's replayed total, where the walk's
-        # sums and a replay round apart in the last bit.  The brute force
-        # replays subsets in release order only, so a set that fits only in
-        # greedy's order can put exact above it.
+        # Deadlines on one random subset's replayed total, or 1 ulp or 1e-10
+        # of it away, where the exact walk and a replay disagree: within a
+        # few ulps for the first two, far outside them for the last.  The
+        # brute force replays subsets in release order only, so a set that
+        # fits only in greedy's order can put exact above it.
         rng = np.random.default_rng(1968)
+        offsets = np.array([0.0, 2.0**-52, -(2.0**-52), 1e-10, -1e-10])
         checked = 0
         for n in range(2, 9):
             m = 860
             t_update, t_upload = rng.uniform(0, 60, (m, n)), rng.uniform(0.1, 30, (m, n))
             t_cs = rng.uniform(0, 5, m)
             totals, sizes = totals_of_every_subset(t_update, t_upload, t_cs)
-            deadline = totals[np.arange(m), rng.integers(1, 2**n, m)]
+            on_a_total = totals[np.arange(m), rng.integers(1, 2**n, m)]
+            deadline = on_a_total * (1.0 + offsets[np.arange(m) % len(offsets)])
             optimum = np.where(totals < deadline[:, None], sizes, 0).max(axis=1)
             for i in range(m):
                 cands = CandidateSet(t_update[i], t_upload[i])
